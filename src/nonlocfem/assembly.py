@@ -330,19 +330,3 @@ def l2_error(U: FieldVector, u_exact, t=None, degree: int | None = None) -> floa
     Uq = np.einsum("ei,iq->eq", U.coefficients[space.element_dofs], vals)
     wdet = det[:, None] * rule.weights[None, :]
     return float(np.sqrt(np.sum(wdet * (Uq - exact) ** 2)))
-
-
-def evaluate_on_elements(U: FieldVector, ref_points) -> tuple[np.ndarray, np.ndarray]:
-    """Values of U at given reference points of every element.
-
-    Returns (physical coordinates, values), each indexed (element, point).
-    Used for snapshots and plotting-style output.
-    """
-    space = U.space
-    basis = reference_basis(space.mesh.dim, space.degree)
-    pts = np.atleast_2d(ref_points)
-    vals = basis.eval(pts)
-    v0, J, _, _ = _geometry(space.mesh)
-    phys = v0[:, None, :] + np.einsum("eij,qj->eqi", J, pts)
-    Uq = np.einsum("ei,iq->eq", U.coefficients[space.element_dofs], vals)
-    return phys, Uq

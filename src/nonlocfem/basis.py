@@ -15,12 +15,6 @@ import numpy as np
 from .mesh import reference_node_multi_indices
 
 
-def _monomial_exponents(dim, k):
-    if dim == 1:
-        return [(i,) for i in range(k + 1)]
-    return [(i, j) for j in range(k + 1) for i in range(k + 1 - j)]
-
-
 def _eval_monomials(exponents, points):
     """Monomial values at points, shape (n_monomials, n_points)."""
     pts = np.atleast_2d(points)
@@ -62,7 +56,8 @@ class ReferenceBasis:
         self.degree = degree
         multi = reference_node_multi_indices(dim, degree)
         self.nodes = np.array(multi, dtype=float) / degree
-        self._exponents = _monomial_exponents(dim, degree)
+        # the monomials of total degree <= k have the node multi-indices as exponents
+        self._exponents = multi
         vander = _eval_monomials(self._exponents, self.nodes)  # (n_mono, n_nodes)
         # column i of coeffs holds basis i in the monomial basis
         self._coeffs = np.linalg.solve(vander.T, np.eye(len(multi)))

@@ -11,9 +11,9 @@ import argparse
 import sys
 import time
 
-from .harness import (ConfigError, RunConfig, SweepError, config_from_sources,
-                      emit_outputs, energy_study, parse_config_file, run_solve,
-                      sweep_delta, sweep_h)
+from .harness import (_CONFIG_KEYS, ConfigError, RunConfig, SweepError,
+                      config_from_sources, emit_outputs, energy_study,
+                      parse_config_file, run_solve, sweep_delta, sweep_h)
 from .linalg import NotSPDError, SolverConvergenceError
 from .manufactured import (CASE_IDS, AlphaSolveConfig, fixed_point_map,
                            make_case, solve_alpha, verify_case)
@@ -26,20 +26,26 @@ EXIT_IO = 4
 
 
 def _add_common(parser):
+    """Flags every run-based command honours."""
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--case", choices=CASE_IDS)
-    parser.add_argument("--k", type=int, help="polynomial degree (1, 2 or 3)")
-    parser.add_argument("--n", type=int, help="elements (1D) or cells per side (2D)")
-    parser.add_argument("--delta", type=float, help="time step")
-    parser.add_argument("--t-end", dest="t_end", type=float)
     parser.add_argument("--solver-tol", dest="solver_tol", type=float)
-    parser.add_argument("--solver-method", dest="solver_method",
-                        choices=["auto", "conjugate-gradient", "direct-banded"])
     parser.add_argument("--guard-floor", dest="guard_floor", type=float)
     parser.add_argument("--guard-ceiling", dest="guard_ceiling", type=float)
     parser.add_argument("--guard-policy", dest="guard_policy",
                         choices=["warn", "abort"])
     parser.add_argument("--out-dir", dest="out_dir")
+
+
+def _add_case(parser):
+    """Flags choosing one case and its discretization."""
+    _add_common(parser)
+    parser.add_argument("--case", choices=CASE_IDS)
+    parser.add_argument("--k", type=int, help="polynomial degree (1, 2 or 3)")
+    parser.add_argument("--n", type=int, help="elements (1D) or cells per side (2D)")
+    parser.add_argument("--delta", type=float, help="time step")
+    parser.add_argument("--t-end", dest="t_end", type=float)
+    parser.add_argument("--solver-method", dest="solver_method",
+                        choices=["auto", "conjugate-gradient", "direct-banded"])
 
 
 def _build_parser():
@@ -50,16 +56,16 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run one case and report the error")
-    _add_common(p_solve)
+    _add_case(p_solve)
     p_solve.add_argument("--snapshots", help="comma-separated snapshot times")
 
     p_sh = sub.add_parser("sweep-h", help="mesh-refinement convergence study")
-    _add_common(p_sh)
+    _add_case(p_sh)
     p_sh.add_argument("--n-list", dest="n_list", required=True,
                       help="comma-separated mesh resolutions, e.g. 8,16,32,64")
 
     p_sd = sub.add_parser("sweep-dt", help="time-step convergence study")
-    _add_common(p_sd)
+    _add_case(p_sd)
     p_sd.add_argument("--delta-list", dest="delta_list", required=True,
                       help="comma-separated time steps, e.g. 0.1,0.05,0.025")
 
@@ -79,10 +85,8 @@ def _build_parser():
 
 def _config_from_args(args) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    keys = ("case", "k", "n", "delta", "t_end", "solver_tol", "solver_method",
-            "guard_floor", "guard_ceiling", "guard_policy", "out_dir",
-            "snapshots")
-    overrides = {key: getattr(args, key) for key in keys if hasattr(args, key)}
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
+                 if hasattr(args, key)}
     return config_from_sources(file_values, overrides)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import assembly_degree, error_degree, l2_error
 from .coefficient import DEFAULT_CEILING, DEFAULT_FLOOR, NonlocalCoefficient
-from .linalg import CG, DIRECT_BANDED, SolverConfig
+from .linalg import CG, DIRECT_BANDED, SolverConfig, auto_method
 from .manufactured import CASE_IDS, make_case
 from .mesh import build_lagrange_space, uniform_interval_mesh, uniform_square_mesh
 from .stepper import WARN, TimeGrid, run
@@ -25,11 +25,12 @@ from .stepper import WARN, TimeGrid, run
 SWEEP_HEADER = "case,k,h,delta,t_end,error_l2,pairwise_rate"
 ENERGY_HEADER = "case,t,energy,log_energy"
 
-# resolution / step defaults per case, following the reference experiments
+# resolution / step defaults per case, following the reference experiments;
+# the horizon is the case's own default_t_end
 _CASE_DEFAULTS = {
-    "example1": dict(k=2, n=100, delta=1e-3, t_end=10.0),
-    "example2": dict(k=2, n=100, delta=1e-3, t_end=2.0),
-    "example3": dict(k=3, n=16, delta=1e-2, t_end=1.0),
+    "example1": dict(k=2, n=100, delta=1e-3),
+    "example2": dict(k=2, n=100, delta=1e-3),
+    "example3": dict(k=3, n=16, delta=1e-2),
 }
 
 _CONFIG_KEYS = ("case", "dim", "k", "n", "delta", "t_end", "solver_tol",
@@ -73,17 +74,17 @@ class RunConfig:
             raise ConfigError(f"unknown case {self.case!r}; expected one of "
                               f"{', '.join(CASE_IDS)}")
         defaults = _CASE_DEFAULTS[self.case]
-        case_dim = make_case(self.case).dim
+        case = make_case(self.case)
         cfg = replace(
             self,
-            dim=case_dim if self.dim is None else self.dim,
+            dim=case.dim if self.dim is None else self.dim,
             k=defaults["k"] if self.k is None else self.k,
             n=defaults["n"] if self.n is None else self.n,
             delta=defaults["delta"] if self.delta is None else self.delta,
-            t_end=defaults["t_end"] if self.t_end is None else self.t_end,
+            t_end=case.default_t_end if self.t_end is None else self.t_end,
         )
-        if cfg.dim != case_dim:
-            raise ConfigError(f"case {cfg.case} is {case_dim}D, config says "
+        if cfg.dim != case.dim:
+            raise ConfigError(f"case {cfg.case} is {case.dim}D, config says "
                               f"dim={cfg.dim}")
         if cfg.k not in (1, 2, 3):
             raise ConfigError(f"polynomial degree must be 1, 2 or 3, got {cfg.k}")
@@ -201,7 +202,7 @@ def _build_space(config: RunConfig):
 def _solver_config(config: RunConfig) -> SolverConfig:
     method = config.solver_method
     if method == "auto":
-        method = DIRECT_BANDED if config.dim == 1 else CG
+        method = auto_method(config.dim)
     return SolverConfig(tolerance=config.solver_tol, method=method)
 
 

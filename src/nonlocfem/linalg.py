@@ -2,8 +2,8 @@
 
 Two methods: Jacobi-preconditioned conjugate gradients (any dimension) and
 a banded Cholesky factorization (1D node orderings, where the matrices have
-bandwidth k). Every accepted solution is verified against an independently
-recomputed residual.
+bandwidth k). The stepper verifies every accepted solution against an
+independently recomputed residual.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import FieldVector, SparseSymMatrix
-
 CG = "conjugate-gradient"
 DIRECT_BANDED = "direct-banded"
+
+
+def auto_method(dim: int) -> str:
+    """The "auto" solver choice: banded Cholesky in 1D, CG otherwise."""
+    return DIRECT_BANDED if dim == 1 else CG
 
 
 class NotSPDError(RuntimeError):
@@ -112,46 +115,3 @@ def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.solveh_banded(ab, b)
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"banded Cholesky failed: {exc}") from exc
-
-
-def _verified(A, b, x, tol):
-    bnorm = np.linalg.norm(b)
-    res = np.linalg.norm(b - A @ x)
-    return res <= tol * max(bnorm, 1e-300), res
-
-
-def solve_spd(A: SparseSymMatrix, b: FieldVector,
-              config: SolverConfig | None = None) -> FieldVector:
-    """Solve A x = b on the free nodes of b's space; boundary entries are 0.
-
-    The returned solution always satisfies the verified relative residual
-    bound ||A x - b|| <= tolerance * ||b|| on the reduced system.
-    """
-    config = config or SolverConfig()
-    space = b.space
-    free = space.free_node_indices
-    A_ff = A.restrict(free)
-    b_f = b.coefficients[free]
-
-    if config.method == DIRECT_BANDED:
-        if space.mesh.dim != 1:
-            raise ValueError("direct-banded is only valid for 1D node orderings")
-        x_f = solve_banded_spd(to_banded_upper(A_ff), b_f)
-        ok, res = _verified(A_ff, b_f, x_f, config.tolerance)
-        if not ok:
-            # one round of iterative refinement, then give up loudly
-            x_f = x_f + solve_banded_spd(to_banded_upper(A_ff), b_f - A_ff @ x_f)
-            ok, res = _verified(A_ff, b_f, x_f, config.tolerance)
-            if not ok:
-                raise SolverConvergenceError(
-                    f"banded solve residual {res:.3e} above tolerance")
-    else:
-        x_f, _ = cg_jacobi(A_ff, b_f, config.tolerance, config.max_iterations)
-        ok, res = _verified(A_ff, b_f, x_f, config.tolerance)
-        if not ok:
-            raise SolverConvergenceError(
-                f"CG residual verification failed: {res:.3e}")
-
-    x = np.zeros(space.n_nodes)
-    x[free] = x_f
-    return FieldVector(x, space)

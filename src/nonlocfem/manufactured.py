@@ -23,17 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from .quadrature import gauss_legendre_interval
+
 CASE_IDS = ("example1", "example2", "example3")
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss01(n):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[n]
 
 
 class RootBracketError(ValueError):
@@ -117,7 +109,8 @@ def w_profile_1d(g, alpha: float, C1: float, C2: float, x, quad_points: int = 64
         raise ValueError(f"alpha must be positive, got {alpha}")
     sa = math.sqrt(alpha)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    p, wq = _gauss01(quad_points)
+    rule = gauss_legendre_interval(2 * quad_points - 1)
+    p, wq = rule.points[:, 0], rule.weights
     xi = x_arr[:, None] * p[None, :]
     gv = np.asarray(g(xi), dtype=float)
     Ic = x_arr * np.sum(wq * gv * np.cos(xi / sa), axis=1)
@@ -215,7 +208,8 @@ def fixed_point_map(case_id: str, quad_points: int = 64):
     constant, and the bracket is kept tight because the map crosses the
     diagonal more than once.
     """
-    p, wq = _gauss01(quad_points)
+    rule = gauss_legendre_interval(2 * quad_points - 1)
+    p, wq = rule.points[:, 0], rule.weights
 
     if case_id == "example1":
         def G(a):
@@ -386,7 +380,8 @@ def verify_case(case: ManufacturedCase, n_space: int = 50, n_time: int = 50,
     G, _ = fixed_point_map(case.case_id, quad_points)
     fp_residual = abs(case.alpha - G(case.alpha))
 
-    p, wq = _gauss01(quad_points)
+    rule = gauss_legendre_interval(2 * quad_points - 1)
+    p, wq = rule.points[:, 0], rule.weights
     ts = _time_samples(case, n_time)
     if case.dim == 1:
         xs = np.linspace(4 * dx, 1.0 - 4 * dx, n_space)

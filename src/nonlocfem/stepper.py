@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .assembly import (FieldVector, LoadAssembler, SparseSymMatrix,
 from .coefficient import (DegenerateCoefficientError, GuardStatus,
                           NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
-from .linalg import (CG, DIRECT_BANDED, SolverConfig, SolverConvergenceError,
-                     cg_jacobi, solve_banded_spd, to_banded_upper)
+from .linalg import (DIRECT_BANDED, SolverConfig, SolverConvergenceError,
+                     auto_method, cg_jacobi, solve_banded_spd, to_banded_upper)
 from .mesh import LagrangeSpace
 
 logger = logging.getLogger(__name__)
@@ -75,23 +75,9 @@ class TimeGrid:
 
 
 @dataclass
-class StepState:
-    """Rolling solver state: the two most recent fields plus run histories."""
-
-    U_prev: FieldVector
-    U_prev2: FieldVector | None
-    t: float
-    step_index: int
-    coefficient_history: list = field(default_factory=list)
-    energy_history: list = field(default_factory=list)
-    frozen: bool = False
-
-
-@dataclass
 class TrajectorySummary:
     """Outcome of a full run."""
 
-    state: StepState
     grid: TimeGrid
     final: FieldVector
     energy_history: list
@@ -99,10 +85,11 @@ class TrajectorySummary:
     snapshots: dict
     first_guard_trip: tuple | None
     solver_method: str
+    frozen: bool
 
 
 class StepWorkspace:
-    """Cached reduced matrices, banded forms, and matvec reuse for one run."""
+    """Reduced matrices, banded forms and the load operator of one run."""
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
                  K: SparseSymMatrix, grid: TimeGrid, forcing=None,
@@ -110,7 +97,6 @@ class StepWorkspace:
                  guard_policy: str = WARN):
         if guard_policy not in (WARN, ABORT):
             raise ValueError(f"unknown guard policy {guard_policy!r}")
-        self.space = space
         self.grid = grid
         self.guard_policy = guard_policy
         self.solver_config = solver_config or SolverConfig()
@@ -131,10 +117,6 @@ class StepWorkspace:
         self.forcing = forcing
         self._m_scale = abs(self.M_ff.data).max() if self.M_ff.nnz else 0.0
         self._k_scale = abs(self.K_ff.data).max() if self.K_ff.nnz else 0.0
-        # matvec caches for the extrapolated coefficient and the next rhs
-        self.mu_prev = None    # M_ff @ U_{n-1}
-        self.mu_prev2 = None   # M_ff @ U_{n-2}
-        self.ku_prev = None    # K_ff @ U_{n-1}
 
     @staticmethod
     def _pad(ab, rows):
@@ -149,8 +131,9 @@ class StepWorkspace:
             return None
         return self.load(self.forcing, t_mid).coefficients[self.free]
 
-    def step_rhs(self, a_star, F):
-        rhs = self.mu_prev / self.grid.delta - (0.5 * a_star) * self.ku_prev
+    def step_rhs(self, a_star, mu, ku, F):
+        """M u / delta - (a/2) K u + F, from M u and K u of the last level."""
+        rhs = mu / self.grid.delta - (0.5 * a_star) * ku
         if F is not None:
             rhs = rhs + F
         return rhs
@@ -196,10 +179,9 @@ class StepWorkspace:
             f"verified residual {res:.3e} above tolerance {bound:.3e}")
 
 
-def init(space: LagrangeSpace, u0) -> StepState:
-    """Initial state U_0 = I_h u0 at t = 0."""
-    U0 = interpolate(space, u0)
-    return StepState(U_prev=U0, U_prev2=None, t=0.0, step_index=0)
+def init(space: LagrangeSpace, u0) -> FieldVector:
+    """Initial field U_0 = I_h u0 at t = 0."""
+    return interpolate(space, u0)
 
 
 def _coefficient(coeff, s):
@@ -212,193 +194,107 @@ def _coefficient(coeff, s):
     return a, check_guards(a, coeff)
 
 
-def _record(state, work, step_index, t, a_value, status):
-    if status != GuardStatus.OK:
-        if work.guard_policy == ABORT:
-            raise GuardTripError(step_index, t, status, a_value)
-        if not state.coefficient_history \
-                or state.coefficient_history[-1][2] != status:
-            logger.warning("guard %s at t=%g (coefficient %.3e)",
-                           status.value, t, a_value)
-    state.coefficient_history.append((t, a_value, status))
+def _first_step_coefficient(work, coeff, u0, mu0, ku0):
+    """Corrected coefficient of step 1, its guard status and the load used.
 
-
-def _ensure_caches(state, work):
-    if work.mu_prev is None:
-        u = state.U_prev.coefficients[work.free]
-        work.mu_prev = work.M_ff @ u
-        work.ku_prev = work.K_ff @ u
-    if state.U_prev2 is not None and work.mu_prev2 is None:
-        work.mu_prev2 = work.M_ff @ state.U_prev2.coefficients[work.free]
-
-
-def _accept(state, work, u_new, mu_new, ku_new, t_new):
-    U_new = FieldVector(_embed(u_new, work), state.U_prev.space)
-    state.U_prev2 = state.U_prev
-    state.U_prev = U_new
-    state.t = t_new
-    state.step_index += 1
-    state.energy_history.append((t_new, float(u_new @ mu_new)))
-    work.mu_prev2, work.mu_prev = work.mu_prev, mu_new
-    work.ku_prev = ku_new
-
-
-def _freeze_step(state, work, t_new):
-    n_free = len(work.free)
-    _accept(state, work, np.zeros(n_free), np.zeros(n_free),
-            np.zeros(n_free), t_new)
-    state.frozen = True
-
-
-def _embed(u_free, work):
-    full = np.zeros(work.space.n_nodes)
-    full[work.free] = u_free
-    return full
-
-
-def first_step(state: StepState, M: SparseSymMatrix, K: SparseSymMatrix,
-               coeff: NonlocalCoefficient, f, grid: TimeGrid,
-               solver_config: SolverConfig | None = None,
-               guard_policy: str = WARN) -> StepState:
-    """Predictor-corrector first step producing U_1 (public entry point)."""
-    work = StepWorkspace(state.U_prev.space, M, K, grid, forcing=f,
-                         solver_config=solver_config, guard_policy=guard_policy)
-    return _first_step_impl(state, work, coeff)
-
-
-def step(state: StepState, M: SparseSymMatrix, K: SparseSymMatrix,
-         coeff: NonlocalCoefficient, f, grid: TimeGrid,
-         solver_config: SolverConfig | None = None,
-         guard_policy: str = WARN) -> StepState:
-    """One multistep advance producing U_n, n >= 2 (public entry point)."""
-    work = StepWorkspace(state.U_prev.space, M, K, grid, forcing=f,
-                         solver_config=solver_config, guard_policy=guard_policy)
-    return _step_impl(state, work, coeff)
-
-
-def _first_step_impl(state, work, coeff):
-    if state.step_index != 0:
-        raise SteppingError(
-            f"first step requires step_index 0, got {state.step_index}")
-    delta = work.grid.delta
-    _ensure_caches(state, work)
-    u0 = state.U_prev.coefficients[work.free]
-    if not state.energy_history:
-        state.energy_history.append((0.0, float(u0 @ work.mu_prev)))
-    t1 = work.grid.time(1)
-
-    s0 = float(u0 @ work.mu_prev)
-    a0, status0 = _coefficient(coeff, s0)
+    The predictor solves with the coefficient frozen at a(U_0); the
+    coefficient is then evaluated once at the predicted midpoint. A guard
+    trip of a(U_0) aborts under the abort policy and is otherwise not
+    recorded; a degenerate a(U_0) is returned as is, so the step freezes.
+    """
+    a0, status0 = _coefficient(coeff, float(u0 @ mu0))
     if status0 == GuardStatus.DEGENERATE:
-        _record(state, work, 1, t1, a0, status0)
-        _freeze_step(state, work, t1)
-        return state
+        return a0, status0, None
     if status0 != GuardStatus.OK and work.guard_policy == ABORT:
-        raise GuardTripError(1, t1, status0, a0)
-
-    try:
-        F = work.load_vector(0.5 * delta)
-        # predictor: coefficient frozen at a(U_0)
-        u10 = work._solve_once(a0, work.step_rhs(a0, F))
-    except Exception as exc:
-        raise SteppingError(f"step 1 at t={t1:g}: {exc}") from exc
-
-    # corrector: coefficient at the predicted midpoint, applied exactly once
+        raise GuardTripError(1, work.grid.time(1), status0, a0)
+    F = work.load_vector(0.5 * work.grid.delta)
+    u10 = work._solve_once(a0, work.step_rhs(a0, mu0, ku0, F))
     uhalf = 0.5 * (u10 + u0)
-    s_half = float(uhalf @ (work.M_ff @ uhalf))
-    a_half, status_half = _coefficient(coeff, s_half)
-    if status_half == GuardStatus.DEGENERATE:
-        _record(state, work, 1, t1, a_half, status_half)
-        _freeze_step(state, work, t1)
-        return state
-    _record(state, work, 1, t1, a_half, status_half)
-    try:
-        u1, mu1, ku1 = work.solve_verified(a_half, work.step_rhs(a_half, F))
-    except Exception as exc:
-        raise SteppingError(f"step 1 at t={t1:g}: {exc}") from exc
-
-    _accept(state, work, u1, mu1, ku1, t1)
-    return state
-
-
-def _step_impl(state, work, coeff):
-    if state.step_index < 1 or state.U_prev2 is None:
-        raise SteppingError("multistep advance requires a completed first step")
-    delta = work.grid.delta
-    n = state.step_index + 1
-    t_n = work.grid.time(n)
-    if state.frozen:
-        _record(state, work, n, t_n, math.inf, GuardStatus.DEGENERATE)
-        _freeze_step(state, work, t_n)
-        return state
-    _ensure_caches(state, work)
-    u_prev = state.U_prev.coefficients[work.free]
-    u_prev2 = state.U_prev2.coefficients[work.free]
-
-    ubar = 1.5 * u_prev - 0.5 * u_prev2
-    s_bar = float(ubar @ (1.5 * work.mu_prev - 0.5 * work.mu_prev2))
-    a_star, status = _coefficient(coeff, s_bar)
-    if status == GuardStatus.DEGENERATE:
-        _record(state, work, n, t_n, a_star, status)
-        _freeze_step(state, work, t_n)
-        return state
-    _record(state, work, n, t_n, a_star, status)
-
-    try:
-        F = work.load_vector(t_n - 0.5 * delta)
-        u_new, mu_new, ku_new = work.solve_verified(
-            a_star, work.step_rhs(a_star, F))
-    except Exception as exc:
-        raise SteppingError(f"step {n} at t={t_n:g}: {exc}") from exc
-
-    _accept(state, work, u_new, mu_new, ku_new, t_n)
-    return state
+    a_half, status_half = _coefficient(coeff, float(uhalf @ (work.M_ff @ uhalf)))
+    return a_half, status_half, F
 
 
 def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
         solver_config: SolverConfig | None = None, guard_policy: str = WARN,
-        snapshot_times=(), observer=None) -> TrajectorySummary:
+        snapshot_times=()) -> TrajectorySummary:
     """Full trajectory: init, predictor-corrector, then multistep to t_end.
 
     f may be None for an unforced problem. Snapshot times are matched to the
-    nearest grid time. The observer, when given, is called once per step as
-    observer(step_index, t, energy, a_value, guard_status).
+    nearest grid time. The loop carries U, M U and K U of the last two
+    levels on the free nodes; full-length fields are built only for the
+    snapshots and the final field.
     """
     if solver_config is None:
-        method = DIRECT_BANDED if space.mesh.dim == 1 else CG
-        solver_config = SolverConfig(method=method)
+        solver_config = SolverConfig(method=auto_method(space.mesh.dim))
     M = assemble_mass(space)
     K = assemble_stiffness(space)
     work = StepWorkspace(space, M, K, grid, forcing=f,
                          solver_config=solver_config, guard_policy=guard_policy)
-    state = init(space, u0)
-    _ensure_caches(state, work)
-    state.energy_history.append(
-        (0.0, float(state.U_prev.coefficients[work.free] @ work.mu_prev)))
+    U0 = init(space, u0)
+    free = work.free
+
+    def embed(u_free):
+        full = np.zeros(space.n_nodes)
+        full[free] = u_free
+        return FieldVector(full, space)
 
     snap_indices = {}
     for t_req in snapshot_times:
         snap_indices.setdefault(grid.nearest_index(t_req), []).append(t_req)
-    snapshots = {}
-    for t_req in snap_indices.get(0, []):
-        snapshots[t_req] = (0.0, state.U_prev.copy())
+    snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
-    first_trip = None
+    # levels n-1 and n-2 on the free nodes: u, M u (both levels) and K u
+    u = U0.coefficients[free]
+    mu, ku = work.M_ff @ u, work.K_ff @ u
+    u_old = mu_old = None
+    energy_history = [(0.0, float(u @ mu))]
+    coefficient_history = []
+    frozen = False
     for n in range(1, grid.n_steps + 1):
-        if n == 1:
-            _first_step_impl(state, work, coeff)
-        else:
-            _step_impl(state, work, coeff)
-        t, a_val, status = state.coefficient_history[-1]
-        if status != GuardStatus.OK and first_trip is None:
-            first_trip = (n, t, status)
-        if observer is not None:
-            observer(n, t, state.energy_history[-1][1], a_val, status)
-        for t_req in snap_indices.get(n, []):
-            snapshots[t_req] = (t, state.U_prev.copy())
+        t = grid.time(n)
+        try:
+            if frozen:
+                a, status = math.inf, GuardStatus.DEGENERATE
+            elif n == 1:
+                a, status, F = _first_step_coefficient(work, coeff, u, mu, ku)
+            else:
+                ubar = 1.5 * u - 0.5 * u_old
+                a, status = _coefficient(
+                    coeff, float(ubar @ (1.5 * mu - 0.5 * mu_old)))
+            if status != GuardStatus.OK:
+                if work.guard_policy == ABORT:
+                    raise GuardTripError(n, t, status, a)
+                if not coefficient_history \
+                        or coefficient_history[-1][2] != status:
+                    logger.warning("guard %s at t=%g (coefficient %.3e)",
+                                   status.value, t, a)
+            coefficient_history.append((t, a, status))
+            if status == GuardStatus.DEGENERATE:
+                # extinction: the trajectory stays at zero from here on
+                frozen = True
+                u_new = mu_new = ku_new = np.zeros(len(free))
+            else:
+                if n > 1:
+                    F = work.load_vector(t - 0.5 * grid.delta)
+                u_new, mu_new, ku_new = work.solve_verified(
+                    a, work.step_rhs(a, mu, ku, F))
+        except GuardTripError:
+            raise
+        except Exception as exc:
+            raise SteppingError(f"step {n} at t={t:g}: {exc}") from exc
+        u_old, mu_old = u, mu
+        u, mu, ku = u_new, mu_new, ku_new
+        energy_history.append((t, float(u @ mu)))
+        if n in snap_indices:
+            U = embed(u)
+            for t_req in snap_indices[n]:
+                snapshots[t_req] = (t, U)
 
-    return TrajectorySummary(state=state, grid=grid, final=state.U_prev,
-                             energy_history=state.energy_history,
-                             coefficient_history=state.coefficient_history,
+    first_trip = next(((n, t, status) for n, (t, _, status)
+                       in enumerate(coefficient_history, 1)
+                       if status != GuardStatus.OK), None)
+    return TrajectorySummary(grid=grid, final=embed(u),
+                             energy_history=energy_history,
+                             coefficient_history=coefficient_history,
                              snapshots=snapshots, first_guard_trip=first_trip,
-                             solver_method=solver_config.method)
+                             solver_method=solver_config.method, frozen=frozen)

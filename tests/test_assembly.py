@@ -6,9 +6,9 @@ from nonlocfem.assembly import (FieldVector, NonFiniteFieldError,
                                 SingularSystemError, SparseSymMatrix,
                                 assemble_load, assemble_mass,
                                 assemble_stiffness, element_mass_matrix,
-                                element_stiffness_matrix, evaluate_on_elements,
-                                interpolate, l2_error, l2_norm_sq,
-                                ritz_project)
+                                element_stiffness_matrix, interpolate,
+                                l2_error, l2_norm_sq, ritz_project)
+from nonlocfem.basis import reference_basis
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
 
@@ -298,6 +298,14 @@ def test_l2_norm_sq_sin():
     assert l2_norm_sq(U, M) == pytest.approx(0.5, abs=1e-8)
 
 
+def evaluate_on_elements(U, ref_points):
+    """Values of U at the given reference points of every element, indexed
+    (element, point): the basis expansion sum_j c_j phi_j evaluated directly."""
+    space = U.space
+    vals = reference_basis(space.mesh.dim, space.degree).eval(ref_points)
+    return np.einsum("ei,iq->eq", U.coefficients[space.element_dofs], vals)
+
+
 def test_l2_norm_sq_matches_quadrature_oracle():
     space = _space_1d(3, 2)
     M = assemble_mass(space)
@@ -308,7 +316,7 @@ def test_l2_norm_sq_matches_quadrature_oracle():
     # direct quadrature of (sum c_j phi_j)^2 on a high-order rule
     from nonlocfem.quadrature import reference_rule
     rule = reference_rule(1, 10)
-    phys, vals = evaluate_on_elements(U, rule.points)
+    vals = evaluate_on_elements(U, rule.points)
     h = 1.0 / 3.0
     direct = float(np.sum(h * rule.weights[None, :] * vals ** 2))
     assert l2_norm_sq(U, M) == pytest.approx(direct, rel=1e-12)

@@ -284,3 +284,12 @@ def test_cli_energy(tmp_path, capsys):
     code = main(["energy", "--cases", "example1", "--out-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "energy_study.csv").exists()
+
+
+def test_cli_energy_rejects_flags_it_does_not_use(capsys):
+    # energy runs every case at its reference settings; a discretization
+    # flag would be silently ignored, so argparse refuses it
+    with pytest.raises(SystemExit) as info:
+        main(["energy", "--cases", "example2", "--n", "7"])
+    assert info.value.code == 2
+    assert "--n" in capsys.readouterr().err

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nonlocfem.assembly import (FieldVector, SparseSymMatrix, assemble_mass,
-                                assemble_stiffness)
+from nonlocfem.assembly import SparseSymMatrix, assemble_mass, assemble_stiffness
 from nonlocfem.linalg import (CG, DIRECT_BANDED, NotSPDError, SolverConfig,
-                              SolverConvergenceError, cg_jacobi, solve_spd,
+                              SolverConvergenceError, cg_jacobi,
                               to_banded_upper)
 from nonlocfem.mesh import build_lagrange_space, uniform_interval_mesh
+from nonlocfem.stepper import StepWorkspace, TimeGrid
 
 
 def _space(n=8, k=1):
@@ -21,19 +21,26 @@ def _heat_step_matrix(space, delta=1e-2, a=1.0):
                             + K.multiply(0.5 * a)).tocsr())
 
 
-def _interior_field(space, rng):
+def _solve(space, b, delta=1e-2, a=1.0, **config):
+    """x with (M/delta + (a/2) K) x = b on the free nodes, by the stepper's
+    verified solve."""
+    work = StepWorkspace(space, assemble_mass(space), assemble_stiffness(space),
+                         TimeGrid(t_end=delta, n_steps=1),
+                         solver_config=SolverConfig(**config))
+    x, _, _ = work.solve_verified(a, b)
+    return x
+
+
+def _interior_rhs(space, rng):
     v = rng.standard_normal(space.n_nodes)
-    v[space.boundary_node_flags] = 0.0
-    return FieldVector(v, space)
+    return v[space.free_node_indices]
 
 
 def test_identity_solve_returns_rhs():
-    space = _space()
-    A = SparseSymMatrix(sp.identity(space.n_nodes, format="csr"))
     rng = np.random.default_rng(0)
-    b = _interior_field(space, rng)
-    x = solve_spd(A, b)
-    np.testing.assert_allclose(x.coefficients, b.coefficients, atol=1e-14)
+    b = rng.standard_normal(9)
+    x, _ = cg_jacobi(sp.identity(9, format="csr"), b, 1e-12)
+    np.testing.assert_allclose(x, b, atol=1e-14)
 
 
 def test_zero_rhs_zero_iterations():
@@ -47,13 +54,11 @@ def test_heat_step_matches_dense_oracle():
     space = _space(n=8, k=1)
     A = _heat_step_matrix(space)
     rng = np.random.default_rng(1)
-    b = _interior_field(space, rng)
-    x = solve_spd(A, b, SolverConfig(method=CG))
-    free = space.free_node_indices
-    dense = A.restrict(free).toarray()
-    expect = np.linalg.solve(dense, b.coefficients[free])
-    assert np.max(np.abs(x.coefficients[free] - expect)) <= 1e-10
-    assert np.all(x.coefficients[space.boundary_node_flags] == 0.0)
+    b = _interior_rhs(space, rng)
+    x = _solve(space, b, method=CG)
+    dense = A.restrict(space.free_node_indices).toarray()
+    expect = np.linalg.solve(dense, b)
+    assert np.max(np.abs(x - expect)) <= 1e-10
 
 
 def test_cg_and_banded_agree():
@@ -62,56 +67,48 @@ def test_cg_and_banded_agree():
     for n, k, delta, a in [(8, 1, 1e-2, 1.0), (16, 2, 1e-3, 0.3),
                            (12, 3, 1e-1, 2.0)]:
         space = _space(n, k)
-        A = _heat_step_matrix(space, delta, a)
-        b = _interior_field(space, rng)
-        x_cg = solve_spd(A, b, SolverConfig(tolerance=tol, method=CG))
-        x_db = solve_spd(A, b, SolverConfig(tolerance=tol, method=DIRECT_BANDED))
-        scale = max(np.max(np.abs(x_cg.coefficients)), 1.0)
-        assert np.max(np.abs(x_cg.coefficients - x_db.coefficients)) \
-            <= 10 * tol * scale
+        b = _interior_rhs(space, rng)
+        x_cg = _solve(space, b, delta, a, tolerance=tol, method=CG)
+        x_db = _solve(space, b, delta, a, tolerance=tol, method=DIRECT_BANDED)
+        scale = max(np.max(np.abs(x_cg)), 1.0)
+        assert np.max(np.abs(x_cg - x_db)) <= 10 * tol * scale
 
 
 def test_verified_residual_meets_tolerance():
     space = _space(n=32, k=2)
     A = _heat_step_matrix(space, delta=1e-3)
     rng = np.random.default_rng(3)
-    b = _interior_field(space, rng)
+    b = _interior_rhs(space, rng)
     for method in (CG, DIRECT_BANDED):
-        x = solve_spd(A, b, SolverConfig(tolerance=1e-12, method=method))
-        free = space.free_node_indices
-        res = np.linalg.norm(b.coefficients[free]
-                             - A.restrict(free) @ x.coefficients[free])
-        assert res <= 1e-12 * np.linalg.norm(b.coefficients[free])
+        x = _solve(space, b, delta=1e-3, tolerance=1e-12, method=method)
+        res = np.linalg.norm(b - A.restrict(space.free_node_indices) @ x)
+        assert res <= 1e-12 * np.linalg.norm(b)
 
 
 def test_not_spd_raises():
+    # M/delta + (a/2) K with delta = 1 and a = -2 is M - K, indefinite
     space = _space(n=8, k=1)
-    M = assemble_mass(space).matrix
-    K = assemble_stiffness(space).matrix
-    indefinite = SparseSymMatrix((M - K.multiply(1.0)).tocsr())
     rng = np.random.default_rng(4)
-    b = _interior_field(space, rng)
+    b = _interior_rhs(space, rng)
     with pytest.raises(NotSPDError):
-        solve_spd(indefinite, b, SolverConfig(method=CG))
+        _solve(space, b, delta=1.0, a=-2.0, method=CG)
 
 
 def test_iteration_budget_exhaustion():
     space = _space(n=32, k=1)
-    A = _heat_step_matrix(space, delta=1e3)  # stiffness-dominated
     rng = np.random.default_rng(5)
-    b = _interior_field(space, rng)
-    with pytest.raises(SolverConvergenceError):
-        solve_spd(A, b, SolverConfig(tolerance=1e-14, max_iterations=2,
-                                     method=CG))
+    b = _interior_rhs(space, rng)
+    with pytest.raises(SolverConvergenceError):  # stiffness-dominated
+        _solve(space, b, delta=1e3, tolerance=1e-14, max_iterations=2,
+               method=CG)
 
 
 def test_banded_rejected_in_2d():
     from nonlocfem.mesh import uniform_square_mesh
     space = build_lagrange_space(uniform_square_mesh(2), 1)
-    A = SparseSymMatrix(sp.identity(space.n_nodes, format="csr"))
-    b = FieldVector(np.zeros(space.n_nodes), space)
     with pytest.raises(ValueError):
-        solve_spd(A, b, SolverConfig(method=DIRECT_BANDED))
+        _solve(space, np.zeros(len(space.free_node_indices)),
+               method=DIRECT_BANDED)
 
 
 def test_banded_conversion_roundtrip():

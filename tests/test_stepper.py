@@ -10,8 +10,7 @@ from nonlocfem.linalg import SolverConfig
 from nonlocfem.manufactured import make_case
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
-from nonlocfem.stepper import (GuardTripError, SteppingError, TimeGrid, first_step,
-                               init, run, step)
+from nonlocfem.stepper import GuardTripError, SteppingError, TimeGrid, init, run
 
 
 def _space_1d(n, k):
@@ -36,15 +35,15 @@ def test_time_grid_validation():
 
 def test_init_zero_field():
     space = _space_1d(8, 1)
-    state = init(space, lambda x: np.zeros_like(x))
-    assert np.all(state.U_prev.coefficients == 0.0)
-    assert state.t == 0.0 and state.step_index == 0
+    U0 = init(space, lambda x: np.zeros_like(x))
+    assert np.all(U0.coefficients == 0.0)
+    assert U0.space is space
 
 
 def test_init_sin_nodal_coefficients():
     space = _space_1d(4, 1)
-    state = init(space, _sin_pi)
-    interior = state.U_prev.coefficients[space.free_node_indices]
+    U0 = init(space, _sin_pi)
+    interior = U0.coefficients[space.free_node_indices]
     np.testing.assert_allclose(
         interior, [np.sqrt(2) / 2, 1.0, np.sqrt(2) / 2], rtol=1e-15)
 
@@ -52,52 +51,35 @@ def test_init_sin_nodal_coefficients():
 def test_init_example1_positive_mass_and_energy():
     case = make_case("example1")
     space = _space_1d(50, 2)
-    state = init(space, case.u0)
+    U0 = init(space, case.u0)
     M = assemble_mass(space)
-    assert l2_norm_sq(state.U_prev, M) > 0.0
+    assert l2_norm_sq(U0, M) > 0.0
     ones = assemble_load(space, lambda x, t: np.ones_like(x), 0.0)
-    assert float(ones.coefficients @ state.U_prev.coefficients) > 0.0
+    assert float(ones.coefficients @ U0.coefficients) > 0.0
 
+
+# A one-step run is exactly the predictor-corrector first step. These runs
+# pin the CG backend, the solver the first step defaulted to on its own.
 
 def test_first_step_zero_data_stays_zero():
     space = _space_1d(8, 1)
-    M, K = assemble_mass(space), assemble_stiffness(space)
-    grid = TimeGrid(t_end=0.1, n_steps=10)
-    state = init(space, lambda x: np.zeros_like(x))
-    first_step(state, M, K, NonlocalCoefficient(gamma=0.0), None, grid)
-    assert np.all(state.U_prev.coefficients == 0.0)
-    assert state.step_index == 1
-
-
-def test_first_step_requires_initial_state():
-    space = _space_1d(8, 1)
-    M, K = assemble_mass(space), assemble_stiffness(space)
-    grid = TimeGrid(t_end=0.1, n_steps=10)
-    state = init(space, _sin_pi)
-    first_step(state, M, K, NonlocalCoefficient(gamma=0.0), None, grid)
-    with pytest.raises(SteppingError):
-        first_step(state, M, K, NonlocalCoefficient(gamma=0.0), None, grid)
-
-
-def test_step_requires_history():
-    space = _space_1d(8, 1)
-    M, K = assemble_mass(space), assemble_stiffness(space)
-    grid = TimeGrid(t_end=0.1, n_steps=10)
-    state = init(space, _sin_pi)
-    with pytest.raises(SteppingError):
-        step(state, M, K, NonlocalCoefficient(gamma=0.0), None, grid)
+    grid = TimeGrid(t_end=0.01, n_steps=1)
+    traj = run(space, lambda x: np.zeros_like(x), None,
+               NonlocalCoefficient(gamma=0.0), grid, solver_config=SolverConfig())
+    assert np.all(traj.final.coefficients == 0.0)
+    assert len(traj.coefficient_history) == 1
 
 
 def test_first_step_heat_decay_factor():
     # gamma = 0, f = 0: one step of classical CN on the lowest mode
     space = _space_1d(64, 2)
-    M, K = assemble_mass(space), assemble_stiffness(space)
+    M = assemble_mass(space)
     delta = 1e-3
     grid = TimeGrid(t_end=delta, n_steps=1)
-    state = init(space, _sin_pi)
-    norm0 = math.sqrt(l2_norm_sq(state.U_prev, M))
-    first_step(state, M, K, NonlocalCoefficient(gamma=0.0), None, grid)
-    norm1 = math.sqrt(l2_norm_sq(state.U_prev, M))
+    norm0 = math.sqrt(l2_norm_sq(init(space, _sin_pi), M))
+    traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.0), grid,
+               solver_config=SolverConfig())
+    norm1 = math.sqrt(l2_norm_sq(traj.final, M))
     assert norm1 / norm0 == pytest.approx(math.exp(-math.pi ** 2 * delta),
                                           abs=1e-7)
 
@@ -108,16 +90,16 @@ def test_corrector_equals_predictor_when_coefficient_constant():
     M, K = assemble_mass(space), assemble_stiffness(space)
     delta = 1e-2
     grid = TimeGrid(t_end=delta, n_steps=1)
-    state = init(space, _sin_pi)
-    first_step(state, M, K, NonlocalCoefficient(gamma=0.0), None, grid)
+    traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.0), grid,
+               solver_config=SolverConfig())
     free = space.free_node_indices
     M_ff = M.restrict(free)
     K_ff = K.restrict(free)
     A = (M_ff.multiply(1.0 / delta) + K_ff.multiply(0.5)).toarray()
     rhs = (M_ff.multiply(1.0 / delta) - K_ff.multiply(0.5)) \
-        @ init(space, _sin_pi).U_prev.coefficients[free]
+        @ init(space, _sin_pi).coefficients[free]
     expect = np.linalg.solve(A, rhs)
-    assert np.max(np.abs(state.U_prev.coefficients[free] - expect)) <= 1e-11
+    assert np.max(np.abs(traj.final.coefficients[free] - expect)) <= 1e-11
 
 
 def test_first_step_accuracy_example1():
@@ -126,11 +108,10 @@ def test_first_step_accuracy_example1():
     from nonlocfem.assembly import l2_error
     case = make_case("example1")
     space = _space_1d(100, 2)
-    M, K = assemble_mass(space), assemble_stiffness(space)
     grid = TimeGrid(t_end=1e-3, n_steps=1)
-    state = init(space, case.u0)
-    first_step(state, M, K, NonlocalCoefficient(gamma=case.gamma), case.f, grid)
-    assert l2_error(state.U_prev, case.u, 1e-3) <= 1e-6
+    traj = run(space, case.u0, case.f, NonlocalCoefficient(gamma=case.gamma),
+               grid, solver_config=SolverConfig())
+    assert l2_error(traj.final, case.u, 1e-3) <= 1e-6
 
 
 def test_reduction_to_classical_cn_trajectory():
@@ -149,7 +130,7 @@ def test_reduction_to_classical_cn_trajectory():
          + K.restrict(free).multiply(0.5)).toarray()
     B = (M.restrict(free).multiply(1.0 / delta)
          - K.restrict(free).multiply(0.5)).toarray()
-    u = init(space, _sin_pi).U_prev.coefficients[free]
+    u = init(space, _sin_pi).coefficients[free]
     for _ in range(n_steps):
         u = np.linalg.solve(A, B @ u)
     drift = np.max(np.abs(traj.final.coefficients[free] - u))
@@ -160,7 +141,7 @@ def test_single_step_run_is_one_predictor_corrector():
     space = _space_1d(8, 1)
     grid = TimeGrid(t_end=0.01, n_steps=1)
     traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.5), grid)
-    assert traj.state.step_index == 1
+    assert traj.energy_history[-1][0] == grid.delta
     assert len(traj.coefficient_history) == 1
     assert len(traj.energy_history) == 2  # t = 0 and t = delta
 
@@ -231,6 +212,10 @@ def test_snapshots_match_nearest_grid_times():
     assert set(traj.snapshots) == {0.0, 0.44, 1.0}
     assert traj.snapshots[0.44][0] == pytest.approx(0.4)
     assert traj.snapshots[1.0][0] == pytest.approx(1.0)
+    # fields are embedded from the free nodes: boundary entries are exactly 0
+    for _, field_vec in traj.snapshots.values():
+        assert np.all(field_vec.coefficients[space.boundary_node_flags] == 0.0)
+    assert np.all(traj.final.coefficients[space.boundary_node_flags] == 0.0)
 
 
 def test_guard_abort_policy():
@@ -252,7 +237,7 @@ def test_extinction_freeze_with_negative_exponent():
     grid = TimeGrid(t_end=0.1, n_steps=5)
     traj = run(space, lambda x: np.zeros_like(x), None,
                NonlocalCoefficient(gamma=-0.5), grid)
-    assert traj.state.frozen
+    assert traj.frozen
     assert all(status == GuardStatus.DEGENERATE
                for _, _, status in traj.coefficient_history)
     assert all(e == 0.0 for _, e in traj.energy_history)
