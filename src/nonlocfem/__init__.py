@@ -9,7 +9,6 @@ from .coefficient import (GuardStatus, NonlocalCoefficient, check_guards,
                           evaluate, lipschitz_witness)
 from .harness import (RunConfig, SweepResult, emit_outputs, energy_study,
                       run_solve, sweep_delta, sweep_h)
-from .linalg import SolverConfig
 from .manufactured import (CASE_IDS, AlphaSolveConfig, ManufacturedCase,
                            fixed_point_map, l_of_t, make_case, solve_alpha,
                            verify_case, w_profile_1d, w_profile_2d)
@@ -22,7 +21,7 @@ from .stepper import TimeGrid, TrajectorySummary, init, run
 __all__ = [
     "AlphaSolveConfig", "CASE_IDS", "FieldVector", "GuardStatus",
     "LagrangeSpace", "ManufacturedCase", "MeshSize", "NonlocalCoefficient",
-    "QuadratureRule", "RunConfig", "SimplicialMesh", "SolverConfig",
+    "QuadratureRule", "RunConfig", "SimplicialMesh",
     "SparseSymMatrix", "SweepResult", "TimeGrid",
     "TrajectorySummary", "assemble_load", "assemble_mass",
     "assemble_stiffness", "build_lagrange_space", "check_guards",

@@ -201,18 +201,17 @@ def assemble_stiffness(space: LagrangeSpace, degree: int | None = None) -> Spars
 
 
 def _evaluate_field(fn, coords, t=None):
-    """Evaluate a scalar field at coordinate rows, vectorized when possible."""
+    """Evaluate a scalar field at coordinate rows in one call.
+
+    fn takes one coordinate array per axis (then t, if given) and returns
+    an array of values, or a scalar for a constant field.
+    """
     coords = np.atleast_2d(coords)
     args = tuple(coords[:, d] for d in range(coords.shape[1]))
     if t is not None:
         args = args + (t,)
-    try:
-        vals = np.asarray(fn(*args), dtype=float)
-        vals = np.broadcast_to(vals, (len(coords),)).astype(float)
-    except (TypeError, ValueError):
-        vals = np.array([float(fn(*(c + ((t,) if t is not None else ())))
-                               ) for c in map(tuple, coords)])
-    return vals
+    vals = np.asarray(fn(*args), dtype=float)
+    return np.broadcast_to(vals, (len(coords),)).astype(float)
 
 
 class LoadAssembler:

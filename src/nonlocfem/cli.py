@@ -44,8 +44,6 @@ def _add_case(parser):
     parser.add_argument("--n", type=int, help="elements (1D) or cells per side (2D)")
     parser.add_argument("--delta", type=float, help="time step")
     parser.add_argument("--t-end", dest="t_end", type=float)
-    parser.add_argument("--solver-method", dest="solver_method",
-                        choices=["auto", "conjugate-gradient", "direct-banded"])
 
 
 def _build_parser():
@@ -84,7 +82,14 @@ def _build_parser():
 
 
 def _config_from_args(args) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else None
+    """Config file values overridden by flags. A command honours exactly the
+    keys it has a flag for, so a file key without one is refused rather than
+    silently ignored."""
+    file_values = parse_config_file(args.config) if args.config else {}
+    unused = [key for key in file_values if not hasattr(args, key)]
+    if unused:
+        raise ConfigError(f"{args.config}: {args.command} does not use "
+                          f"{', '.join(unused)}")
     overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
                  if hasattr(args, key)}
     return config_from_sources(file_values, overrides)

@@ -43,21 +43,18 @@ class NonlocalCoefficient:
             raise ValueError("guard ceiling must exceed the floor")
 
 
-def evaluate(coeff: NonlocalCoefficient, U: FieldVector, M_mass: SparseSymMatrix,
-             strict_positive: bool = False) -> float:
+def evaluate(coeff: NonlocalCoefficient, U: FieldVector,
+             M_mass: SparseSymMatrix) -> float:
     """a(U) = s^gamma with s = U^T M U.
 
     Raises DegenerateCoefficientError when s = 0 and gamma < 0 (the value
-    would be infinite), or when s = 0 and gamma > 0 under a strict-positivity
-    policy (a zero coefficient degenerates the equation). gamma = 0 always
-    yields 1.
+    would be infinite); s = 0 and gamma > 0 yields 0, which the guards
+    report as below the floor. gamma = 0 always yields 1.
     """
-    s = l2_norm_sq(U, M_mass)
-    return evaluate_from_norm_sq(coeff, s, strict_positive=strict_positive)
+    return evaluate_from_norm_sq(coeff, l2_norm_sq(U, M_mass))
 
 
-def evaluate_from_norm_sq(coeff: NonlocalCoefficient, s: float,
-                          strict_positive: bool = False) -> float:
+def evaluate_from_norm_sq(coeff: NonlocalCoefficient, s: float) -> float:
     if s < 0.0:
         # roundoff can produce a tiny negative quadratic form at extinction
         s = 0.0
@@ -67,9 +64,6 @@ def evaluate_from_norm_sq(coeff: NonlocalCoefficient, s: float,
         if coeff.gamma < 0.0:
             raise DegenerateCoefficientError(
                 "coefficient is infinite: zero field with negative exponent")
-        if strict_positive:
-            raise DegenerateCoefficientError(
-                "coefficient is zero: diffusion degenerates")
         return 0.0
     return s ** coeff.gamma
 

@@ -9,6 +9,7 @@ quadrature choices behind each table.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -17,10 +18,12 @@ import numpy as np
 
 from .assembly import assembly_degree, error_degree, l2_error
 from .coefficient import DEFAULT_CEILING, DEFAULT_FLOOR, NonlocalCoefficient
-from .linalg import CG, DIRECT_BANDED, SolverConfig, auto_method
+from .linalg import method_for_dim
 from .manufactured import CASE_IDS, make_case
 from .mesh import build_lagrange_space, uniform_interval_mesh, uniform_square_mesh
 from .stepper import WARN, TimeGrid, run
+
+logger = logging.getLogger(__name__)
 
 SWEEP_HEADER = "case,k,h,delta,t_end,error_l2,pairwise_rate"
 ENERGY_HEADER = "case,t,energy,log_energy"
@@ -33,9 +36,21 @@ _CASE_DEFAULTS = {
     "example3": dict(k=3, n=16, delta=1e-2),
 }
 
-_CONFIG_KEYS = ("case", "dim", "k", "n", "delta", "t_end", "solver_tol",
-                "solver_method", "guard_floor", "guard_ceiling",
-                "guard_policy", "out_dir", "snapshots")
+
+def _snapshot_times(raw) -> tuple:
+    """Snapshot times from a comma- or semicolon-separated string or a sequence."""
+    if isinstance(raw, str):
+        raw = [p for p in raw.replace(";", ",").split(",") if p.strip()]
+    return tuple(float(v) for v in raw)
+
+
+# every config key, in RunConfig field order, with the converter from its
+# file text or flag value
+_CONFIG_KEYS = {
+    "case": str, "k": int, "n": int, "delta": float, "t_end": float,
+    "solver_tol": float, "guard_floor": float, "guard_ceiling": float,
+    "guard_policy": str, "out_dir": str, "snapshots": _snapshot_times,
+}
 
 
 class ConfigError(ValueError):
@@ -52,16 +67,17 @@ class SweepError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """One solve: discretization, guards, solver, and output settings."""
+    """One solve: discretization, guards, solver, and output settings.
+
+    The case fixes the dimension, and the dimension fixes the solver backend.
+    """
 
     case: str = "example1"
-    dim: int | None = None
     k: int | None = None
     n: int | None = None
     delta: float | None = None
     t_end: float | None = None
     solver_tol: float = 1e-12
-    solver_method: str = "auto"
     guard_floor: float = DEFAULT_FLOOR
     guard_ceiling: float = DEFAULT_CEILING
     guard_policy: str = WARN
@@ -77,15 +93,11 @@ class RunConfig:
         case = make_case(self.case)
         cfg = replace(
             self,
-            dim=case.dim if self.dim is None else self.dim,
             k=defaults["k"] if self.k is None else self.k,
             n=defaults["n"] if self.n is None else self.n,
             delta=defaults["delta"] if self.delta is None else self.delta,
             t_end=case.default_t_end if self.t_end is None else self.t_end,
         )
-        if cfg.dim != case.dim:
-            raise ConfigError(f"case {cfg.case} is {case.dim}D, config says "
-                              f"dim={cfg.dim}")
         if cfg.k not in (1, 2, 3):
             raise ConfigError(f"polynomial degree must be 1, 2 or 3, got {cfg.k}")
         for name in ("n", "delta", "t_end", "solver_tol", "guard_floor",
@@ -96,8 +108,6 @@ class RunConfig:
         if cfg.guard_policy not in ("warn", "abort"):
             raise ConfigError(f"guard_policy must be warn or abort, "
                               f"got {cfg.guard_policy!r}")
-        if cfg.solver_method not in ("auto", CG, DIRECT_BANDED):
-            raise ConfigError(f"unknown solver_method {cfg.solver_method!r}")
         return cfg
 
 
@@ -127,24 +137,9 @@ def config_from_sources(file_values: dict | None = None,
         for key, value in source.items():
             if value is not None:
                 merged[key] = value
-    kwargs: dict = {}
-    converters = {
-        "case": str, "dim": int, "k": int, "n": int, "delta": float,
-        "t_end": float, "solver_tol": float, "solver_method": str,
-        "guard_floor": float, "guard_ceiling": float, "guard_policy": str,
-        "out_dir": str,
-    }
     try:
-        for key, conv in converters.items():
-            if key in merged:
-                kwargs[key] = conv(merged[key])
-        if "snapshots" in merged:
-            raw = merged["snapshots"]
-            if isinstance(raw, str):
-                parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
-                kwargs["snapshots"] = tuple(float(p) for p in parts)
-            else:
-                kwargs["snapshots"] = tuple(float(v) for v in raw)
+        kwargs = {key: conv(merged[key]) for key, conv in _CONFIG_KEYS.items()
+                  if key in merged}
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return RunConfig(**kwargs)
@@ -191,22 +186,15 @@ class EnergyStudy:
     metadata: dict = field(default_factory=dict)
 
 
-def _build_space(config: RunConfig):
-    if config.dim == 1:
+def _build_space(config: RunConfig, dim: int):
+    if dim == 1:
         mesh = uniform_interval_mesh(0.0, 1.0, config.n)
     else:
         mesh = uniform_square_mesh(config.n)
     return build_lagrange_space(mesh, config.k)
 
 
-def _solver_config(config: RunConfig) -> SolverConfig:
-    method = config.solver_method
-    if method == "auto":
-        method = auto_method(config.dim)
-    return SolverConfig(tolerance=config.solver_tol, method=method)
-
-
-def _metadata(config: RunConfig, grid: TimeGrid) -> dict:
+def _metadata(config: RunConfig, dim: int, grid: TimeGrid) -> dict:
     return {
         "case": config.case,
         "k": config.k,
@@ -214,8 +202,8 @@ def _metadata(config: RunConfig, grid: TimeGrid) -> dict:
         "delta": grid.delta,
         "t_end": grid.t_end,
         "assembly_quadrature_degree": assembly_degree(config.k),
-        "error_quadrature_degree": error_degree(config.dim, config.k),
-        "solver_method": _solver_config(config).method,
+        "error_quadrature_degree": error_degree(dim, config.k),
+        "solver_method": method_for_dim(dim),
         "solver_tol": config.solver_tol,
         "guard_floor": config.guard_floor,
         "guard_ceiling": config.guard_ceiling,
@@ -227,13 +215,16 @@ def run_solve(config: RunConfig) -> RunReport:
     """Run one case to t_end and measure the final L2 error."""
     config = config.resolved()
     case = make_case(config.case)
-    space = _build_space(config)
+    space = _build_space(config, case.dim)
     n_steps = max(1, round(config.t_end / config.delta))
     grid = TimeGrid(t_end=config.t_end, n_steps=n_steps)
+    if abs(grid.delta - config.delta) > 1e-9 * config.delta:
+        logger.warning("delta %g does not divide t_end %g; stepping with "
+                       "delta %r", config.delta, config.t_end, grid.delta)
     coeff = NonlocalCoefficient(gamma=case.gamma, floor_m=config.guard_floor,
                                 ceil_M=config.guard_ceiling)
     traj = run(space, case.u0, case.f, coeff, grid,
-               solver_config=_solver_config(config),
+               solver_tol=config.solver_tol,
                guard_policy=config.guard_policy,
                snapshot_times=config.snapshots)
     final_error = l2_error(traj.final, case.u, grid.t_end)
@@ -242,7 +233,7 @@ def run_solve(config: RunConfig) -> RunReport:
                      coefficient_history=traj.coefficient_history,
                      first_guard_trip=traj.first_guard_trip,
                      snapshots=traj.snapshots,
-                     metadata=_metadata(config, grid))
+                     metadata=_metadata(config, case.dim, grid))
 
 
 def _fit_slope(xs, errors) -> float | None:
@@ -266,11 +257,12 @@ def _pairwise_rates(errors):
 
 def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
     config = config.resolved()
+    dim = make_case(config.case).dim
     rows = []
     errors = []
     xs = []
     failures = []
-    cell = 1.0 if config.dim == 1 else math.sqrt(2.0)
+    cell = 1.0 if dim == 1 else math.sqrt(2.0)
     for value in values:
         if kind == "h":
             row_cfg = replace(config, n=int(value))
@@ -301,8 +293,8 @@ def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
         "fixed_n" if kind == "delta" else "fixed_delta":
             config.n if kind == "delta" else config.delta,
         "assembly_quadrature_degree": assembly_degree(config.k),
-        "error_quadrature_degree": error_degree(config.dim, config.k),
-        "solver_method": _solver_config(config).method,
+        "error_quadrature_degree": error_degree(dim, config.k),
+        "solver_method": method_for_dim(dim),
         "solver_tol": config.solver_tol,
     }
     result = SweepResult(case=config.case, kind=kind, k=config.k, rows=rows,

@@ -8,8 +8,6 @@ independently recomputed residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -18,8 +16,8 @@ CG = "conjugate-gradient"
 DIRECT_BANDED = "direct-banded"
 
 
-def auto_method(dim: int) -> str:
-    """The "auto" solver choice: banded Cholesky in 1D, CG otherwise."""
+def method_for_dim(dim: int) -> str:
+    """The backend of a mesh dimension: banded Cholesky in 1D, CG otherwise."""
     return DIRECT_BANDED if dim == 1 else CG
 
 
@@ -31,23 +29,6 @@ class NotSPDError(RuntimeError):
 
 class SolverConvergenceError(RuntimeError):
     """The iteration budget was exhausted before reaching the tolerance."""
-
-
-@dataclass
-class SolverConfig:
-    """Tolerance is a relative residual bound; max_iterations defaults to 10n."""
-
-    tolerance: float = 1e-12
-    max_iterations: int | None = None
-    method: str = CG
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.method not in (CG, DIRECT_BANDED):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,

@@ -24,8 +24,8 @@ from .assembly import (FieldVector, LoadAssembler, SparseSymMatrix,
 from .coefficient import (DegenerateCoefficientError, GuardStatus,
                           NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
-from .linalg import (DIRECT_BANDED, SolverConfig, SolverConvergenceError,
-                     auto_method, cg_jacobi, solve_banded_spd, to_banded_upper)
+from .linalg import (DIRECT_BANDED, SolverConvergenceError, cg_jacobi,
+                     method_for_dim, solve_banded_spd, to_banded_upper)
 from .mesh import LagrangeSpace
 
 logger = logging.getLogger(__name__)
@@ -84,47 +84,39 @@ class TrajectorySummary:
     coefficient_history: list
     snapshots: dict
     first_guard_trip: tuple | None
-    solver_method: str
     frozen: bool
 
 
 class StepWorkspace:
-    """Reduced matrices, banded forms and the load operator of one run."""
+    """Reduced matrices, banded forms and the load operator of one run.
+
+    The mesh dimension picks the backend (see linalg.method_for_dim);
+    solver_tol is the relative residual bound every solve is verified to.
+    """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
                  K: SparseSymMatrix, grid: TimeGrid, forcing=None,
-                 solver_config: SolverConfig | None = None,
-                 guard_policy: str = WARN):
+                 solver_tol: float = 1e-12, guard_policy: str = WARN):
+        if not solver_tol > 0:
+            raise ValueError(f"solver_tol must be positive, got {solver_tol}")
         if guard_policy not in (WARN, ABORT):
             raise ValueError(f"unknown guard policy {guard_policy!r}")
         self.grid = grid
+        self.solver_tol = solver_tol
         self.guard_policy = guard_policy
-        self.solver_config = solver_config or SolverConfig()
         self.free = space.free_node_indices
         self.M_ff = M.restrict(self.free)
         self.K_ff = K.restrict(self.free)
-        self.use_banded = (self.solver_config.method == DIRECT_BANDED
-                           and space.mesh.dim == 1)
-        if self.solver_config.method == DIRECT_BANDED and space.mesh.dim != 1:
-            raise ValueError("direct-banded is only valid for 1D node orderings")
+        self.use_banded = method_for_dim(space.mesh.dim) == DIRECT_BANDED
         if self.use_banded:
-            Mb = to_banded_upper(self.M_ff)
-            Kb = to_banded_upper(self.K_ff)
-            rows = max(Mb.shape[0], Kb.shape[0])
-            self.Mb = self._pad(Mb, rows)
-            self.Kb = self._pad(Kb, rows)
+            # M and K are scattered from the same element dofs, so their
+            # bands have the same height and add entry by entry
+            self.Mb = to_banded_upper(self.M_ff)
+            self.Kb = to_banded_upper(self.K_ff)
         self.load = None if forcing is None else LoadAssembler(space)
         self.forcing = forcing
         self._m_scale = abs(self.M_ff.data).max() if self.M_ff.nnz else 0.0
         self._k_scale = abs(self.K_ff.data).max() if self.K_ff.nnz else 0.0
-
-    @staticmethod
-    def _pad(ab, rows):
-        if ab.shape[0] == rows:
-            return ab
-        out = np.zeros((rows, ab.shape[1]))
-        out[rows - ab.shape[0]:] = ab
-        return out
 
     def load_vector(self, t_mid):
         if self.load is None:
@@ -144,8 +136,7 @@ class StepWorkspace:
             ab = self.Mb / delta + (0.5 * a_star) * self.Kb
             return solve_banded_spd(ab, rhs)
         A = self.M_ff.multiply(1.0 / delta) + self.K_ff.multiply(0.5 * a_star)
-        x, _ = cg_jacobi(A.tocsr(), rhs, self.solver_config.tolerance,
-                         self.solver_config.max_iterations)
+        x, _ = cg_jacobi(A.tocsr(), rhs, self.solver_tol)
         return x
 
     def solve_verified(self, a_star, rhs):
@@ -160,12 +151,11 @@ class StepWorkspace:
             return rhs.copy(), rhs.copy(), rhs.copy()
         x = self._solve_once(a_star, rhs)
         delta = self.grid.delta
-        tol = self.solver_config.tolerance
         for attempt in range(2):
             mu_x = self.M_ff @ x
             ku_x = self.K_ff @ x
             res = np.linalg.norm(mu_x / delta + (0.5 * a_star) * ku_x - rhs)
-            bound = tol * max(np.linalg.norm(rhs), 1e-300)
+            bound = self.solver_tol * max(np.linalg.norm(rhs), 1e-300)
             scale = self._m_scale / delta + 0.5 * a_star * self._k_scale
             floor = 64.0 * np.finfo(float).eps * scale * np.linalg.norm(x)
             if res <= max(bound, floor):
@@ -215,7 +205,7 @@ def _first_step_coefficient(work, coeff, u0, mu0, ku0):
 
 
 def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
-        solver_config: SolverConfig | None = None, guard_policy: str = WARN,
+        solver_tol: float = 1e-12, guard_policy: str = WARN,
         snapshot_times=()) -> TrajectorySummary:
     """Full trajectory: init, predictor-corrector, then multistep to t_end.
 
@@ -224,12 +214,10 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     levels on the free nodes; full-length fields are built only for the
     snapshots and the final field.
     """
-    if solver_config is None:
-        solver_config = SolverConfig(method=auto_method(space.mesh.dim))
     M = assemble_mass(space)
     K = assemble_stiffness(space)
     work = StepWorkspace(space, M, K, grid, forcing=f,
-                         solver_config=solver_config, guard_policy=guard_policy)
+                         solver_tol=solver_tol, guard_policy=guard_policy)
     U0 = init(space, u0)
     free = work.free
 
@@ -297,4 +285,4 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                              energy_history=energy_history,
                              coefficient_history=coefficient_history,
                              snapshots=snapshots, first_guard_trip=first_trip,
-                             solver_method=solver_config.method, frozen=frozen)
+                             frozen=frozen)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -206,6 +208,16 @@ def test_interpolate_nonfinite_rejected():
     space = _space_1d(4, 1)
     with pytest.raises(NonFiniteFieldError):
         interpolate(space, lambda x: np.where(x > 0.4, np.nan, x))
+
+
+def test_interpolate_requires_vectorized_field():
+    # a scalar-only function raises rather than falling back to a per-point
+    # loop; a constant field may still return one scalar
+    space = _space_1d(4, 1)
+    with pytest.raises(TypeError):
+        interpolate(space, lambda x: math.sin(x))
+    U = interpolate(space, lambda x: 2.0)
+    assert np.all(U.coefficients[space.free_node_indices] == 2.0)
 
 
 def test_interpolation_error_rate():

@@ -57,10 +57,8 @@ def test_degenerate_zero_field(setting):
     zero = FieldVector(np.zeros(space.n_nodes), space)
     with pytest.raises(DegenerateCoefficientError):
         evaluate(NonlocalCoefficient(gamma=-1.0 / 3.0), zero, M)
-    # gamma > 0: value 0 by default, error under the strict policy
+    # gamma > 0: the value is 0
     assert evaluate(NonlocalCoefficient(gamma=0.5), zero, M) == 0.0
-    with pytest.raises(DegenerateCoefficientError):
-        evaluate(NonlocalCoefficient(gamma=0.5), zero, M, strict_positive=True)
 
 
 def test_positivity(setting):

@@ -1,12 +1,16 @@
+import logging
 import math
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nonlocfem.cli import main
-from nonlocfem.harness import (ENERGY_HEADER, SWEEP_HEADER, ConfigError,
-                               EnergyStudy, RunConfig, SweepResult,
+from nonlocfem.harness import (_CONFIG_KEYS, ENERGY_HEADER, SWEEP_HEADER,
+                               ConfigError, EnergyStudy, RunConfig, SweepResult,
                                _fit_slope, _pairwise_rates, config_from_sources,
                                emit_outputs, energy_csv, energy_study,
                                parse_config_file, run_solve, sweep_csv,
@@ -23,18 +27,13 @@ def _quick_config(**kw):
 
 def test_defaults_resolved_from_case():
     cfg = RunConfig(case="example3").resolved()
-    assert cfg.dim == 2 and cfg.k == 3 and cfg.n == 16
+    assert cfg.k == 3 and cfg.n == 16
     assert cfg.delta == 1e-2 and cfg.t_end == 1.0
 
 
 def test_unknown_case_rejected():
     with pytest.raises(ConfigError):
         RunConfig(case="example7").resolved()
-
-
-def test_dim_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        RunConfig(case="example3", dim=1).resolved()
 
 
 def test_invalid_numerics_rejected():
@@ -65,10 +64,19 @@ def test_cli_flags_override_file(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
+    # dim and solver_method follow from the case, so they are not keys
     path = tmp_path / "run.cfg"
-    path.write_text("mesh_size = 0.5\n")
-    with pytest.raises(ConfigError):
-        parse_config_file(str(path))
+    for line in ("mesh_size = 0.5", "dim = 1", "solver_method = direct-banded"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            parse_config_file(str(path))
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Recognized keys: `([^`]*)`", readme).group(1)
+    assert [key.strip() for key in listed.split(",")] == list(_CONFIG_KEYS)
+    assert list(_CONFIG_KEYS) == [f.name for f in fields(RunConfig)]
 
 
 def test_bad_config_value_rejected():
@@ -86,6 +94,20 @@ def test_run_solve_report_contents():
     assert len(report.coefficient_history) == 10
     assert report.metadata["assembly_quadrature_degree"] == 4
     assert report.metadata["solver_method"] == "direct-banded"
+
+
+def test_run_solve_warns_when_delta_is_rounded(caplog):
+    # 0.2 / 0.03 is not an integer: 7 steps of 0.2 / 7 are taken
+    with caplog.at_level(logging.WARNING, logger="nonlocfem.harness"):
+        report = run_solve(_quick_config(delta=0.03))
+    [record] = caplog.records
+    assert "delta 0.03 does not divide t_end 0.2" in record.getMessage()
+    assert repr(0.2 / 7) in record.getMessage()
+    assert report.metadata["delta"] == 0.2 / 7
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="nonlocfem.harness"):
+        run_solve(_quick_config())
+    assert caplog.records == []
 
 
 def test_sweep_h_rows_and_rates():
@@ -253,6 +275,10 @@ def test_cli_verify(capsys):
 def test_cli_config_error_exit_code(capsys):
     assert main(["solve", "--case", "example1", "--k", "9"]) == 2
     assert "config error" in capsys.readouterr().err
+    # the backend follows the dimension; there is no flag to choose it
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--solver-method", "direct-banded"])
+    assert info.value.code == 2
 
 
 def test_cli_missing_config_file_exit_code(tmp_path, capsys):
@@ -293,3 +319,15 @@ def test_cli_energy_rejects_flags_it_does_not_use(capsys):
         main(["energy", "--cases", "example2", "--n", "7"])
     assert info.value.code == 2
     assert "--n" in capsys.readouterr().err
+
+
+def test_cli_energy_rejects_config_keys_it_does_not_use(tmp_path, capsys):
+    # the same keys from a config file would be silently ignored as well
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 7\nk = 1\nguard_policy = warn\n")
+    code = main(["energy", "--cases", "example2", "--config", str(path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "energy does not use n, k" in err
+    assert not (tmp_path / "energy_study.csv").exists()

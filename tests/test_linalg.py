@@ -3,15 +3,20 @@ import pytest
 import scipy.sparse as sp
 
 from nonlocfem.assembly import SparseSymMatrix, assemble_mass, assemble_stiffness
-from nonlocfem.linalg import (CG, DIRECT_BANDED, NotSPDError, SolverConfig,
-                              SolverConvergenceError, cg_jacobi,
+from nonlocfem.linalg import (NotSPDError, SolverConvergenceError, cg_jacobi,
                               to_banded_upper)
-from nonlocfem.mesh import build_lagrange_space, uniform_interval_mesh
+from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
+                            uniform_square_mesh)
 from nonlocfem.stepper import StepWorkspace, TimeGrid
 
 
 def _space(n=8, k=1):
     return build_lagrange_space(uniform_interval_mesh(0.0, 1.0, n), k)
+
+
+def _spaces_1d_2d(n=8, k=1):
+    """A 1D space (banded backend) and a small 2D one (CG backend)."""
+    return [_space(n, k), build_lagrange_space(uniform_square_mesh(4), k)]
 
 
 def _heat_step_matrix(space, delta=1e-2, a=1.0):
@@ -21,12 +26,11 @@ def _heat_step_matrix(space, delta=1e-2, a=1.0):
                             + K.multiply(0.5 * a)).tocsr())
 
 
-def _solve(space, b, delta=1e-2, a=1.0, **config):
+def _solve(space, b, delta=1e-2, a=1.0, **options):
     """x with (M/delta + (a/2) K) x = b on the free nodes, by the stepper's
-    verified solve."""
+    verified solve with the backend of the space's dimension."""
     work = StepWorkspace(space, assemble_mass(space), assemble_stiffness(space),
-                         TimeGrid(t_end=delta, n_steps=1),
-                         solver_config=SolverConfig(**config))
+                         TimeGrid(t_end=delta, n_steps=1), **options)
     x, _, _ = work.solve_verified(a, b)
     return x
 
@@ -51,64 +55,58 @@ def test_zero_rhs_zero_iterations():
 
 
 def test_heat_step_matches_dense_oracle():
-    space = _space(n=8, k=1)
-    A = _heat_step_matrix(space)
     rng = np.random.default_rng(1)
-    b = _interior_rhs(space, rng)
-    x = _solve(space, b, method=CG)
-    dense = A.restrict(space.free_node_indices).toarray()
-    expect = np.linalg.solve(dense, b)
-    assert np.max(np.abs(x - expect)) <= 1e-10
+    for space in _spaces_1d_2d(n=8, k=1):
+        A = _heat_step_matrix(space)
+        b = _interior_rhs(space, rng)
+        x = _solve(space, b)
+        dense = A.restrict(space.free_node_indices).toarray()
+        expect = np.linalg.solve(dense, b)
+        assert np.max(np.abs(x - expect)) <= 1e-10
 
 
 def test_cg_and_banded_agree():
+    # CG on the 1D system is the reference the banded backend must match
     rng = np.random.default_rng(2)
     tol = 1e-12
     for n, k, delta, a in [(8, 1, 1e-2, 1.0), (16, 2, 1e-3, 0.3),
                            (12, 3, 1e-1, 2.0)]:
         space = _space(n, k)
         b = _interior_rhs(space, rng)
-        x_cg = _solve(space, b, delta, a, tolerance=tol, method=CG)
-        x_db = _solve(space, b, delta, a, tolerance=tol, method=DIRECT_BANDED)
+        A_ff = _heat_step_matrix(space, delta, a).restrict(
+            space.free_node_indices)
+        x_cg, _ = cg_jacobi(A_ff, b, tol)
+        x_db = _solve(space, b, delta, a, solver_tol=tol)
         scale = max(np.max(np.abs(x_cg)), 1.0)
         assert np.max(np.abs(x_cg - x_db)) <= 10 * tol * scale
 
 
 def test_verified_residual_meets_tolerance():
-    space = _space(n=32, k=2)
-    A = _heat_step_matrix(space, delta=1e-3)
     rng = np.random.default_rng(3)
-    b = _interior_rhs(space, rng)
-    for method in (CG, DIRECT_BANDED):
-        x = _solve(space, b, delta=1e-3, tolerance=1e-12, method=method)
+    for space in _spaces_1d_2d(n=32, k=2):
+        A = _heat_step_matrix(space, delta=1e-3)
+        b = _interior_rhs(space, rng)
+        x = _solve(space, b, delta=1e-3, solver_tol=1e-12)
         res = np.linalg.norm(b - A.restrict(space.free_node_indices) @ x)
         assert res <= 1e-12 * np.linalg.norm(b)
 
 
 def test_not_spd_raises():
     # M/delta + (a/2) K with delta = 1 and a = -2 is M - K, indefinite
-    space = _space(n=8, k=1)
     rng = np.random.default_rng(4)
-    b = _interior_rhs(space, rng)
-    with pytest.raises(NotSPDError):
-        _solve(space, b, delta=1.0, a=-2.0, method=CG)
+    for space in _spaces_1d_2d(n=8, k=1):
+        b = _interior_rhs(space, rng)
+        with pytest.raises(NotSPDError):
+            _solve(space, b, delta=1.0, a=-2.0)
 
 
 def test_iteration_budget_exhaustion():
     space = _space(n=32, k=1)
     rng = np.random.default_rng(5)
     b = _interior_rhs(space, rng)
+    A_ff = _heat_step_matrix(space, delta=1e3).restrict(space.free_node_indices)
     with pytest.raises(SolverConvergenceError):  # stiffness-dominated
-        _solve(space, b, delta=1e3, tolerance=1e-14, max_iterations=2,
-               method=CG)
-
-
-def test_banded_rejected_in_2d():
-    from nonlocfem.mesh import uniform_square_mesh
-    space = build_lagrange_space(uniform_square_mesh(2), 1)
-    with pytest.raises(ValueError):
-        _solve(space, np.zeros(len(space.free_node_indices)),
-               method=DIRECT_BANDED)
+        cg_jacobi(A_ff, b, 1e-14, max_iterations=2)
 
 
 def test_banded_conversion_roundtrip():
@@ -125,12 +123,15 @@ def test_banded_conversion_roundtrip():
                 dense[i, j] = ab[d, j]
     dense = dense + np.triu(dense, 1).T
     np.testing.assert_allclose(dense, A_ff.toarray(), atol=1e-14)
+    # the stepper adds the banded M and K entry by entry
+    for k in (1, 2, 3):
+        space = _space(n=6, k=k)
+        free = space.free_node_indices
+        Mb = to_banded_upper(assemble_mass(space).restrict(free))
+        Kb = to_banded_upper(assemble_stiffness(space).restrict(free))
+        assert Mb.shape == Kb.shape == (k + 1, len(free))
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(method="gauss-seidel")
+        _solve(_space(), np.zeros(7), solver_tol=0.0)

@@ -6,7 +6,6 @@ import pytest
 from nonlocfem.assembly import (assemble_load, assemble_mass,
                                 assemble_stiffness, l2_norm_sq)
 from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient
-from nonlocfem.linalg import SolverConfig
 from nonlocfem.manufactured import make_case
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
@@ -58,14 +57,13 @@ def test_init_example1_positive_mass_and_energy():
     assert float(ones.coefficients @ U0.coefficients) > 0.0
 
 
-# A one-step run is exactly the predictor-corrector first step. These runs
-# pin the CG backend, the solver the first step defaulted to on its own.
+# A one-step run is exactly the predictor-corrector first step.
 
 def test_first_step_zero_data_stays_zero():
     space = _space_1d(8, 1)
     grid = TimeGrid(t_end=0.01, n_steps=1)
     traj = run(space, lambda x: np.zeros_like(x), None,
-               NonlocalCoefficient(gamma=0.0), grid, solver_config=SolverConfig())
+               NonlocalCoefficient(gamma=0.0), grid)
     assert np.all(traj.final.coefficients == 0.0)
     assert len(traj.coefficient_history) == 1
 
@@ -77,8 +75,7 @@ def test_first_step_heat_decay_factor():
     delta = 1e-3
     grid = TimeGrid(t_end=delta, n_steps=1)
     norm0 = math.sqrt(l2_norm_sq(init(space, _sin_pi), M))
-    traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.0), grid,
-               solver_config=SolverConfig())
+    traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.0), grid)
     norm1 = math.sqrt(l2_norm_sq(traj.final, M))
     assert norm1 / norm0 == pytest.approx(math.exp(-math.pi ** 2 * delta),
                                           abs=1e-7)
@@ -90,8 +87,7 @@ def test_corrector_equals_predictor_when_coefficient_constant():
     M, K = assemble_mass(space), assemble_stiffness(space)
     delta = 1e-2
     grid = TimeGrid(t_end=delta, n_steps=1)
-    traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.0), grid,
-               solver_config=SolverConfig())
+    traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.0), grid)
     free = space.free_node_indices
     M_ff = M.restrict(free)
     K_ff = K.restrict(free)
@@ -110,7 +106,7 @@ def test_first_step_accuracy_example1():
     space = _space_1d(100, 2)
     grid = TimeGrid(t_end=1e-3, n_steps=1)
     traj = run(space, case.u0, case.f, NonlocalCoefficient(gamma=case.gamma),
-               grid, solver_config=SolverConfig())
+               grid)
     assert l2_error(traj.final, case.u, 1e-3) <= 1e-6
 
 
@@ -122,7 +118,7 @@ def test_reduction_to_classical_cn_trajectory():
     grid = TimeGrid(t_end=t_end, n_steps=n_steps)
     tol = 1e-12
     traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.0), grid,
-               solver_config=SolverConfig(tolerance=tol))
+               solver_tol=tol)
 
     free = space.free_node_indices
     delta = grid.delta
