@@ -36,13 +36,17 @@ def _add_common(parser):
     parser.add_argument("--out-dir", dest="out_dir")
 
 
-def _add_case(parser):
-    """Flags choosing one case and its discretization."""
+def _add_case(parser, swept=None):
+    """Flags choosing one case and its discretization; a sweep has no flag
+    for the key it varies (swept), so that key is refused, not ignored."""
     _add_common(parser)
     parser.add_argument("--case", choices=CASE_IDS)
     parser.add_argument("--k", type=int, help="polynomial degree (1, 2 or 3)")
-    parser.add_argument("--n", type=int, help="elements (1D) or cells per side (2D)")
-    parser.add_argument("--delta", type=float, help="time step")
+    if swept != "n":
+        parser.add_argument("--n", type=int,
+                            help="elements (1D) or cells per side (2D)")
+    if swept != "delta":
+        parser.add_argument("--delta", type=float, help="time step")
     parser.add_argument("--t-end", dest="t_end", type=float)
 
 
@@ -57,13 +61,16 @@ def _build_parser():
     _add_case(p_solve)
     p_solve.add_argument("--snapshots", help="comma-separated snapshot times")
 
-    p_sh = sub.add_parser("sweep-h", help="mesh-refinement convergence study")
-    _add_case(p_sh)
+    # no prefix matching, or --n would be taken for --n-list
+    p_sh = sub.add_parser("sweep-h", help="mesh-refinement convergence study",
+                          allow_abbrev=False)
+    _add_case(p_sh, swept="n")
     p_sh.add_argument("--n-list", dest="n_list", required=True,
                       help="comma-separated mesh resolutions, e.g. 8,16,32,64")
 
-    p_sd = sub.add_parser("sweep-dt", help="time-step convergence study")
-    _add_case(p_sd)
+    p_sd = sub.add_parser("sweep-dt", help="time-step convergence study",
+                          allow_abbrev=False)
+    _add_case(p_sd, swept="delta")
     p_sd.add_argument("--delta-list", dest="delta_list", required=True,
                       help="comma-separated time steps, e.g. 0.1,0.05,0.025")
 

@@ -1,9 +1,12 @@
 """Solvers for the symmetric positive definite systems of each time step.
 
-Two methods: Jacobi-preconditioned conjugate gradients (any dimension) and
-a banded Cholesky factorization (1D node orderings, where the matrices have
-bandwidth k). The stepper verifies every accepted solution against an
-independently recomputed residual.
+Two methods: Jacobi-preconditioned conjugate gradients (2D) and a banded
+Cholesky factorization (1D node orderings, where the matrices have
+bandwidth k). CG accepts a start vector: the stepper fills its system matrix
+in place on the sparsity pattern M and K share and starts CG from the
+Galerkin best fit of the last two levels, so 2D trajectories agree with a
+zero start to the solver tolerance, not bit for bit. The stepper verifies
+every accepted solution against an independently recomputed residual.
 """
 
 from __future__ import annotations
@@ -32,8 +35,13 @@ class SolverConvergenceError(RuntimeError):
 
 
 def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
-              max_iterations: int | None = None) -> tuple[np.ndarray, int]:
-    """Preconditioned CG on a reduced SPD system; returns (x, iterations)."""
+              max_iterations: int | None = None,
+              x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Preconditioned CG on a reduced SPD system; returns (x, iterations).
+
+    x0 is the start vector (zero if None; not modified). Convergence means
+    ||b - A x|| <= tol ||b||, whatever the start.
+    """
     n = len(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -44,8 +52,14 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
         raise NotSPDError("matrix has a nonpositive diagonal entry")
     inv_diag = 1.0 / diag
 
-    x = np.zeros(n)
-    r = b.copy()
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A @ x
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, 0
     z = inv_diag * r
     p = z.copy()
     rz = r @ z

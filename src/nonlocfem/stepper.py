@@ -4,7 +4,9 @@ The first step is a predictor-corrector pair: a solve with the coefficient
 frozen at a(U_0) followed by exactly one corrected solve with the
 coefficient at the predicted midpoint. Every later step evaluates the
 coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}, so each
-step is one linear SPD solve with system matrix M/delta + (a/2) K.
+step is one linear SPD solve with system matrix M/delta + (a/2) K. In 2D
+that matrix is filled in place on the sparsity pattern M and K share, and
+CG starts from the Galerkin best fit of the last two levels.
 
 At extinction (zero field with a negative exponent) the coefficient is
 undefined; the trajectory is frozen at zero from that step on, matching
@@ -87,11 +89,33 @@ class TrajectorySummary:
     frozen: bool
 
 
+def galerkin_start(levels, rhs, a_star, delta):
+    """The point of span{u} closest to the solution of
+    (M/delta + (a/2) K) x = rhs in the energy norm of that matrix.
+
+    levels holds (u, M u, K u) of earlier levels, so the 2x2 Galerkin system
+    costs dot products only. Eigenvalues below 1e-13 of the largest are
+    dropped (a zero or repeated level); with none positive the start is 0.
+    """
+    X = np.column_stack([u for u, _, _ in levels])
+    G = (X.T @ np.column_stack([mu for _, mu, _ in levels]) / delta
+         + (0.5 * a_star) * (X.T @ np.column_stack([ku for _, _, ku in levels])))
+    lam, V = np.linalg.eigh(G)
+    if not lam[-1] > 0.0:
+        return np.zeros(len(rhs))
+    keep = lam > 1e-13 * lam[-1]
+    V = V[:, keep]
+    return X @ (V @ ((V.T @ (X.T @ rhs)) / lam[keep]))
+
+
 class StepWorkspace:
     """Reduced matrices, banded forms and the load operator of one run.
 
     The mesh dimension picks the backend (see linalg.method_for_dim);
     solver_tol is the relative residual bound every solve is verified to.
+    M and K must share one sparsity pattern (they are scattered from the
+    same element dofs), so the system matrix is M/delta + (a/2) K entry by
+    entry: in 1D on their bands, in 2D on their CSR data.
     """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
@@ -107,12 +131,15 @@ class StepWorkspace:
         self.free = space.free_node_indices
         self.M_ff = M.restrict(self.free)
         self.K_ff = K.restrict(self.free)
+        if not (np.array_equal(self.M_ff.indptr, self.K_ff.indptr)
+                and np.array_equal(self.M_ff.indices, self.K_ff.indices)):
+            raise ValueError("M and K do not share one sparsity pattern")
         self.use_banded = method_for_dim(space.mesh.dim) == DIRECT_BANDED
         if self.use_banded:
-            # M and K are scattered from the same element dofs, so their
-            # bands have the same height and add entry by entry
             self.Mb = to_banded_upper(self.M_ff)
             self.Kb = to_banded_upper(self.K_ff)
+        else:
+            self.A = self.M_ff.copy()
         self.load = None if forcing is None else LoadAssembler(space)
         self.forcing = forcing
         self._m_scale = abs(self.M_ff.data).max() if self.M_ff.nnz else 0.0
@@ -130,18 +157,23 @@ class StepWorkspace:
             rhs = rhs + F
         return rhs
 
-    def _solve_once(self, a_star, rhs):
+    def _solve_once(self, a_star, rhs, levels=()):
         delta = self.grid.delta
         if self.use_banded:
             ab = self.Mb / delta + (0.5 * a_star) * self.Kb
             return solve_banded_spd(ab, rhs)
-        A = self.M_ff.multiply(1.0 / delta) + self.K_ff.multiply(0.5 * a_star)
-        x, _ = cg_jacobi(A.tocsr(), rhs, self.solver_tol)
+        np.multiply(self.M_ff.data, 1.0 / delta, out=self.A.data)
+        self.A.data += (0.5 * a_star) * self.K_ff.data
+        x0 = galerkin_start(levels, rhs, a_star, delta) if levels else None
+        x, _ = cg_jacobi(self.A, rhs, self.solver_tol, x0=x0)
         return x
 
-    def solve_verified(self, a_star, rhs):
+    def solve_verified(self, a_star, rhs, levels=()):
         """Solve (M/delta + (a/2) K) x = rhs and verify the residual against
         an independently recomputed matvec; returns (x, M x, K x).
+
+        levels holds (u, M u, K u) of earlier levels; CG starts from their
+        Galerkin best fit (see galerkin_start).
 
         A direct solve gets one iterative-refinement pass if needed. The
         acceptance bound never goes below the backward-stable scale
@@ -149,7 +181,7 @@ class StepWorkspace:
         """
         if len(rhs) == 0:
             return rhs.copy(), rhs.copy(), rhs.copy()
-        x = self._solve_once(a_star, rhs)
+        x = self._solve_once(a_star, rhs, levels)
         delta = self.grid.delta
         for attempt in range(2):
             mu_x = self.M_ff @ x
@@ -198,7 +230,8 @@ def _first_step_coefficient(work, coeff, u0, mu0, ku0):
     if status0 != GuardStatus.OK and work.guard_policy == ABORT:
         raise GuardTripError(1, work.grid.time(1), status0, a0)
     F = work.load_vector(0.5 * work.grid.delta)
-    u10 = work._solve_once(a0, work.step_rhs(a0, mu0, ku0, F))
+    u10 = work._solve_once(a0, work.step_rhs(a0, mu0, ku0, F),
+                           levels=((u0, mu0, ku0),))
     uhalf = 0.5 * (u10 + u0)
     a_half, status_half = _coefficient(coeff, float(uhalf @ (work.M_ff @ uhalf)))
     return a_half, status_half, F
@@ -231,10 +264,10 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
         snap_indices.setdefault(grid.nearest_index(t_req), []).append(t_req)
     snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
-    # levels n-1 and n-2 on the free nodes: u, M u (both levels) and K u
+    # levels n-1 and n-2 on the free nodes: u, M u and K u
     u = U0.coefficients[free]
     mu, ku = work.M_ff @ u, work.K_ff @ u
-    u_old = mu_old = None
+    u_old = mu_old = ku_old = None
     energy_history = [(0.0, float(u @ mu))]
     coefficient_history = []
     frozen = False
@@ -264,13 +297,15 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
             else:
                 if n > 1:
                     F = work.load_vector(t - 0.5 * grid.delta)
+                levels = ((u, mu, ku),) if n == 1 \
+                    else ((u, mu, ku), (u_old, mu_old, ku_old))
                 u_new, mu_new, ku_new = work.solve_verified(
-                    a, work.step_rhs(a, mu, ku, F))
+                    a, work.step_rhs(a, mu, ku, F), levels)
         except GuardTripError:
             raise
         except Exception as exc:
             raise SteppingError(f"step {n} at t={t:g}: {exc}") from exc
-        u_old, mu_old = u, mu
+        u_old, mu_old, ku_old = u, mu, ku
         u, mu, ku = u_new, mu_new, ku_new
         energy_history.append((t, float(u @ mu)))
         if n in snap_indices:

@@ -331,3 +331,34 @@ def test_cli_energy_rejects_config_keys_it_does_not_use(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "energy does not use n, k" in err
     assert not (tmp_path / "energy_study.csv").exists()
+
+
+_SWEEPS = {   # command -> (its ladder flag and value, the key it sweeps)
+    "sweep-h": (["--n-list", "4,8", "--delta", "0.05"], "n"),
+    "sweep-dt": (["--n", "4", "--delta-list", "0.05,0.025"], "delta"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEPS))
+def test_cli_sweep_rejects_the_flag_it_sweeps(command, tmp_path, capsys):
+    # the ladder overwrites the swept key row by row, so a flag for it
+    # would be silently ignored; nor may it pass as a prefix of the ladder
+    ladder, key = _SWEEPS[command]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--case", "example1", "--k", "1", "--t-end", "0.1",
+              *ladder, f"--{key}", "7", "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert f"--{key} 7" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEPS))
+def test_cli_sweep_rejects_the_config_key_it_sweeps(command, tmp_path, capsys):
+    ladder, key = _SWEEPS[command]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = 7\n")
+    code = main([command, "--case", "example1", "--k", "1", "--t-end", "0.1",
+                 *ladder, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{command} does not use {key}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]

@@ -54,6 +54,45 @@ def test_zero_rhs_zero_iterations():
     assert np.all(x == 0.0)
 
 
+def _heat_step_system(n=16, k=2):
+    """Reduced 1D heat step matrix, a right-hand side and its dense solution."""
+    space = _space(n, k)
+    A_ff = _heat_step_matrix(space).restrict(space.free_node_indices)
+    b = _interior_rhs(space, np.random.default_rng(6))
+    return A_ff, b, np.linalg.solve(A_ff.toarray(), b)
+
+
+def test_cg_exact_start_takes_no_iterations():
+    A_ff, b, exact = _heat_step_system()
+    x, iterations = cg_jacobi(A_ff, b, 1e-12, x0=exact)
+    assert iterations == 0
+    np.testing.assert_array_equal(x, exact)
+
+
+def test_cg_far_start_meets_the_same_bound():
+    A_ff, b, exact = _heat_step_system()
+    tol = 1e-12
+    x0 = 1e3 * np.random.default_rng(7).standard_normal(len(b))
+    x, iterations = cg_jacobi(A_ff, b, tol, x0=x0)
+    assert iterations > 0
+    assert np.linalg.norm(b - A_ff @ x) <= tol * np.linalg.norm(b)
+
+
+def test_cg_zero_rhs_with_start_returns_zeros():
+    A_ff, b, _ = _heat_step_system()
+    x, iterations = cg_jacobi(A_ff, np.zeros(len(b)), 1e-12, x0=np.ones(len(b)))
+    assert iterations == 0
+    assert np.all(x == 0.0)
+
+
+def test_cg_leaves_start_unmodified():
+    A_ff, b, _ = _heat_step_system()
+    x0 = np.random.default_rng(8).standard_normal(len(b))
+    kept = x0.copy()
+    cg_jacobi(A_ff, b, 1e-12, x0=x0)
+    np.testing.assert_array_equal(x0, kept)
+
+
 def test_heat_step_matches_dense_oracle():
     rng = np.random.default_rng(1)
     for space in _spaces_1d_2d(n=8, k=1):
@@ -130,6 +169,28 @@ def test_banded_conversion_roundtrip():
         Mb = to_banded_upper(assemble_mass(space).restrict(free))
         Kb = to_banded_upper(assemble_stiffness(space).restrict(free))
         assert Mb.shape == Kb.shape == (k + 1, len(free))
+
+
+def test_restricted_mass_and_stiffness_share_pattern():
+    # the 2D stepper fills M/delta + (a/2) K in place on this shared pattern
+    for k in (1, 2, 3):
+        for space in _spaces_1d_2d(n=6, k=k):
+            free = space.free_node_indices
+            M_ff = assemble_mass(space).restrict(free)
+            K_ff = assemble_stiffness(space).restrict(free)
+            np.testing.assert_array_equal(M_ff.indptr, K_ff.indptr)
+            np.testing.assert_array_equal(M_ff.indices, K_ff.indices)
+
+
+def test_workspace_rejects_stiffness_with_another_pattern():
+    for space in _spaces_1d_2d(n=6, k=1):
+        K = assemble_stiffness(space).toarray()
+        i, j = space.free_node_indices[[0, -1]]
+        K[i, j] = K[j, i] = 1e-3   # couples two nodes of no common element
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            StepWorkspace(space, assemble_mass(space),
+                          SparseSymMatrix(sp.csr_matrix(K)),
+                          TimeGrid(t_end=1e-2, n_steps=1))
 
 
 def test_solver_config_validation():

@@ -1,15 +1,22 @@
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from nonlocfem import stepper
 from nonlocfem.assembly import (assemble_load, assemble_mass,
                                 assemble_stiffness, l2_norm_sq)
 from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient
+from nonlocfem.harness import RunConfig, run_solve
+from nonlocfem.linalg import cg_jacobi
 from nonlocfem.manufactured import make_case
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
-from nonlocfem.stepper import GuardTripError, SteppingError, TimeGrid, init, run
+from nonlocfem.stepper import (GuardTripError, SteppingError, TimeGrid,
+                               galerkin_start, init, run)
 
 
 def _space_1d(n, k):
@@ -263,3 +270,76 @@ def test_errors_carry_step_context():
 
     with pytest.raises(SteppingError, match=r"step \d+ at t="):
         run(space, _sin_pi, bad_forcing, NonlocalCoefficient(gamma=0.0), grid)
+
+
+# --- CG start vector ---
+
+@st.composite
+def _step_system(draw):
+    """Random SPD M and K, a > 0, delta, two levels and a right-hand side."""
+    n = draw(st.integers(2, 6))
+    entries = hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0))
+    vectors = hnp.arrays(float, n, elements=st.floats(-10.0, 10.0))
+    BM, BK = draw(entries), draw(entries)
+    M = BM @ BM.T + 0.1 * np.eye(n)
+    K = BK @ BK.T + 0.1 * np.eye(n)
+    a = draw(st.floats(1e-3, 1e3))
+    delta = draw(st.floats(1e-4, 1.0))
+    return M, K, a, delta, draw(vectors), draw(vectors), draw(vectors)
+
+
+def _level(M, K, u):
+    return u, M @ u, K @ u
+
+
+@settings(deadline=None)
+@given(_step_system())
+def test_galerkin_start_is_no_worse_than_extrapolations(system):
+    M, K, a, delta, u1, u2, b = system
+    A = M / delta + 0.5 * a * K
+    exact = np.linalg.solve(A, b)
+
+    def a_norm(v):
+        return float(np.sqrt(max(v @ A @ v, 0.0)))
+
+    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)], b, a, delta)
+    # roundoff of the 2x2 solve and of dropping a nearly dependent level
+    slack = 1e-6 * (a_norm(exact) + a_norm(u1) + a_norm(u2))
+    for candidate in (u1, 1.5 * u1 - 0.5 * u2, 2.0 * u1 - u2):
+        assert a_norm(start - exact) <= a_norm(candidate - exact) + slack
+
+
+@settings(deadline=None)
+@given(_step_system(), st.sampled_from(["zero older", "zero newer",
+                                        "repeated", "both zero"]))
+def test_galerkin_start_is_finite_for_degenerate_levels(system, kind):
+    M, K, a, delta, u1, u2, b = system
+    if kind == "zero older":
+        u2 = np.zeros_like(u1)
+    elif kind == "zero newer":
+        u1 = np.zeros_like(u2)
+    elif kind == "repeated":
+        u2 = u1.copy()
+    else:
+        u1 = u2 = np.zeros_like(b)
+    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)], b, a, delta)
+    assert np.all(np.isfinite(start))
+    if kind == "both zero":
+        assert np.all(start == 0.0)
+
+
+def test_cg_starts_warm_and_saves_iterations(monkeypatch):
+    calls = []
+
+    def recording_cg(A, b, tol, max_iterations=None, x0=None):
+        x, iterations = cg_jacobi(A, b, tol, max_iterations, x0=x0)
+        calls.append((A.copy(), b.copy(), tol, x0, iterations))
+        return x, iterations
+
+    monkeypatch.setattr(stepper, "cg_jacobi", recording_cg)
+    run_solve(RunConfig(case="example3", k=2, n=8, t_end=0.2))
+    assert len(calls) == 21    # the step-1 predictor, then one per step
+    assert all(x0 is not None for _, _, _, x0, _ in calls[1:])
+    warm = sum(iterations for *_, iterations in calls)
+    cold = sum(cg_jacobi(A, b, tol)[1] for A, b, tol, _, _ in calls)
+    assert warm < cold
