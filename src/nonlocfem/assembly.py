@@ -200,26 +200,35 @@ def assemble_stiffness(space: LagrangeSpace, degree: int | None = None) -> Spars
     return _scatter_symmetric(space, elem)
 
 
-def _evaluate_field(fn, coords, t=None):
-    """Evaluate a scalar field at coordinate rows in one call.
+def _columns(coords):
+    """One coordinate array per axis of (n, dim) coordinate rows."""
+    return tuple(coords[:, d] for d in range(coords.shape[1]))
 
-    fn takes one coordinate array per axis (then t, if given) and returns
-    an array of values, or a scalar for a constant field.
+
+def _evaluate_field(fn, columns, t=None):
+    """Evaluate a scalar field at points given as one coordinate array per
+    axis (see _columns), in one call.
+
+    fn takes the columns (then t, if given) and returns an array of values,
+    or a scalar for a constant field. A float array of the right length is
+    returned as is; anything else is converted and broadcast into a new
+    array, and a result of the wrong shape raises ValueError.
     """
-    coords = np.atleast_2d(coords)
-    args = tuple(coords[:, d] for d in range(coords.shape[1]))
-    if t is not None:
-        args = args + (t,)
-    vals = np.asarray(fn(*args), dtype=float)
-    return np.broadcast_to(vals, (len(coords),)).astype(float)
+    vals = fn(*columns) if t is None else fn(*columns, t)
+    n = len(columns[0])
+    if (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+            and vals.shape == (n,)):
+        return vals
+    return np.broadcast_to(np.asarray(vals, dtype=float), (n,)).copy()
 
 
 class LoadAssembler:
     """Reusable load-vector assembler bound to one space and quadrature rule.
 
-    Precomputes the scatter operator so repeated assemblies (one per time
-    step) reduce to evaluating the forcing at the quadrature points and one
-    sparse matrix-vector product.
+    Precomputes the scatter operator and the quadrature point coordinates,
+    one array per axis, so repeated assemblies (one per time step) reduce to
+    evaluating the forcing at those points and one sparse matrix-vector
+    product.
     """
 
     def __init__(self, space: LagrangeSpace, degree: int | None = None):
@@ -242,10 +251,10 @@ class LoadAssembler:
         self._op = sp.coo_matrix(
             (data.ravel(), (rows.ravel(), cols.ravel())),
             shape=(space.n_nodes, ne * nq)).tocsr()
-        self._flat_points = self.points.reshape(ne * nq, -1)
+        self._columns = _columns(self.points.reshape(ne * nq, -1))
 
     def __call__(self, f, t) -> FieldVector:
-        fvals = _evaluate_field(f, self._flat_points, t)
+        fvals = _evaluate_field(f, self._columns, t)
         if not np.all(np.isfinite(fvals)):
             raise NonFiniteFieldError(
                 f"forcing returned a non-finite value at t={t}")
@@ -259,7 +268,7 @@ def assemble_load(space: LagrangeSpace, f, t, degree: int | None = None) -> Fiel
 
 def interpolate(space: LagrangeSpace, u) -> FieldVector:
     """Nodal interpolant of u in the space, boundary coefficients forced to 0."""
-    vals = _evaluate_field(u, space.nodes)
+    vals = _evaluate_field(u, _columns(space.nodes))
     if not np.all(np.isfinite(vals)):
         raise NonFiniteFieldError("field returned a non-finite nodal value")
     vals = vals.copy()
@@ -322,7 +331,7 @@ def l2_error(U: FieldVector, u_exact, t=None, degree: int | None = None) -> floa
     vals = basis.eval(rule.points)
     _, _, det, _ = _geometry(space.mesh)
     pts = _quad_points_physical(space.mesh, rule)
-    exact = _evaluate_field(u_exact, pts.reshape(-1, dim), t)
+    exact = _evaluate_field(u_exact, _columns(pts.reshape(-1, dim)), t)
     if not np.all(np.isfinite(exact)):
         raise NonFiniteFieldError("exact solution returned a non-finite value")
     exact = exact.reshape(pts.shape[0], pts.shape[1])

@@ -2,7 +2,11 @@
 
 Two methods: Jacobi-preconditioned conjugate gradients (2D) and a banded
 Cholesky factorization (1D node orderings, where the matrices have
-bandwidth k). CG accepts a start vector: the stepper fills its system matrix
+bandwidth k). The banded solve calls LAPACK pbtrf/pbtrs directly on a
+Fortran-order lower band, which the factorization overwrites; the stepper
+preallocates that band and refills it in place for every solve, so 1D
+trajectories agree with earlier versions to roundoff, not byte for byte.
+CG accepts a start vector: the stepper fills its system matrix
 in place on the sparsity pattern M and K share and starts CG from the
 Galerkin best fit of the last two levels, so 2D trajectories agree with a
 zero start to the solver tolerance, not bit for bit. The stepper verifies
@@ -12,8 +16,8 @@ every accepted solution against an independently recomputed residual.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 CG = "conjugate-gradient"
 DIRECT_BANDED = "direct-banded"
@@ -25,9 +29,9 @@ def method_for_dim(dim: int) -> str:
 
 
 class NotSPDError(RuntimeError):
-    """A CG search direction produced nonpositive curvature; the system is
-    not positive definite, which signals a negative diffusion coefficient or
-    a corrupted assembly."""
+    """The system is not positive definite (a CG search direction produced
+    nonpositive curvature, or the banded Cholesky factorization failed),
+    which signals a negative diffusion coefficient or a corrupted assembly."""
 
 
 class SolverConvergenceError(RuntimeError):
@@ -90,23 +94,29 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
         f"CG did not reach relative residual {tol:g} in {limit} iterations")
 
 
-def to_banded_upper(A: sp.spmatrix) -> np.ndarray:
-    """Upper banded storage (scipy solveh_banded layout) of a symmetric matrix."""
+def to_banded_lower(A: sp.spmatrix) -> np.ndarray:
+    """Lower banded storage (LAPACK pbtrf layout, Fortran order) of a
+    symmetric matrix: ab[i - j, j] = A[i, j] for j <= i <= j + bandwidth."""
     coo = A.tocoo()
     if len(coo.row) == 0:
-        return np.zeros((1, A.shape[0]))
+        return np.zeros((1, A.shape[0]), order="F")
     bw = int(np.max(np.abs(coo.row - coo.col)))
-    n = A.shape[0]
-    ab = np.zeros((bw + 1, n))
-    mask = coo.row <= coo.col
+    ab = np.zeros((bw + 1, A.shape[0]), order="F")
+    mask = coo.row >= coo.col
     r, c, v = coo.row[mask], coo.col[mask], coo.data[mask]
-    np.add.at(ab, (bw + r - c, c), v)
+    np.add.at(ab, (r - c, c), v)
     return ab
 
 
 def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve in banded storage."""
-    try:
-        return scipy.linalg.solveh_banded(ab, b)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError(f"banded Cholesky failed: {exc}") from exc
+    """Cholesky solve in lower banded storage (see to_banded_lower).
+
+    A Fortran-order ab is overwritten by its Cholesky factor; b is not.
+    """
+    c, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise NotSPDError(f"banded Cholesky failed: pbtrf info {info}")
+    x, info = dpbtrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"banded Cholesky solve failed: pbtrs info {info}")
+    return x

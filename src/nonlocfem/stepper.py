@@ -4,9 +4,11 @@ The first step is a predictor-corrector pair: a solve with the coefficient
 frozen at a(U_0) followed by exactly one corrected solve with the
 coefficient at the predicted midpoint. Every later step evaluates the
 coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}, so each
-step is one linear SPD solve with system matrix M/delta + (a/2) K. In 2D
-that matrix is filled in place on the sparsity pattern M and K share, and
-CG starts from the Galerkin best fit of the last two levels.
+step is one linear SPD solve with system matrix M/delta + (a/2) K. In 1D
+that matrix is refilled in place on a preallocated lower band and solved by
+LAPACK pbtrf/pbtrs; in 2D it is filled in place on the sparsity pattern M
+and K share, and CG starts from the Galerkin best fit of the last two
+levels.
 
 At extinction (zero field with a negative exponent) the coefficient is
 undefined; the trajectory is frozen at zero from that step on, matching
@@ -27,7 +29,7 @@ from .coefficient import (DegenerateCoefficientError, GuardStatus,
                           NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
 from .linalg import (DIRECT_BANDED, SolverConvergenceError, cg_jacobi,
-                     method_for_dim, solve_banded_spd, to_banded_upper)
+                     method_for_dim, solve_banded_spd, to_banded_lower)
 from .mesh import LagrangeSpace
 
 logger = logging.getLogger(__name__)
@@ -115,7 +117,8 @@ class StepWorkspace:
     solver_tol is the relative residual bound every solve is verified to.
     M and K must share one sparsity pattern (they are scattered from the
     same element dofs), so the system matrix is M/delta + (a/2) K entry by
-    entry: in 1D on their bands, in 2D on their CSR data.
+    entry: in 1D on their lower bands, in 2D on their CSR data. Either way
+    it is allocated once and refilled in place for every solve.
     """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
@@ -136,8 +139,9 @@ class StepWorkspace:
             raise ValueError("M and K do not share one sparsity pattern")
         self.use_banded = method_for_dim(space.mesh.dim) == DIRECT_BANDED
         if self.use_banded:
-            self.Mb = to_banded_upper(self.M_ff)
-            self.Kb = to_banded_upper(self.K_ff)
+            self.Mb = to_banded_lower(self.M_ff)
+            self.Kb = to_banded_lower(self.K_ff)
+            self.ab = np.empty_like(self.Mb)
         else:
             self.A = self.M_ff.copy()
         self.load = None if forcing is None else LoadAssembler(space)
@@ -160,8 +164,10 @@ class StepWorkspace:
     def _solve_once(self, a_star, rhs, levels=()):
         delta = self.grid.delta
         if self.use_banded:
-            ab = self.Mb / delta + (0.5 * a_star) * self.Kb
-            return solve_banded_spd(ab, rhs)
+            # refilled on every solve: the factorization overwrites the band
+            np.divide(self.Mb, delta, out=self.ab)
+            self.ab += (0.5 * a_star) * self.Kb
+            return solve_banded_spd(self.ab, rhs)
         np.multiply(self.M_ff.data, 1.0 / delta, out=self.A.data)
         self.A.data += (0.5 * a_star) * self.K_ff.data
         x0 = galerkin_start(levels, rhs, a_star, delta) if levels else None

@@ -175,6 +175,28 @@ def test_load_against_adaptive_quadrature_oracle():
         assert F.coefficients[i] == pytest.approx(exact, abs=1e-10)
 
 
+def test_load_constant_scalar_forcing_is_broadcast():
+    # a constant may come back as one scalar, or as an integer array
+    square = build_lagrange_space(uniform_square_mesh(3), 2)
+    for space, forcings in [
+            (_space_1d(6, 2), [lambda x, t: np.ones_like(x), lambda x, t: 1.0,
+                               lambda x, t: np.ones(len(x), dtype=int)]),
+            (square, [lambda x, y, t: np.ones_like(x), lambda x, y, t: 1.0])]:
+        expect, *others = [assemble_load(space, f, 0.5).coefficients
+                           for f in forcings]
+        for F in others:
+            np.testing.assert_array_equal(F, expect)
+
+
+def test_load_forcing_of_wrong_length_rejected():
+    space = _space_1d(4, 2)
+    for wrong in (lambda x, t: np.ones(len(x) + 1),
+                  lambda x, t: np.ones((len(x), 2)),
+                  lambda x, t: np.ones(len(x) - 1)):
+        with pytest.raises(ValueError):
+            assemble_load(space, wrong, 0.0)
+
+
 def test_load_nonfinite_forcing_rejected():
     space = _space_1d(4, 1)
     with pytest.raises(NonFiniteFieldError):

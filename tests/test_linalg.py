@@ -1,10 +1,13 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
+from nonlocfem import stepper
 from nonlocfem.assembly import SparseSymMatrix, assemble_mass, assemble_stiffness
 from nonlocfem.linalg import (NotSPDError, SolverConvergenceError, cg_jacobi,
-                              to_banded_upper)
+                              to_banded_lower)
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
 from nonlocfem.stepper import StepWorkspace, TimeGrid
@@ -26,13 +29,25 @@ def _heat_step_matrix(space, delta=1e-2, a=1.0):
                             + K.multiply(0.5 * a)).tocsr())
 
 
+def _workspace(space, delta=1e-2, **options):
+    return StepWorkspace(space, assemble_mass(space), assemble_stiffness(space),
+                         TimeGrid(t_end=delta, n_steps=1), **options)
+
+
 def _solve(space, b, delta=1e-2, a=1.0, **options):
     """x with (M/delta + (a/2) K) x = b on the free nodes, by the stepper's
     verified solve with the backend of the space's dimension."""
-    work = StepWorkspace(space, assemble_mass(space), assemble_stiffness(space),
-                         TimeGrid(t_end=delta, n_steps=1), **options)
-    x, _, _ = work.solve_verified(a, b)
+    x, _, _ = _workspace(space, delta, **options).solve_verified(a, b)
     return x
+
+
+def _dense_solve(space, b, delta, a):
+    A_ff = _heat_step_matrix(space, delta, a).restrict(space.free_node_indices)
+    return np.linalg.solve(A_ff.toarray(), b)
+
+
+def _rel_err(x, expect):
+    return np.linalg.norm(x - expect) / np.linalg.norm(expect)
 
 
 def _interior_rhs(space, rng):
@@ -151,24 +166,91 @@ def test_iteration_budget_exhaustion():
 def test_banded_conversion_roundtrip():
     space = _space(n=6, k=3)
     A_ff = _heat_step_matrix(space).restrict(space.free_node_indices)
-    ab = to_banded_upper(A_ff)
+    ab = to_banded_lower(A_ff)
+    assert ab.flags.f_contiguous   # LAPACK factors it in place only then
     n = A_ff.shape[0]
     bw = ab.shape[0] - 1
     dense = np.zeros((n, n))
     for j in range(n):
         for d in range(bw + 1):
-            i = j - (bw - d)
-            if 0 <= i <= j:
+            i = j + d
+            if i < n:
                 dense[i, j] = ab[d, j]
-    dense = dense + np.triu(dense, 1).T
+    dense = dense + np.tril(dense, -1).T
     np.testing.assert_allclose(dense, A_ff.toarray(), atol=1e-14)
     # the stepper adds the banded M and K entry by entry
     for k in (1, 2, 3):
         space = _space(n=6, k=k)
         free = space.free_node_indices
-        Mb = to_banded_upper(assemble_mass(space).restrict(free))
-        Kb = to_banded_upper(assemble_stiffness(space).restrict(free))
+        Mb = to_banded_lower(assemble_mass(space).restrict(free))
+        Kb = to_banded_lower(assemble_stiffness(space).restrict(free))
         assert Mb.shape == Kb.shape == (k + 1, len(free))
+        assert Mb.flags.f_contiguous and Kb.flags.f_contiguous
+
+
+def test_banded_workspace_refills_the_band_for_every_solve():
+    # the factorization overwrites the band; a factor left in it would make
+    # the second solve (another a) wrong
+    rng = np.random.default_rng(9)
+    delta = 1e-2
+    for k in (1, 2, 3):
+        space = _space(n=8, k=k)
+        work = _workspace(space, delta)
+        b = _interior_rhs(space, rng)
+        for a in (1.0, 0.25):
+            x, _, _ = work.solve_verified(a, b)
+            assert _rel_err(x, _dense_solve(space, b, delta, a)) <= 1e-10
+
+
+def _perturbed_banded_kernel(monkeypatch, offset, persistent):
+    """Make the stepper's banded kernel add offset to its first result (or to
+    every result); returns the list of kernel calls."""
+    kernel = stepper.solve_banded_spd
+    calls = []
+
+    def perturbed(ab, b):
+        calls.append(len(calls))
+        x = kernel(ab, b)
+        return x + offset if persistent or len(calls) == 1 else x
+    monkeypatch.setattr(stepper, "solve_banded_spd", perturbed)
+    return calls
+
+
+def test_banded_refinement_recovers_a_perturbed_solve(monkeypatch):
+    space = _space(n=16, k=2)
+    delta, a = 1e-2, 1.0
+    b = _interior_rhs(space, np.random.default_rng(10))
+    expect = _dense_solve(space, b, delta, a)
+    calls = _perturbed_banded_kernel(monkeypatch, 1e-6 * expect, False)
+    x, _, _ = _workspace(space, delta).solve_verified(a, b)
+    assert len(calls) == 2   # the solve and one refinement pass
+    assert _rel_err(x, expect) <= 1e-10
+
+
+def test_banded_persistent_error_fails_verification(monkeypatch):
+    space = _space(n=16, k=2)
+    delta, a = 1e-2, 1.0
+    b = _interior_rhs(space, np.random.default_rng(10))
+    expect = _dense_solve(space, b, delta, a)
+    calls = _perturbed_banded_kernel(monkeypatch, 1e-6 * expect, True)
+    with pytest.raises(SolverConvergenceError):
+        _workspace(space, delta).solve_verified(a, b)
+    assert len(calls) == 2   # refinement runs once, then the solve is refused
+
+
+@settings(deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(2, 12),
+       delta=st.floats(1e-4, 1.0), a=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_banded_workspace_agrees_with_dense_and_cg(k, n, delta, a, seed):
+    space = _space(n, k)
+    b = _interior_rhs(space, np.random.default_rng(seed))
+    x = _solve(space, b, delta, a)
+    A_ff = _heat_step_matrix(space, delta, a).restrict(space.free_node_indices)
+    x_cg, _ = cg_jacobi(A_ff, b, 1e-12)
+    expect = _dense_solve(space, b, delta, a)
+    assert _rel_err(x, expect) <= 1e-10
+    assert _rel_err(x, x_cg) <= 1e-10
 
 
 def test_restricted_mass_and_stiffness_share_pattern():
