@@ -10,6 +10,7 @@ discretization, not the integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -188,16 +189,31 @@ def assemble_mass(space: LagrangeSpace, degree: int | None = None) -> SparseSymM
     return _scatter_symmetric(space, det[:, None, None] * ref)
 
 
+@lru_cache(maxsize=None)
+def _reference_stiffness(dim: int, k: int, degree: int) -> np.ndarray:
+    """Reference tensors G_cd = sum_q w_q d_c phi_i d_d phi_j of the stiffness,
+    shape (dim*dim, n_local, n_local) with G_cd at index c*dim + d."""
+    rule = reference_rule(dim, degree)
+    grads = reference_basis(dim, k).eval_grad(rule.points)
+    G = np.einsum("iqc,jqd,q->cdij", grads, grads, rule.weights)
+    G = np.ascontiguousarray(G.reshape(dim * dim, *G.shape[2:]))
+    G.setflags(write=False)
+    return G
+
+
 def assemble_stiffness(space: LagrangeSpace, degree: int | None = None) -> SparseSymMatrix:
-    """Global stiffness matrix K_ij = (grad phi_j, grad phi_i)."""
-    k = space.degree
-    rule = reference_rule(space.mesh.dim, assembly_degree(k) if degree is None else degree)
-    basis = reference_basis(space.mesh.dim, k)
-    grads = basis.eval_grad(rule.points)
+    """Global stiffness matrix K_ij = (grad phi_j, grad phi_i).
+
+    On affine simplices K_e = |det J_e| sum_cd (J_e^-1 J_e^-T)_cd G_cd with
+    reference tensors G_cd computed once per (dim, k, rule), so all element
+    matrices come from one (n_el, dim^2) @ (dim^2, n_local^2) product.
+    """
+    dim, k = space.mesh.dim, space.degree
+    G = _reference_stiffness(dim, k, assembly_degree(k) if degree is None else degree)
     _, _, det, JinvT = _geometry(space.mesh)
-    pg = np.einsum("edc,iqc->eiqd", JinvT, grads)
-    elem = np.einsum("eiqd,ejqd,q->eij", pg, pg, rule.weights) * det[:, None, None]
-    return _scatter_symmetric(space, elem)
+    geo = det[:, None] * (np.swapaxes(JinvT, 1, 2) @ JinvT).reshape(-1, dim * dim)
+    elem = geo @ G.reshape(dim * dim, -1)
+    return _scatter_symmetric(space, elem.reshape(-1, *G.shape[1:]))
 
 
 def _columns(coords):

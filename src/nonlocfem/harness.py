@@ -455,10 +455,6 @@ def write_svg_chart(path: str, title: str, xlabel: str, ylabel: str, series):
     _write_text(path, "\n".join(parts) + "\n")
 
 
-def _log10_or_none(v):
-    return math.log10(v) if v is not None and v > 0.0 else None
-
-
 def emit_outputs(results, out_dir: str) -> list[str]:
     """Write CSV, SVG, and metadata files for each result; returns paths."""
     os.makedirs(out_dir, exist_ok=True)

@@ -153,19 +153,12 @@ def uniform_square_mesh(n: int) -> SimplicialMesh:
     xv, yv = np.meshgrid(idx / n, idx / n, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    simplexes = []
-    for cy in range(n):
-        for cx in range(n):
-            v00 = vid(cx, cy)
-            v10 = vid(cx + 1, cy)
-            v01 = vid(cx, cy + 1)
-            v11 = vid(cx + 1, cy + 1)
-            simplexes.append((v00, v10, v11))
-            simplexes.append((v00, v11, v01))
-    simplexes = np.array(simplexes, dtype=np.int64)
+    # cells row by row; each splits into (v00, v10, v11) and (v00, v11, v01)
+    cy, cx = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = cy * (n + 1) + cx
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    simplexes = np.stack([np.column_stack([v00, v10, v11]),
+                          np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
 
     ix = np.tile(idx, n + 1)
     iy = np.repeat(idx, n + 1)
@@ -210,30 +203,21 @@ def build_lagrange_space(mesh: SimplicialMesh, k: int) -> LagrangeSpace:
         boundary[0] = boundary[-1] = True
     else:
         nk = n * k
-        lattice_to_id: dict[tuple[int, int], int] = {}
-        lattice_list: list[tuple[int, int]] = []
-
-        def node_id(pos):
-            nid = lattice_to_id.get(pos)
-            if nid is None:
-                nid = len(lattice_list)
-                lattice_to_id[pos] = nid
-                lattice_list.append(pos)
-            return nid
-
-        element_dofs = np.empty((mesh.n_elements, len(local)), dtype=np.int64)
-        e = 0
-        for cy in range(n):
-            for cx in range(n):
-                # lower triangle (v00, v10, v11): edge1 -> +x, edge2 -> diagonal
-                for loc, (i, j) in enumerate(local):
-                    element_dofs[e, loc] = node_id((cx * k + i + j, cy * k + j))
-                e += 1
-                # upper triangle (v00, v11, v01): edge1 -> diagonal, edge2 -> +y
-                for loc, (i, j) in enumerate(local):
-                    element_dofs[e, loc] = node_id((cx * k + i, cy * k + i + j))
-                e += 1
-        lattice = np.array(lattice_list, dtype=np.int64)
+        # lattice position (x, y) of every (element, local node) in element
+        # order: lower triangle (v00, v10, v11) has edge1 -> +x and edge2 ->
+        # diagonal, upper triangle (v00, v11, v01) edge1 -> diagonal, edge2 -> +y
+        i, j = np.array(local, dtype=np.int64).T
+        cy, cx = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        x = cx[:, None, None] * k + np.stack([i + j, i])
+        y = cy[:, None, None] * k + np.stack([j, i + j])
+        keys = (y * (nk + 1) + x).ravel()
+        # node ids follow the first occurrence of each lattice point
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        element_dofs = rank[inverse].reshape(mesh.n_elements, len(local))
+        lattice = np.column_stack([uniq[order] % (nk + 1), uniq[order] // (nk + 1)])
         nodes = lattice / nk
         boundary = ((lattice[:, 0] == 0) | (lattice[:, 0] == nk)
                     | (lattice[:, 1] == 0) | (lattice[:, 1] == nk))

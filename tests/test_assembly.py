@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 from scipy.integrate import quad
 
 from nonlocfem.assembly import (FieldVector, NonFiniteFieldError,
@@ -11,7 +13,8 @@ from nonlocfem.assembly import (FieldVector, NonFiniteFieldError,
                                 element_stiffness_matrix, interpolate,
                                 l2_error, l2_norm_sq, ritz_project)
 from nonlocfem.basis import reference_basis
-from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
+from nonlocfem.mesh import (LagrangeSpace, SimplicialMesh, build_lagrange_space,
+                            reference_node_multi_indices, uniform_interval_mesh,
                             uniform_square_mesh)
 
 
@@ -129,6 +132,67 @@ def test_stiffness_interior_diagonal_five_point():
     K = assemble_stiffness(space)
     inode = space.free_node_indices[0]
     assert K.toarray()[inode, inode] == pytest.approx(4.0, abs=1e-12)
+
+
+def _element_sum_stiffness(space):
+    """Global stiffness summed from per-element quadrature matrices (oracle)."""
+    K = np.zeros((space.n_nodes, space.n_nodes))
+    for verts, dofs in zip(space.mesh.element_vertices(), space.element_dofs):
+        K[np.ix_(dofs, dofs)] += element_stiffness_matrix(verts, space.degree)
+    return K
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stiffness_matches_sum_of_element_matrices(dim, k, n):
+    mesh = uniform_interval_mesh(-0.5, 1.5, n) if dim == 1 else uniform_square_mesh(n)
+    space = build_lagrange_space(mesh, k)
+    expect = _element_sum_stiffness(space)
+    got = assemble_stiffness(space).toarray()
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def _single_element_space(verts, k):
+    """A space over one element with the given vertices, local dofs 0..n_local-1."""
+    dim = verts.shape[1]
+    n_local = len(reference_node_multi_indices(dim, k))
+    mesh = SimplicialMesh(dim=dim, vertices=verts,
+                          simplexes=np.arange(dim + 1)[None, :],
+                          boundary_vertex_flags=np.ones(dim + 1, dtype=bool),
+                          divisions=1, interval=None, h=1.0)
+    return LagrangeSpace(mesh=mesh, degree=k, nodes=np.zeros((n_local, dim)),
+                         node_lattice=np.zeros((n_local, dim), dtype=np.int64),
+                         element_dofs=np.arange(n_local)[None, :],
+                         boundary_node_flags=np.ones(n_local, dtype=bool),
+                         free_node_indices=np.array([], dtype=np.int64))
+
+
+_coordinate = st.floats(-3.0, 3.0)
+
+
+@settings(deadline=None)
+@given(st.lists(_coordinate, min_size=2, max_size=2), st.integers(1, 3))
+def test_interval_stiffness_matches_element_quadrature(xs, k):
+    # either orientation: a right-to-left interval has det J < 0
+    assume(abs(xs[1] - xs[0]) >= 1e-2)
+    verts = np.array(xs).reshape(2, 1)
+    expect = element_stiffness_matrix(verts, k)
+    got = assemble_stiffness(_single_element_space(verts, k)).toarray()
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@settings(deadline=None)
+@given(st.lists(_coordinate, min_size=6, max_size=6), st.integers(1, 3))
+def test_triangle_stiffness_matches_element_quadrature(xs, k):
+    # clockwise vertex orders (det J < 0) are drawn as often as counterclockwise
+    verts = np.array(xs).reshape(3, 2)
+    e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
+    longest = max(e1 @ e1, e2 @ e2, (e2 - e1) @ (e2 - e1))
+    assume(abs(e1[0] * e2[1] - e1[1] * e2[0]) >= 0.05 * longest > 0.0)
+    expect = element_stiffness_matrix(verts, k)
+    got = assemble_stiffness(_single_element_space(verts, k)).toarray()
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 # --- load vectors ---

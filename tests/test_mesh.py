@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nonlocfem.mesh import (MeshSize, build_lagrange_space,
-                            uniform_interval_mesh, uniform_square_mesh)
+                            reference_node_multi_indices, uniform_interval_mesh,
+                            uniform_square_mesh)
 
 
 def test_single_interval_element():
@@ -142,3 +143,77 @@ def test_mesh_arrays_immutable():
     m = uniform_square_mesh(2)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 5.0
+
+
+# --- oracles: the per-cell and per-node loops the array code replaced ---
+
+def _loop_square_simplexes(n):
+    simplexes = []
+    for cy in range(n):
+        for cx in range(n):
+            v00 = cy * (n + 1) + cx
+            v10 = cy * (n + 1) + cx + 1
+            v01 = (cy + 1) * (n + 1) + cx
+            v11 = (cy + 1) * (n + 1) + cx + 1
+            simplexes.append((v00, v10, v11))
+            simplexes.append((v00, v11, v01))
+    return np.array(simplexes, dtype=np.int64)
+
+
+def _loop_square_vertices(n):
+    return np.array([(ix / n, iy / n) for iy in range(n + 1)
+                     for ix in range(n + 1)])
+
+
+def _loop_square_numbering(n, k):
+    """Node ids in order of first appearance, element by element."""
+    local = reference_node_multi_indices(2, k)
+    lattice_to_id = {}
+    lattice_list = []
+
+    def node_id(pos):
+        nid = lattice_to_id.get(pos)
+        if nid is None:
+            nid = len(lattice_list)
+            lattice_to_id[pos] = nid
+            lattice_list.append(pos)
+        return nid
+
+    element_dofs = np.empty((2 * n * n, len(local)), dtype=np.int64)
+    e = 0
+    for cy in range(n):
+        for cx in range(n):
+            for loc, (i, j) in enumerate(local):
+                element_dofs[e, loc] = node_id((cx * k + i + j, cy * k + j))
+            e += 1
+            for loc, (i, j) in enumerate(local):
+                element_dofs[e, loc] = node_id((cx * k + i, cy * k + i + j))
+            e += 1
+    return element_dofs, np.array(lattice_list, dtype=np.int64)
+
+
+def _assert_identical(got, expect):
+    assert got.dtype == expect.dtype
+    np.testing.assert_array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 48])
+def test_square_mesh_matches_cell_loop(n):
+    m = uniform_square_mesh(n)
+    _assert_identical(m.simplexes, _loop_square_simplexes(n))
+    _assert_identical(m.vertices, _loop_square_vertices(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 48])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_square_numbering_matches_node_loop(n, k):
+    s = build_lagrange_space(uniform_square_mesh(n), k)
+    element_dofs, lattice = _loop_square_numbering(n, k)
+    nk = n * k
+    boundary = ((lattice[:, 0] == 0) | (lattice[:, 0] == nk)
+                | (lattice[:, 1] == 0) | (lattice[:, 1] == nk))
+    _assert_identical(s.element_dofs, element_dofs)
+    _assert_identical(s.node_lattice, lattice)
+    _assert_identical(s.nodes, lattice / nk)
+    _assert_identical(s.boundary_node_flags, boundary)
+    _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))
