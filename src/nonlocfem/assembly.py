@@ -1,7 +1,7 @@
 """Assembly of mass/stiffness matrices, load vectors, and discrete norms.
 
 All forms are integrated with reference-element quadrature mapped through
-the affine element transforms. The default assembly rule has degree 2k+2;
+the affine element transforms. The assembly rule has degree 2k+2;
 error norms use a rule two degrees higher (capped at the largest available
 symmetric triangle rule in 2D) so measured convergence rates reflect the
 discretization, not the integrator.
@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import reference_basis
 from .mesh import LagrangeSpace, SimplicialMesh
@@ -25,10 +24,6 @@ SYMMETRY_RTOL = 1e-14
 
 class NonFiniteFieldError(ValueError):
     """A scalar field returned NaN or infinity where a finite value is required."""
-
-
-class SingularSystemError(ValueError):
-    """A projection system has no unknowns (every node is a boundary node)."""
 
 
 @dataclass
@@ -61,37 +56,18 @@ class SparseSymMatrix:
                              f"vs scale {scale:.3e}")
         self.matrix = matrix
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
     def __matmul__(self, other):
         if isinstance(other, FieldVector):
             return self.matrix @ other.coefficients
         return self.matrix @ other
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
     def restrict(self, indices) -> sp.csr_matrix:
         """Submatrix on the given node indices (row/column elimination)."""
         return self.matrix[indices][:, indices].tocsr()
 
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def symmetry_defect(self) -> float:
-        if self.matrix.nnz == 0:
-            return 0.0
-        return float(abs(self.matrix - self.matrix.T).max())
-
 
 def assembly_degree(k: int) -> int:
-    """Default quadrature degree for assembled forms."""
+    """Quadrature degree for assembled forms."""
     return 2 * k + 2
 
 
@@ -141,47 +117,10 @@ def _scatter_symmetric(space, element_matrices):
     return SparseSymMatrix(mat.tocsr())
 
 
-def element_mass_matrix(vertices, k: int) -> np.ndarray:
-    """Mass matrix of a single element given its vertex coordinates."""
-    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    dim = verts.shape[1] if verts.ndim == 2 and verts.shape[1] in (1, 2) else 1
-    verts = verts.reshape(dim + 1, dim)
-    basis = reference_basis(dim, k)
-    rule = reference_rule(dim, assembly_degree(k))
-    vals = basis.eval(rule.points)
-    ref = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
-    if dim == 1:
-        det = abs(verts[1, 0] - verts[0, 0])
-    else:
-        e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
-        det = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    return det * ref
-
-
-def element_stiffness_matrix(vertices, k: int) -> np.ndarray:
-    """Stiffness matrix of a single element given its vertex coordinates."""
-    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    dim = verts.shape[1] if verts.ndim == 2 and verts.shape[1] in (1, 2) else 1
-    verts = verts.reshape(dim + 1, dim)
-    basis = reference_basis(dim, k)
-    rule = reference_rule(dim, assembly_degree(k))
-    grads = basis.eval_grad(rule.points)
-    if dim == 1:
-        J = verts[1, 0] - verts[0, 0]
-        det, JinvT = abs(J), np.array([[1.0 / J]])
-    else:
-        e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
-        d = e1[0] * e2[1] - e1[1] * e2[0]
-        det = abs(d)
-        JinvT = np.array([[e2[1], -e1[1]], [-e2[0], e1[0]]]) / d
-    pg = np.einsum("dc,iqc->iqd", JinvT, grads)
-    return det * np.einsum("iqd,jqd,q->ij", pg, pg, rule.weights)
-
-
-def assemble_mass(space: LagrangeSpace, degree: int | None = None) -> SparseSymMatrix:
+def assemble_mass(space: LagrangeSpace) -> SparseSymMatrix:
     """Global mass matrix M_ij = (phi_j, phi_i)."""
     k = space.degree
-    rule = reference_rule(space.mesh.dim, assembly_degree(k) if degree is None else degree)
+    rule = reference_rule(space.mesh.dim, assembly_degree(k))
     basis = reference_basis(space.mesh.dim, k)
     vals = basis.eval(rule.points)
     ref = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
@@ -190,10 +129,10 @@ def assemble_mass(space: LagrangeSpace, degree: int | None = None) -> SparseSymM
 
 
 @lru_cache(maxsize=None)
-def _reference_stiffness(dim: int, k: int, degree: int) -> np.ndarray:
+def _reference_stiffness(dim: int, k: int) -> np.ndarray:
     """Reference tensors G_cd = sum_q w_q d_c phi_i d_d phi_j of the stiffness,
     shape (dim*dim, n_local, n_local) with G_cd at index c*dim + d."""
-    rule = reference_rule(dim, degree)
+    rule = reference_rule(dim, assembly_degree(k))
     grads = reference_basis(dim, k).eval_grad(rule.points)
     G = np.einsum("iqc,jqd,q->cdij", grads, grads, rule.weights)
     G = np.ascontiguousarray(G.reshape(dim * dim, *G.shape[2:]))
@@ -201,15 +140,15 @@ def _reference_stiffness(dim: int, k: int, degree: int) -> np.ndarray:
     return G
 
 
-def assemble_stiffness(space: LagrangeSpace, degree: int | None = None) -> SparseSymMatrix:
+def assemble_stiffness(space: LagrangeSpace) -> SparseSymMatrix:
     """Global stiffness matrix K_ij = (grad phi_j, grad phi_i).
 
     On affine simplices K_e = |det J_e| sum_cd (J_e^-1 J_e^-T)_cd G_cd with
-    reference tensors G_cd computed once per (dim, k, rule), so all element
+    reference tensors G_cd computed once per (dim, k), so all element
     matrices come from one (n_el, dim^2) @ (dim^2, n_local^2) product.
     """
     dim, k = space.mesh.dim, space.degree
-    G = _reference_stiffness(dim, k, assembly_degree(k) if degree is None else degree)
+    G = _reference_stiffness(dim, k)
     _, _, det, JinvT = _geometry(space.mesh)
     geo = det[:, None] * (np.swapaxes(JinvT, 1, 2) @ JinvT).reshape(-1, dim * dim)
     elem = geo @ G.reshape(dim * dim, -1)
@@ -247,11 +186,10 @@ class LoadAssembler:
     product.
     """
 
-    def __init__(self, space: LagrangeSpace, degree: int | None = None):
+    def __init__(self, space: LagrangeSpace):
         self.space = space
         k = space.degree
-        self.rule = reference_rule(space.mesh.dim,
-                                   assembly_degree(k) if degree is None else degree)
+        self.rule = reference_rule(space.mesh.dim, assembly_degree(k))
         basis = reference_basis(space.mesh.dim, k)
         vals = basis.eval(self.rule.points)          # (nl, nq)
         _, _, det, _ = _geometry(space.mesh)
@@ -277,11 +215,6 @@ class LoadAssembler:
         return FieldVector(self._op @ fvals, self.space)
 
 
-def assemble_load(space: LagrangeSpace, f, t, degree: int | None = None) -> FieldVector:
-    """Load vector F_i = (f(., t), phi_i) by quadrature."""
-    return LoadAssembler(space, degree)(f, t)
-
-
 def interpolate(space: LagrangeSpace, u) -> FieldVector:
     """Nodal interpolant of u in the space, boundary coefficients forced to 0."""
     vals = _evaluate_field(u, _columns(space.nodes))
@@ -292,57 +225,11 @@ def interpolate(space: LagrangeSpace, u) -> FieldVector:
     return FieldVector(vals, space)
 
 
-def ritz_project(space: LagrangeSpace, grad_u, quad_refinement: int = 0) -> FieldVector:
-    """Elliptic projection: (grad W, grad phi_i) = (grad u, grad phi_i) for all i.
-
-    grad_u is called with coordinate arrays and must return du/dx (1D) or a
-    pair (du/dx, du/dy) (2D). Diagnostic operation; solved directly.
-    """
-    if space.n_free == 0:
-        raise SingularSystemError("no interior nodes: projection system is empty")
-    dim = space.mesh.dim
-    k = space.degree
-    deg = assembly_degree(k) + max(0, quad_refinement)
-    if dim == 2:
-        deg = min(deg, MAX_TRIANGLE_DEGREE)
-    rule = reference_rule(dim, deg)
-    basis = reference_basis(dim, k)
-    grads = basis.eval_grad(rule.points)
-    _, _, det, JinvT = _geometry(space.mesh)
-    pg = np.einsum("edc,iqc->eiqd", JinvT, grads)
-    pts = _quad_points_physical(space.mesh, rule)
-    flat = pts.reshape(-1, dim)
-    raw = grad_u(*(flat[:, d] for d in range(dim)))
-    comps = [raw] if dim == 1 else list(raw)
-    gu = np.stack([np.broadcast_to(np.asarray(g, dtype=float), (len(flat),))
-                   for g in comps], axis=-1)
-    gu = gu.reshape(pts.shape[0], pts.shape[1], dim)
-    wdet = det[:, None] * rule.weights[None, :]
-    rhs_elem = np.einsum("eiqd,eqd,eq->ei", pg, gu, wdet)
-    rhs = np.zeros(space.n_nodes)
-    np.add.at(rhs, space.element_dofs, rhs_elem)
-
-    K = assemble_stiffness(space, degree=deg)
-    free = space.free_node_indices
-    x = np.zeros(space.n_nodes)
-    x[free] = spla.spsolve(K.restrict(free).tocsc(), rhs[free])
-    return FieldVector(x, space)
-
-
-def l2_norm_sq(U: FieldVector, M: SparseSymMatrix) -> float:
-    """Squared L2 norm of a discrete function: U^T M U."""
-    if M.dimension != len(U.coefficients):
-        raise ValueError(f"dimension mismatch: matrix {M.dimension}, "
-                         f"vector {len(U.coefficients)}")
-    return float(U.coefficients @ (M.matrix @ U.coefficients))
-
-
-def l2_error(U: FieldVector, u_exact, t=None, degree: int | None = None) -> float:
+def l2_error(U: FieldVector, u_exact, t=None) -> float:
     """L2 norm of U - u_exact(., t), integrated on the error quadrature rule."""
     space = U.space
     dim = space.mesh.dim
-    rule = reference_rule(dim, error_degree(dim, space.degree) if degree is None
-                          else degree)
+    rule = reference_rule(dim, error_degree(dim, space.degree))
     basis = reference_basis(dim, space.degree)
     vals = basis.eval(rule.points)
     _, _, det, _ = _geometry(space.mesh)

@@ -1,8 +1,9 @@
 """The nonlocal diffusion coefficient a(U) = (integral of U^2)^gamma.
 
-Also provides the runtime guards that flag when a trajectory leaves the
-regime 0 < m <= a <= M where the method's local-in-time theory holds, and
-a sampled Lipschitz-ratio witness used by the property tests.
+The coefficient is evaluated from the squared norm s = U^T M U, which the
+stepper already holds. Also provides the runtime guards that flag when a
+trajectory leaves the regime 0 < m <= a <= M where the method's
+local-in-time theory holds.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-from .assembly import FieldVector, SparseSymMatrix, l2_norm_sq
 
 DEFAULT_FLOOR = 1e-12
 DEFAULT_CEILING = 1e12
@@ -43,18 +42,13 @@ class NonlocalCoefficient:
             raise ValueError("guard ceiling must exceed the floor")
 
 
-def evaluate(coeff: NonlocalCoefficient, U: FieldVector,
-             M_mass: SparseSymMatrix) -> float:
-    """a(U) = s^gamma with s = U^T M U.
+def evaluate_from_norm_sq(coeff: NonlocalCoefficient, s: float) -> float:
+    """a(U) = s^gamma from the squared norm s = U^T M U.
 
     Raises DegenerateCoefficientError when s = 0 and gamma < 0 (the value
     would be infinite); s = 0 and gamma > 0 yields 0, which the guards
     report as below the floor. gamma = 0 always yields 1.
     """
-    return evaluate_from_norm_sq(coeff, l2_norm_sq(U, M_mass))
-
-
-def evaluate_from_norm_sq(coeff: NonlocalCoefficient, s: float) -> float:
     if s < 0.0:
         # roundoff can produce a tiny negative quadratic form at extinction
         s = 0.0
@@ -80,18 +74,3 @@ def check_guards(value: float, coeff: NonlocalCoefficient) -> GuardStatus:
         return GuardStatus.ABOVE_CEILING
     return GuardStatus.OK
 
-
-def lipschitz_witness(coeff: NonlocalCoefficient, V: FieldVector, W: FieldVector,
-                      M_mass: SparseSymMatrix) -> float:
-    """|a(V) - a(W)| / ||V - W||_M, the sampled Lipschitz ratio.
-
-    Only meaningful when both squared norms lie inside the guard window;
-    raises ValueError on identical inputs (zero denominator).
-    """
-    diff = FieldVector(V.coefficients - W.coefficients, V.space)
-    dist = math.sqrt(l2_norm_sq(diff, M_mass))
-    if dist == 0.0:
-        raise ValueError("identical inputs: Lipschitz ratio is undefined")
-    av = evaluate(coeff, V, M_mass)
-    aw = evaluate(coeff, W, M_mass)
-    return abs(av - aw) / dist

@@ -28,15 +28,6 @@ logger = logging.getLogger(__name__)
 SWEEP_HEADER = "case,k,h,delta,t_end,error_l2,pairwise_rate"
 ENERGY_HEADER = "case,t,energy,log_energy"
 
-# resolution / step defaults per case, following the reference experiments;
-# the horizon is the case's own default_t_end
-_CASE_DEFAULTS = {
-    "example1": dict(k=2, n=100, delta=1e-3),
-    "example2": dict(k=2, n=100, delta=1e-3),
-    "example3": dict(k=3, n=16, delta=1e-2),
-}
-
-
 def _snapshot_times(raw) -> tuple:
     """Snapshot times from a comma- or semicolon-separated string or a sequence."""
     if isinstance(raw, str):
@@ -89,13 +80,12 @@ class RunConfig:
         if self.case not in CASE_IDS:
             raise ConfigError(f"unknown case {self.case!r}; expected one of "
                               f"{', '.join(CASE_IDS)}")
-        defaults = _CASE_DEFAULTS[self.case]
         case = make_case(self.case)
         cfg = replace(
             self,
-            k=defaults["k"] if self.k is None else self.k,
-            n=defaults["n"] if self.n is None else self.n,
-            delta=defaults["delta"] if self.delta is None else self.delta,
+            k=case.default_k if self.k is None else self.k,
+            n=case.default_n if self.n is None else self.n,
+            delta=case.default_delta if self.delta is None else self.delta,
             t_end=case.default_t_end if self.t_end is None else self.t_end,
         )
         if cfg.k not in (1, 2, 3):
@@ -108,6 +98,17 @@ class RunConfig:
         if cfg.guard_policy not in ("warn", "abort"):
             raise ConfigError(f"guard_policy must be warn or abort, "
                               f"got {cfg.guard_policy!r}")
+        tags = {}
+        for t in cfg.snapshots:
+            if not 0.0 <= t <= cfg.t_end:
+                raise ConfigError(f"snapshot time {t:g} lies outside "
+                                  f"[0, t_end={cfg.t_end:g}]")
+            # the tag names the snapshot file, so equal tags would overwrite
+            tag = f"{t:g}"
+            if tag in tags:
+                raise ConfigError(f"snapshot times {tags[tag]!r} and {t!r} "
+                                  f"share the file tag t{tag}")
+            tags[tag] = t
         return cfg
 
 
@@ -125,6 +126,8 @@ def parse_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = value
     return values
 

@@ -27,6 +27,11 @@ from .quadrature import gauss_legendre_interval
 
 CASE_IDS = ("example1", "example2", "example3")
 
+# Gauss-Legendre points per direction for the self-consistency integrals,
+# and the iteration budget of the alpha root search
+_QUAD_POINTS = 64
+_ALPHA_MAX_ITERATIONS = 200
+
 
 class RootBracketError(ValueError):
     """The residual does not change sign over the supplied bracket."""
@@ -42,8 +47,6 @@ class AlphaSolveConfig:
 
     bracket: tuple[float, float]
     tolerance: float = 1e-13
-    quad_points: int = 64
-    max_iterations: int = 200
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -69,12 +72,11 @@ class ManufacturedCase:
     f: Callable | None          # PDE forcing; None when identically zero
     u0: Callable                # initial datum u(., 0)
     t_max: float                # validity horizon (extinction time, or inf)
-    default_t_end: float        # the horizon used by the reference experiments
-
-    @property
-    def k(self) -> Callable:
-        """The separated spatial factor (same object as w at the solved alpha)."""
-        return self.w
+    # resolution, step and horizon of the reference experiments
+    default_t_end: float
+    default_k: int
+    default_n: int
+    default_delta: float
 
 
 def l_of_t(gamma: float, C: float, t):
@@ -98,42 +100,6 @@ def l_of_t(gamma: float, C: float, t):
     return out if out.ndim else float(out)
 
 
-def w_profile_1d(g, alpha: float, C1: float, C2: float, x, quad_points: int = 64):
-    """Variation-of-constants solution of w + alpha w'' = g on x >= 0.
-
-    The inner integrals of g against cos and sin are evaluated by Gauss
-    quadrature mapped to [0, x] (exact to roundoff for the smooth g used
-    here). Requires alpha > 0.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    sa = math.sqrt(alpha)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    rule = gauss_legendre_interval(2 * quad_points - 1)
-    p, wq = rule.points[:, 0], rule.weights
-    xi = x_arr[:, None] * p[None, :]
-    gv = np.asarray(g(xi), dtype=float)
-    Ic = x_arr * np.sum(wq * gv * np.cos(xi / sa), axis=1)
-    Is = x_arr * np.sum(wq * gv * np.sin(xi / sa), axis=1)
-    out = ((C1 + Ic / sa) * np.sin(x_arr / sa)
-           + (C2 - Is / sa) * np.cos(x_arr / sa))
-    return out if np.ndim(x) else float(out[0])
-
-
-def w_profile_2d(A2: float, B2: float, lam: float, alpha: float, x, y):
-    """Separated homogeneous profile A2 sin(sqrt(lam/alpha) x) * B2 sin(...y).
-
-    Requires 0 < lam < 1 and alpha > 0 so both frequencies are real.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    wx = math.sqrt(lam / alpha)
-    wy = math.sqrt((1.0 - lam) / alpha)
-    return A2 * np.sin(wx * np.asarray(x)) * B2 * np.sin(wy * np.asarray(y))
-
-
 def solve_alpha(G, config: AlphaSolveConfig) -> float:
     """Root of alpha - G(alpha) on the bracket, by bisection with secant steps.
 
@@ -154,7 +120,7 @@ def solve_alpha(G, config: AlphaSolveConfig) -> float:
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}")
 
     last_side = 0
-    for _ in range(config.max_iterations):
+    for _ in range(_ALPHA_MAX_ITERATIONS):
         width = hi - lo
         denom = f_hi - f_lo
         mid = lo + 0.5 * width
@@ -176,7 +142,7 @@ def solve_alpha(G, config: AlphaSolveConfig) -> float:
             last_side = min(-1, last_side - 1)
     raise AlphaSolveError(
         f"no convergence to |alpha - G(alpha)| <= {config.tolerance:g} "
-        f"in {config.max_iterations} iterations")
+        f"in {_ALPHA_MAX_ITERATIONS} iterations")
 
 
 def _ex1_profile_unclamped(alpha, x):
@@ -199,7 +165,7 @@ def _ex2_profile_unclamped(alpha, x):
 _EX3_AMPLITUDE = (8.0 / math.pi ** 2) ** 0.25
 
 
-def fixed_point_map(case_id: str, quad_points: int = 64):
+def fixed_point_map(case_id: str):
     """The case-defining map G(alpha) and its search bracket.
 
     G is always the self-consistency integral (integral of w(., alpha)^2
@@ -208,7 +174,7 @@ def fixed_point_map(case_id: str, quad_points: int = 64):
     constant, and the bracket is kept tight because the map crosses the
     diagonal more than once.
     """
-    rule = gauss_legendre_interval(2 * quad_points - 1)
+    rule = gauss_legendre_interval(2 * _QUAD_POINTS - 1)
     p, wq = rule.points[:, 0], rule.weights
 
     if case_id == "example1":
@@ -250,10 +216,8 @@ def _clamp_2d(x, y, values):
 @lru_cache(maxsize=None)
 def make_case(case_id: str) -> ManufacturedCase:
     """Assemble a shipped case with alpha re-solved from its fixed point."""
-    bracket = fixed_point_map(case_id)[1]
-    config = AlphaSolveConfig(bracket=bracket)
-    G, _ = fixed_point_map(case_id, config.quad_points)
-    alpha = solve_alpha(G, config)
+    G, bracket = fixed_point_map(case_id)
+    alpha = solve_alpha(G, AlphaSolveConfig(bracket=bracket))
 
     if case_id == "example1":
         gamma, C = 0.5, -1.0
@@ -280,7 +244,8 @@ def make_case(case_id: str) -> ManufacturedCase:
             return w(x)
 
         return ManufacturedCase(case_id, 1, gamma, C, alpha, w, l, g, u, f, u0,
-                                t_max=math.inf, default_t_end=10.0)
+                                t_max=math.inf, default_t_end=10.0,
+                                default_k=2, default_n=100, default_delta=1e-3)
 
     if case_id == "example2":
         gamma, C = -1.0 / 3.0, 1.0
@@ -309,7 +274,8 @@ def make_case(case_id: str) -> ManufacturedCase:
             return w(x) * scale0
 
         return ManufacturedCase(case_id, 1, gamma, C, alpha, w, l, g, u, f, u0,
-                                t_max=1.0, default_t_end=2.0)
+                                t_max=1.0, default_t_end=2.0,
+                                default_k=2, default_n=100, default_delta=1e-3)
 
     gamma, C = 2.0, -0.25
     C3 = _EX3_AMPLITUDE
@@ -330,7 +296,8 @@ def make_case(case_id: str) -> ManufacturedCase:
         return w(x, y)
 
     return ManufacturedCase(case_id, 2, gamma, C, alpha, w, l, None, u, None,
-                            u0, t_max=math.inf, default_t_end=1.0)
+                            u0, t_max=math.inf, default_t_end=1.0,
+                            default_k=3, default_n=16, default_delta=1e-2)
 
 
 @dataclass(frozen=True)
@@ -365,9 +332,7 @@ def _time_samples(case, n_time):
     return np.linspace(0.0, case.default_t_end, n_time)
 
 
-def verify_case(case: ManufacturedCase, n_space: int = 50, n_time: int = 50,
-                dx: float = 1e-3, dt: float = 1e-3,
-                quad_points: int = 64) -> CaseReport:
+def verify_case(case: ManufacturedCase) -> CaseReport:
     """Sample the strong-form residual u_t - a(u) Lap(u) - f over the domain.
 
     Derivatives are high-order finite differences of the black-box closed
@@ -377,10 +342,12 @@ def verify_case(case: ManufacturedCase, n_space: int = 50, n_time: int = 50,
     requires it positive), and the consistency of a(u(., t)) with
     alpha * l(t)^(2*gamma).
     """
-    G, _ = fixed_point_map(case.case_id, quad_points)
+    # sample counts in space and time, finite-difference steps
+    n_space, n_time, dx, dt = 50, 50, 1e-3, 1e-3
+    G, _ = fixed_point_map(case.case_id)
     fp_residual = abs(case.alpha - G(case.alpha))
 
-    rule = gauss_legendre_interval(2 * quad_points - 1)
+    rule = gauss_legendre_interval(2 * _QUAD_POINTS - 1)
     p, wq = rule.points[:, 0], rule.weights
     ts = _time_samples(case, n_time)
     if case.dim == 1:

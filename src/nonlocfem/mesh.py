@@ -15,17 +15,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MeshSize:
-    """Largest element diameter of a partition."""
-
-    h: float
-
-    def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"mesh size must be positive, got {self.h}")
-
-
-@dataclass(frozen=True)
 class SimplicialMesh:
     """Partition of an interval (dim=1) or the unit square (dim=2).
 
@@ -59,27 +48,6 @@ class SimplicialMesh:
     def element_vertices(self) -> np.ndarray:
         """Coordinates of each simplex, shape (n_elements, dim+1, dim)."""
         return self.vertices[self.simplexes]
-
-    def size(self) -> MeshSize:
-        """Recompute the mesh size from the geometry (max element diameter)."""
-        verts = self.element_vertices()
-        if self.dim == 1:
-            diam = np.abs(verts[:, 1, 0] - verts[:, 0, 0])
-        else:
-            d01 = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
-            d02 = np.linalg.norm(verts[:, 2] - verts[:, 0], axis=1)
-            d12 = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=1)
-            diam = np.max(np.stack([d01, d02, d12]), axis=0)
-        return MeshSize(h=float(diam.max()))
-
-    def element_measures(self) -> np.ndarray:
-        """Length (dim=1) or area (dim=2) of every element."""
-        verts = self.element_vertices()
-        if self.dim == 1:
-            return np.abs(verts[:, 1, 0] - verts[:, 0, 0])
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 @dataclass(frozen=True)

@@ -120,27 +120,3 @@ def reference_rule(dim: int, degree: int) -> QuadratureRule:
         return symmetric_triangle_rule(degree)
     raise ValueError(f"unsupported dimension {dim}")
 
-
-def reference_measure(dim: int) -> float:
-    return 1.0 if dim == 1 else 0.5
-
-
-def monomial_integral(dim: int, exponents) -> float:
-    """Exact integral of a monomial over the reference element.
-
-    Used by the exactness tests: on [0,1] the integral of x^a is 1/(a+1);
-    on the reference triangle the integral of x^a y^b is a! b! / (a+b+2)!.
-    """
-    if dim == 1:
-        (a,) = exponents
-        return 1.0 / (a + 1)
-    a, b = exponents
-    num = 1.0
-    for i in range(1, a + 1):
-        num *= i
-    for i in range(1, b + 1):
-        num *= i
-    den = 1.0
-    for i in range(1, a + b + 3):
-        den *= i
-    return num / den

@@ -11,18 +11,17 @@ import time
 
 import numpy as np
 from conftest import ACCEPTANCE_LINES
+from oracles import (element_mass_matrix, element_stiffness_matrix, evaluate,
+                     l2_norm_sq, monomial_integral)
 
-from nonlocfem.assembly import (FieldVector, assemble_mass, element_mass_matrix,
-                                element_stiffness_matrix, interpolate,
-                                l2_error, l2_norm_sq)
+from nonlocfem.assembly import FieldVector, assemble_mass, interpolate, l2_error
 from nonlocfem.cli import main
-from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient, evaluate
+from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient
 from nonlocfem.harness import RunConfig, run_solve, sweep_delta, sweep_h
 from nonlocfem.manufactured import make_case, verify_case
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
-from nonlocfem.quadrature import (MAX_TRIANGLE_DEGREE, monomial_integral,
-                                  reference_rule)
+from nonlocfem.quadrature import MAX_TRIANGLE_DEGREE, reference_rule
 from nonlocfem.stepper import TimeGrid, run
 
 REFERENCE_ALPHA = {

@@ -4,14 +4,13 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from oracles import (SingularSystemError, element_mass_matrix,
+                     element_stiffness_matrix, l2_norm_sq, ritz_project)
 from scipy.integrate import quad
 
-from nonlocfem.assembly import (FieldVector, NonFiniteFieldError,
-                                SingularSystemError, SparseSymMatrix,
-                                assemble_load, assemble_mass,
-                                assemble_stiffness, element_mass_matrix,
-                                element_stiffness_matrix, interpolate,
-                                l2_error, l2_norm_sq, ritz_project)
+from nonlocfem.assembly import (FieldVector, LoadAssembler, NonFiniteFieldError,
+                                SparseSymMatrix, assemble_mass,
+                                assemble_stiffness, interpolate, l2_error)
 from nonlocfem.basis import reference_basis
 from nonlocfem.mesh import (LagrangeSpace, SimplicialMesh, build_lagrange_space,
                             reference_node_multi_indices, uniform_interval_mesh,
@@ -67,7 +66,7 @@ def test_mass_row_sums_are_basis_integrals():
     M = assemble_mass(space)
     ones = np.ones(space.n_nodes)
     row_sums = M @ ones
-    integrals = assemble_load(space, lambda x, t: np.ones_like(x), 0.0)
+    integrals = LoadAssembler(space)(lambda x, t: np.ones_like(x), 0.0)
     np.testing.assert_allclose(row_sums, integrals.coefficients, atol=1e-14)
 
 
@@ -87,7 +86,7 @@ def test_matrices_symmetric():
     space = build_lagrange_space(uniform_square_mesh(4), 3)
     for A in (assemble_mass(space), assemble_stiffness(space)):
         scale = abs(A.matrix).max()
-        assert A.symmetry_defect() <= 1e-14 * scale
+        assert abs(A.matrix - A.matrix.T).max() <= 1e-14 * scale
 
 
 def test_symmetry_violation_rejected():
@@ -131,7 +130,7 @@ def test_stiffness_interior_diagonal_five_point():
     space = build_lagrange_space(uniform_square_mesh(2), 1)
     K = assemble_stiffness(space)
     inode = space.free_node_indices[0]
-    assert K.toarray()[inode, inode] == pytest.approx(4.0, abs=1e-12)
+    assert K.matrix.toarray()[inode, inode] == pytest.approx(4.0, abs=1e-12)
 
 
 def _element_sum_stiffness(space):
@@ -149,7 +148,7 @@ def test_stiffness_matches_sum_of_element_matrices(dim, k, n):
     mesh = uniform_interval_mesh(-0.5, 1.5, n) if dim == 1 else uniform_square_mesh(n)
     space = build_lagrange_space(mesh, k)
     expect = _element_sum_stiffness(space)
-    got = assemble_stiffness(space).toarray()
+    got = assemble_stiffness(space).matrix.toarray()
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -178,7 +177,7 @@ def test_interval_stiffness_matches_element_quadrature(xs, k):
     assume(abs(xs[1] - xs[0]) >= 1e-2)
     verts = np.array(xs).reshape(2, 1)
     expect = element_stiffness_matrix(verts, k)
-    got = assemble_stiffness(_single_element_space(verts, k)).toarray()
+    got = assemble_stiffness(_single_element_space(verts, k)).matrix.toarray()
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -191,7 +190,7 @@ def test_triangle_stiffness_matches_element_quadrature(xs, k):
     longest = max(e1 @ e1, e2 @ e2, (e2 - e1) @ (e2 - e1))
     assume(abs(e1[0] * e2[1] - e1[1] * e2[0]) >= 0.05 * longest > 0.0)
     expect = element_stiffness_matrix(verts, k)
-    got = assemble_stiffness(_single_element_space(verts, k)).toarray()
+    got = assemble_stiffness(_single_element_space(verts, k)).matrix.toarray()
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -199,7 +198,7 @@ def test_triangle_stiffness_matches_element_quadrature(xs, k):
 
 def test_load_zero_forcing():
     space = _space_1d(6, 2)
-    F = assemble_load(space, lambda x, t: np.zeros_like(x), 0.0)
+    F = LoadAssembler(space)(lambda x, t: np.zeros_like(x), 0.0)
     assert np.all(F.coefficients == 0.0)
 
 
@@ -207,7 +206,7 @@ def test_load_constant_forcing_hat_integrals():
     n = 8
     space = _space_1d(n, 1)
     h = 1.0 / n
-    F = assemble_load(space, lambda x, t: np.ones_like(x), 0.0)
+    F = LoadAssembler(space)(lambda x, t: np.ones_like(x), 0.0)
     expect = np.full(n + 1, h)
     expect[0] = expect[-1] = h / 2
     np.testing.assert_allclose(F.coefficients, expect, rtol=1e-13)
@@ -217,7 +216,7 @@ def test_load_against_adaptive_quadrature_oracle():
     # f = x^2/(t+1)^2 at t = 0, entries integral(f * phi_i) via scipy.quad
     n, k = 4, 2
     space = _space_1d(n, k)
-    F = assemble_load(space, lambda x, t: x ** 2 / (t + 1.0) ** 2, 0.0)
+    F = LoadAssembler(space)(lambda x, t: x ** 2 / (t + 1.0) ** 2, 0.0)
 
     U = FieldVector(np.zeros(space.n_nodes), space)
     for i in range(space.n_nodes):
@@ -246,7 +245,7 @@ def test_load_constant_scalar_forcing_is_broadcast():
             (_space_1d(6, 2), [lambda x, t: np.ones_like(x), lambda x, t: 1.0,
                                lambda x, t: np.ones(len(x), dtype=int)]),
             (square, [lambda x, y, t: np.ones_like(x), lambda x, y, t: 1.0])]:
-        expect, *others = [assemble_load(space, f, 0.5).coefficients
+        expect, *others = [LoadAssembler(space)(f, 0.5).coefficients
                            for f in forcings]
         for F in others:
             np.testing.assert_array_equal(F, expect)
@@ -258,13 +257,13 @@ def test_load_forcing_of_wrong_length_rejected():
                   lambda x, t: np.ones((len(x), 2)),
                   lambda x, t: np.ones(len(x) - 1)):
         with pytest.raises(ValueError):
-            assemble_load(space, wrong, 0.0)
+            LoadAssembler(space)(wrong, 0.0)
 
 
 def test_load_nonfinite_forcing_rejected():
     space = _space_1d(4, 1)
     with pytest.raises(NonFiniteFieldError):
-        assemble_load(space, lambda x, t: np.full_like(x, np.inf), 0.0)
+        LoadAssembler(space)(lambda x, t: np.full_like(x, np.inf), 0.0)
 
 
 # --- interpolation ---

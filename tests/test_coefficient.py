@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import evaluate, l2_norm_sq, lipschitz_witness
 
-from nonlocfem.assembly import FieldVector, assemble_mass, l2_norm_sq
+from nonlocfem.assembly import FieldVector, assemble_mass
 from nonlocfem.coefficient import (DegenerateCoefficientError, GuardStatus,
-                                   NonlocalCoefficient, check_guards, evaluate,
-                                   lipschitz_witness)
+                                   NonlocalCoefficient, check_guards)
 from nonlocfem.mesh import build_lagrange_space, uniform_interval_mesh
 
 

@@ -72,6 +72,36 @@ def test_unknown_config_key_rejected(tmp_path):
             parse_config_file(str(path))
 
 
+def test_duplicate_config_key_rejected(tmp_path):
+    # the later value used to win silently
+    path = tmp_path / "run.cfg"
+    path.write_text("case = example1\nk = 1\nk = 3\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:3: duplicate key 'k'"):
+        parse_config_file(str(path))
+
+
+def test_snapshot_times_outside_run_rejected():
+    for times in ((-3.0,), (50.0,), (0.0, 0.2000001)):
+        with pytest.raises(ConfigError, match="outside"):
+            _quick_config(snapshots=times).resolved()
+    assert _quick_config(snapshots=(0.0, 0.2)).resolved().snapshots == (0.0, 0.2)
+
+
+def test_snapshot_times_sharing_a_file_tag_rejected():
+    # both would be written to ..._snapshot_t0.123456.csv
+    for times in ((0.1234561, 0.1234562), (0.1, 0.1)):
+        with pytest.raises(ConfigError, match="file tag"):
+            _quick_config(snapshots=times).resolved()
+
+
+def test_cli_refuses_bad_snapshot_times(tmp_path):
+    code = main(["solve", "--case", "example1", "--k", "1", "--n", "8",
+                 "--delta", "0.01", "--t-end", "0.1", "--out-dir", str(tmp_path),
+                 "--snapshots", "0.1234561,0.1234562,-3,50"])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     listed = re.search(r"Recognized keys: `([^`]*)`", readme).group(1)

@@ -266,7 +266,7 @@ def test_restricted_mass_and_stiffness_share_pattern():
 
 def test_workspace_rejects_stiffness_with_another_pattern():
     for space in _spaces_1d_2d(n=6, k=1):
-        K = assemble_stiffness(space).toarray()
+        K = assemble_stiffness(space).matrix.toarray()
         i, j = space.free_node_indices[[0, -1]]
         K[i, j] = K[j, i] = 1e-3   # couples two nodes of no common element
         with pytest.raises(ValueError, match="sparsity pattern"):

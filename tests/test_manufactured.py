@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import w_profile_1d, w_profile_2d
 from scipy.optimize import brentq
 
-from nonlocfem.manufactured import (CASE_IDS, AlphaSolveConfig, CaseReport,
-                                    ManufacturedCase, RootBracketError,
-                                    fixed_point_map, l_of_t, make_case,
-                                    solve_alpha, verify_case, w_profile_1d,
-                                    w_profile_2d)
+from nonlocfem.manufactured import (CASE_IDS, AlphaSolveConfig, AlphaSolveError,
+                                    CaseReport, ManufacturedCase,
+                                    RootBracketError, fixed_point_map, l_of_t,
+                                    make_case, solve_alpha, verify_case)
 
 REFERENCE_ALPHA = {
     "example1": 0.223688785954835,
@@ -163,6 +163,19 @@ def test_alpha_no_sign_change():
         solve_alpha(lambda a: -1.0, AlphaSolveConfig(bracket=(0.5, 1.0)))
 
 
+def test_alpha_budget_exhausted():
+    # alpha - G(alpha) jumps from -1 to +1 inside the bracket and is zero
+    # nowhere, so no iterate meets the tolerance. copysign, not np.sign: the
+    # search lands on the float c itself, where np.sign would give a root.
+    c = 0.15 + math.sqrt(2.0) * 1e-3
+
+    def G(a):
+        return a - math.copysign(1.0, a - c)
+
+    with pytest.raises(AlphaSolveError, match="200 iterations"):
+        solve_alpha(G, AlphaSolveConfig(bracket=(0.1, 0.2)))
+
+
 def test_alpha_config_validation():
     with pytest.raises(ValueError):
         AlphaSolveConfig(bracket=(-0.1, 0.2))
@@ -225,11 +238,11 @@ def test_example2_profile_matches_generic_variation_of_constants():
 
 
 def test_case_separated_structure():
-    # u(x, t) factors exactly as k(x) l(t)
+    # u(x, t) factors exactly as w(x) l(t)
     case = make_case("example1")
     x = np.linspace(0.0, 1.0, 13)
     for t in (0.0, 2.5):
-        np.testing.assert_allclose(case.u(x, t), case.k(x) * case.l(t),
+        np.testing.assert_allclose(case.u(x, t), case.w(x) * case.l(t),
                                    rtol=1e-15)
 
 

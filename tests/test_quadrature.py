@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from oracles import monomial_integral, reference_measure
 
-from nonlocfem.quadrature import (MAX_TRIANGLE_DEGREE, monomial_integral,
-                                  reference_measure, reference_rule)
+from nonlocfem.quadrature import MAX_TRIANGLE_DEGREE, reference_rule
 
 
 @pytest.mark.parametrize("degree", range(0, 12))

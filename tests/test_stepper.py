@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from oracles import l2_norm_sq
+
 from nonlocfem import stepper
-from nonlocfem.assembly import (assemble_load, assemble_mass,
-                                assemble_stiffness, l2_norm_sq)
+from nonlocfem.assembly import LoadAssembler, assemble_mass, assemble_stiffness
 from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient
 from nonlocfem.harness import RunConfig, run_solve
 from nonlocfem.linalg import cg_jacobi
@@ -60,7 +61,7 @@ def test_init_example1_positive_mass_and_energy():
     U0 = init(space, case.u0)
     M = assemble_mass(space)
     assert l2_norm_sq(U0, M) > 0.0
-    ones = assemble_load(space, lambda x, t: np.ones_like(x), 0.0)
+    ones = LoadAssembler(space)(lambda x, t: np.ones_like(x), 0.0)
     assert float(ones.coefficients @ U0.coefficients) > 0.0
 
 
