@@ -183,36 +183,44 @@ class LoadAssembler:
     Precomputes the scatter operator and the quadrature point coordinates,
     one array per axis, so repeated assemblies (one per time step) reduce to
     evaluating the forcing at those points and one sparse matrix-vector
-    product.
+    product. With rows given (node indices, e.g. the free nodes) the
+    operator has only those rows, and the load comes out in their order.
     """
 
-    def __init__(self, space: LagrangeSpace):
-        self.space = space
+    def __init__(self, space: LagrangeSpace, rows=None):
         k = space.degree
-        self.rule = reference_rule(space.mesh.dim, assembly_degree(k))
+        rule = reference_rule(space.mesh.dim, assembly_degree(k))
         basis = reference_basis(space.mesh.dim, k)
-        vals = basis.eval(self.rule.points)          # (nl, nq)
+        vals = basis.eval(rule.points)          # (nl, nq)
         _, _, det, _ = _geometry(space.mesh)
-        wdet = det[:, None] * self.rule.weights[None, :]   # (ne, nq)
-        self.points = _quad_points_physical(space.mesh, self.rule)
-        ne, nq, _ = self.points.shape
-        nl = vals.shape[0]
-        data = wdet[:, None, :] * vals[None, :, :]   # (ne, nl, nq)
-        rows = np.broadcast_to(space.element_dofs[:, :, None], data.shape)
+        wdet = det[:, None] * rule.weights[None, :]   # (ne, nq)
+        points = _quad_points_physical(space.mesh, rule)
+        ne, nq, _ = points.shape
+        data = (wdet[:, None, :] * vals[None, :, :]).ravel()   # (ne, nl, nq)
+        shape = (ne, vals.shape[0], nq)
+        dofs = np.broadcast_to(space.element_dofs[:, :, None], shape).ravel()
         cols = np.broadcast_to(
             (np.arange(ne)[:, None, None] * nq + np.arange(nq)[None, None, :]),
-            data.shape)
-        self._op = sp.coo_matrix(
-            (data.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(space.n_nodes, ne * nq)).tocsr()
-        self._columns = _columns(self.points.reshape(ne * nq, -1))
+            shape).ravel()
+        n_rows = space.n_nodes
+        if rows is not None:
+            # renumber the kept rows and drop the others before the scatter
+            n_rows = len(rows)
+            row_of = np.full(space.n_nodes, -1)
+            row_of[rows] = np.arange(n_rows)
+            dofs = row_of[dofs]
+            keep = dofs >= 0
+            data, dofs, cols = data[keep], dofs[keep], cols[keep]
+        self._op = sp.coo_matrix((data, (dofs, cols)),
+                                 shape=(n_rows, ne * nq)).tocsr()
+        self._columns = _columns(points.reshape(ne * nq, -1))
 
-    def __call__(self, f, t) -> FieldVector:
+    def __call__(self, f, t) -> np.ndarray:
         fvals = _evaluate_field(f, self._columns, t)
-        if not np.all(np.isfinite(fvals)):
+        if not np.isfinite(fvals).all():
             raise NonFiniteFieldError(
                 f"forcing returned a non-finite value at t={t}")
-        return FieldVector(self._op @ fvals, self.space)
+        return self._op @ fvals
 
 
 def interpolate(space: LagrangeSpace, u) -> FieldVector:

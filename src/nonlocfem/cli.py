@@ -2,12 +2,14 @@
 
 Subcommands: solve, sweep-h, sweep-dt, alpha, energy, verify.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 output/IO error.
+4 output/IO error. A reader that closes stdout early (``... | head``) is
+not an error: the lines it read are complete, so the exit code is 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -217,6 +219,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _stdout_to_devnull():
+    """Point stdout at os.devnull, so the flush at interpreter exit cannot
+    raise on the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        sys.stdout = open(os.devnull, "w")
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -240,6 +255,9 @@ def main(argv=None) -> int:
             SolverConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_OK
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -2,9 +2,10 @@
 
 Two methods: Jacobi-preconditioned conjugate gradients (2D) and a banded
 Cholesky factorization (1D node orderings, where the matrices have
-bandwidth k). The banded solve calls LAPACK pbtrf/pbtrs directly on a
-Fortran-order lower band, which the factorization overwrites; the stepper
-preallocates that band and refills it in place for every solve, so 1D
+bandwidth k). The banded solve is one LAPACK pbsv call on a Fortran-order
+lower band, which the factorization overwrites; the stepper preallocates
+that band and refills it in place for every solve. In 1D the stepper also
+multiplies by M and K on their lower bands (BLAS sbmv, band_matvec), so 1D
 trajectories agree with earlier versions to roundoff, not byte for byte.
 CG accepts a start vector: the stepper fills its system matrix
 in place on the sparsity pattern M and K share and starts CG from the
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbsv
 
 CG = "conjugate-gradient"
 DIRECT_BANDED = "direct-banded"
@@ -108,15 +110,23 @@ def to_banded_lower(A: sp.spmatrix) -> np.ndarray:
     return ab
 
 
+def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for a symmetric A in lower banded storage (see to_banded_lower),
+    by BLAS dsbmv; x must be a float64 vector of length A.shape[0]."""
+    if len(x) == 0:
+        return np.zeros(0)   # dsbmv rejects an empty vector
+    return dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
+
+
 def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve in lower banded storage (see to_banded_lower).
+    """Cholesky solve in lower banded storage (see to_banded_lower), by one
+    LAPACK pbsv call.
 
     A Fortran-order ab is overwritten by its Cholesky factor; b is not.
     """
-    c, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise NotSPDError(f"banded Cholesky failed: pbtrf info {info}")
-    x, info = dpbtrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"banded Cholesky solve failed: pbtrs info {info}")
+    _, x, info = dpbsv(ab, b, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NotSPDError(f"banded Cholesky failed: pbsv info {info}")
+    if info < 0:
+        raise ValueError(f"banded Cholesky solve failed: pbsv info {info}")
     return x

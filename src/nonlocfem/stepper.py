@@ -6,9 +6,11 @@ coefficient at the predicted midpoint. Every later step evaluates the
 coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}, so each
 step is one linear SPD solve with system matrix M/delta + (a/2) K. In 1D
 that matrix is refilled in place on a preallocated lower band and solved by
-LAPACK pbtrf/pbtrs; in 2D it is filled in place on the sparsity pattern M
-and K share, and CG starts from the Galerkin best fit of the last two
-levels.
+one LAPACK pbsv call, and every product with M or K (the residual check,
+the next level's M u and K u) is BLAS sbmv on their lower bands; the load
+is evaluated on the free rows only. In 2D the matrix is filled in place on
+the sparsity pattern M and K share, CG starts from the Galerkin best fit of
+the last two levels, and the products are CSR.
 
 At extinction (zero field with a negative exponent) the coefficient is
 undefined; the trajectory is frozen at zero from that step on, matching
@@ -22,20 +24,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 
 from .assembly import (FieldVector, LoadAssembler, SparseSymMatrix,
                        assemble_mass, assemble_stiffness, interpolate)
 from .coefficient import (DegenerateCoefficientError, GuardStatus,
                           NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
-from .linalg import (DIRECT_BANDED, SolverConvergenceError, cg_jacobi,
-                     method_for_dim, solve_banded_spd, to_banded_lower)
+from .linalg import (DIRECT_BANDED, SolverConvergenceError, band_matvec,
+                     cg_jacobi, method_for_dim, solve_banded_spd,
+                     to_banded_lower)
 from .mesh import LagrangeSpace
 
 logger = logging.getLogger(__name__)
 
 WARN = "warn"
 ABORT = "abort"
+
+# the verified residual is never required below this multiple of
+# ||A||_max ||x||, the backward-stable scale attainable in double precision
+_FLOOR_EPS = 64.0 * np.finfo(float).eps
 
 
 class SteppingError(RuntimeError):
@@ -119,6 +127,14 @@ class StepWorkspace:
     same element dofs), so the system matrix is M/delta + (a/2) K entry by
     entry: in 1D on their lower bands, in 2D on their CSR data. Either way
     it is allocated once and refilled in place for every solve.
+
+    In 1D the products with M and K (matvecs) run on the lower bands, so
+    the residual check would share a band-conversion error with the solve.
+    The build therefore checks the bands once against the CSR matrices on
+    a fixed vector v: every entry of band(v) - csr(v) must lie within
+    4 (2b + 1) eps (|A| |v|) for bandwidth b, four times the most that two
+    roundings of a (2b + 1)-term row sum can differ; otherwise it raises
+    ValueError. The load operator is built on the free rows only.
     """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
@@ -141,10 +157,13 @@ class StepWorkspace:
         if self.use_banded:
             self.Mb = to_banded_lower(self.M_ff)
             self.Kb = to_banded_lower(self.K_ff)
+            _check_band(self.Mb, self.M_ff, "M")
+            _check_band(self.Kb, self.K_ff, "K")
+            self.Mb_delta = self.Mb / grid.delta
             self.ab = np.empty_like(self.Mb)
         else:
             self.A = self.M_ff.copy()
-        self.load = None if forcing is None else LoadAssembler(space)
+        self.load = None if forcing is None else LoadAssembler(space, self.free)
         self.forcing = forcing
         self._m_scale = abs(self.M_ff.data).max() if self.M_ff.nnz else 0.0
         self._k_scale = abs(self.K_ff.data).max() if self.K_ff.nnz else 0.0
@@ -152,7 +171,13 @@ class StepWorkspace:
     def load_vector(self, t_mid):
         if self.load is None:
             return None
-        return self.load(self.forcing, t_mid).coefficients[self.free]
+        return self.load(self.forcing, t_mid)
+
+    def matvecs(self, x):
+        """(M x, K x) on the free nodes: sbmv on the bands in 1D, CSR in 2D."""
+        if self.use_banded:
+            return band_matvec(self.Mb, x), band_matvec(self.Kb, x)
+        return self.M_ff @ x, self.K_ff @ x
 
     def step_rhs(self, a_star, mu, ku, F):
         """M u / delta - (a/2) K u + F, from M u and K u of the last level."""
@@ -165,8 +190,8 @@ class StepWorkspace:
         delta = self.grid.delta
         if self.use_banded:
             # refilled on every solve: the factorization overwrites the band
-            np.divide(self.Mb, delta, out=self.ab)
-            self.ab += (0.5 * a_star) * self.Kb
+            np.multiply(self.Kb, 0.5 * a_star, out=self.ab)
+            self.ab += self.Mb_delta
             return solve_banded_spd(self.ab, rhs)
         np.multiply(self.M_ff.data, 1.0 / delta, out=self.A.data)
         self.A.data += (0.5 * a_star) * self.K_ff.data
@@ -189,22 +214,33 @@ class StepWorkspace:
             return rhs.copy(), rhs.copy(), rhs.copy()
         x = self._solve_once(a_star, rhs, levels)
         delta = self.grid.delta
+        half_a = 0.5 * a_star
+        bound = self.solver_tol * max(dnrm2(rhs), 1e-300)
+        scale = self._m_scale / delta + half_a * self._k_scale
         for attempt in range(2):
-            mu_x = self.M_ff @ x
-            ku_x = self.K_ff @ x
-            res = np.linalg.norm(mu_x / delta + (0.5 * a_star) * ku_x - rhs)
-            bound = self.solver_tol * max(np.linalg.norm(rhs), 1e-300)
-            scale = self._m_scale / delta + 0.5 * a_star * self._k_scale
-            floor = 64.0 * np.finfo(float).eps * scale * np.linalg.norm(x)
+            mu_x, ku_x = self.matvecs(x)
+            ax = mu_x / delta + half_a * ku_x
+            res = dnrm2(ax - rhs)
+            floor = _FLOOR_EPS * scale * dnrm2(x)
             if res <= max(bound, floor):
                 return x, mu_x, ku_x
             if attempt == 0 and self.use_banded:
-                x = x + self._solve_once(
-                    a_star, rhs - (mu_x / delta + (0.5 * a_star) * ku_x))
+                x = x + self._solve_once(a_star, rhs - ax)
             else:
                 break
         raise SolverConvergenceError(
             f"verified residual {res:.3e} above tolerance {bound:.3e}")
+
+
+def _check_band(ab, A, name):
+    """Raise ValueError unless the lower band ab multiplies like the CSR A
+    on a fixed vector, to the bound stated in StepWorkspace."""
+    v = np.sin(1.0 + np.arange(A.shape[0]))
+    width = 2 * (ab.shape[0] - 1) + 1
+    tol = 4.0 * width * np.finfo(float).eps * (abs(A) @ np.abs(v))
+    if not np.all(np.abs(band_matvec(ab, v) - A @ v) <= tol):
+        raise ValueError(f"the lower band of {name} does not reproduce "
+                         f"its CSR matrix-vector product")
 
 
 def init(space: LagrangeSpace, u0) -> FieldVector:
@@ -239,7 +275,8 @@ def _first_step_coefficient(work, coeff, u0, mu0, ku0):
     u10 = work._solve_once(a0, work.step_rhs(a0, mu0, ku0, F),
                            levels=((u0, mu0, ku0),))
     uhalf = 0.5 * (u10 + u0)
-    a_half, status_half = _coefficient(coeff, float(uhalf @ (work.M_ff @ uhalf)))
+    mu_half, _ = work.matvecs(uhalf)
+    a_half, status_half = _coefficient(coeff, float(uhalf @ mu_half))
     return a_half, status_half, F
 
 
@@ -272,7 +309,7 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
 
     # levels n-1 and n-2 on the free nodes: u, M u and K u
     u = U0.coefficients[free]
-    mu, ku = work.M_ff @ u, work.K_ff @ u
+    mu, ku = work.matvecs(u)
     u_old = mu_old = ku_old = None
     energy_history = [(0.0, float(u @ mu))]
     coefficient_history = []

@@ -67,7 +67,7 @@ def test_mass_row_sums_are_basis_integrals():
     ones = np.ones(space.n_nodes)
     row_sums = M @ ones
     integrals = LoadAssembler(space)(lambda x, t: np.ones_like(x), 0.0)
-    np.testing.assert_allclose(row_sums, integrals.coefficients, atol=1e-14)
+    np.testing.assert_allclose(row_sums, integrals, atol=1e-14)
 
 
 def test_mass_spd_on_free_nodes():
@@ -199,7 +199,7 @@ def test_triangle_stiffness_matches_element_quadrature(xs, k):
 def test_load_zero_forcing():
     space = _space_1d(6, 2)
     F = LoadAssembler(space)(lambda x, t: np.zeros_like(x), 0.0)
-    assert np.all(F.coefficients == 0.0)
+    assert np.all(F == 0.0)
 
 
 def test_load_constant_forcing_hat_integrals():
@@ -209,7 +209,7 @@ def test_load_constant_forcing_hat_integrals():
     F = LoadAssembler(space)(lambda x, t: np.ones_like(x), 0.0)
     expect = np.full(n + 1, h)
     expect[0] = expect[-1] = h / 2
-    np.testing.assert_allclose(F.coefficients, expect, rtol=1e-13)
+    np.testing.assert_allclose(F, expect, rtol=1e-13)
 
 
 def test_load_against_adaptive_quadrature_oracle():
@@ -235,7 +235,7 @@ def test_load_against_adaptive_quadrature_oracle():
             return float(vals[:, 0] @ coeffs[dofs]) * x ** 2
 
         exact, _ = quad(integrand, 0.0, 1.0, limit=200)
-        assert F.coefficients[i] == pytest.approx(exact, abs=1e-10)
+        assert F[i] == pytest.approx(exact, abs=1e-10)
 
 
 def test_load_constant_scalar_forcing_is_broadcast():
@@ -245,7 +245,7 @@ def test_load_constant_scalar_forcing_is_broadcast():
             (_space_1d(6, 2), [lambda x, t: np.ones_like(x), lambda x, t: 1.0,
                                lambda x, t: np.ones(len(x), dtype=int)]),
             (square, [lambda x, y, t: np.ones_like(x), lambda x, y, t: 1.0])]:
-        expect, *others = [LoadAssembler(space)(f, 0.5).coefficients
+        expect, *others = [LoadAssembler(space)(f, 0.5)
                            for f in forcings]
         for F in others:
             np.testing.assert_array_equal(F, expect)
@@ -264,6 +264,33 @@ def test_load_nonfinite_forcing_rejected():
     space = _space_1d(4, 1)
     with pytest.raises(NonFiniteFieldError):
         LoadAssembler(space)(lambda x, t: np.full_like(x, np.inf), 0.0)
+
+
+def test_load_on_free_rows_is_the_full_load_restricted():
+    # the stepper builds its load operator on the free rows only
+    forcings = {1: lambda x, t: np.sin(3.0 * x + t) + x ** 2,
+                2: lambda x, y, t: np.cos(x - 2.0 * y) * (1.0 + t)}
+    for space in (_space_1d(9, 3), _space_1d(5, 1),
+                  build_lagrange_space(uniform_square_mesh(4), 2)):
+        free = space.free_node_indices
+        f = forcings[space.mesh.dim]
+        F = LoadAssembler(space, free)(f, 0.3)
+        assert F.shape == (len(free),)
+        np.testing.assert_array_equal(F, LoadAssembler(space)(f, 0.3)[free])
+
+
+def test_load_on_free_rows_scalar_and_nonfinite_forcing():
+    for space, one, inf in [
+            (_space_1d(6, 2), lambda x, t: 1.0,
+             lambda x, t: np.where(x > 0.5, np.inf, 0.0)),
+            (build_lagrange_space(uniform_square_mesh(3), 2),
+             lambda x, y, t: 1.0, lambda x, y, t: np.full_like(x, np.nan))]:
+        free = space.free_node_indices
+        load = LoadAssembler(space, free)
+        expect = LoadAssembler(space)(one, 0.5)[free]
+        np.testing.assert_array_equal(load(one, 0.5), expect)
+        with pytest.raises(NonFiniteFieldError):
+            load(inf, 0.0)
 
 
 # --- interpolation ---

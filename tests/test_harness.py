@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -333,6 +334,36 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
                  "--delta", "0.05", "--t-end", "0.1",
                  "--out-dir", str(target)])
     assert code == 4
+    assert "io error" in capsys.readouterr().err
+
+
+class _FailingStdout:
+    """A stdout whose every write raises the given OSError."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+def test_cli_broken_pipe_is_not_an_io_error(monkeypatch, capsys):
+    # `nonlocfem alpha example1 | head -1`: the reader closed stdout early
+    failing = _FailingStdout(BrokenPipeError(32, "Broken pipe"))
+    monkeypatch.setattr(sys, "stdout", failing)
+    assert main(["alpha", "example1"]) == 0
+    assert sys.stdout is not failing   # now os.devnull, so exit cannot raise
+    print("dropped")
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_other_stdout_error_is_an_io_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError(5, "EIO")))
+    assert main(["alpha", "example1"]) == 4
     assert "io error" in capsys.readouterr().err
 
 

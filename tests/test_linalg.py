@@ -6,7 +6,8 @@ from hypothesis import given, settings
 
 from nonlocfem import stepper
 from nonlocfem.assembly import SparseSymMatrix, assemble_mass, assemble_stiffness
-from nonlocfem.linalg import (NotSPDError, SolverConvergenceError, cg_jacobi,
+from nonlocfem.linalg import (NotSPDError, SolverConvergenceError,
+                              band_matvec, cg_jacobi, solve_banded_spd,
                               to_banded_lower)
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
@@ -186,6 +187,60 @@ def test_banded_conversion_roundtrip():
         Kb = to_banded_lower(assemble_stiffness(space).restrict(free))
         assert Mb.shape == Kb.shape == (k + 1, len(free))
         assert Mb.flags.f_contiguous and Kb.flags.f_contiguous
+
+
+@settings(deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_band_matvec_matches_csr(k, n, seed):
+    rng = np.random.default_rng(seed)
+    lower = sp.random(n, n, density=0.7, random_state=rng,
+                      data_rvs=rng.standard_normal)
+    A = sp.tril(sp.triu(lower, -k), -1)
+    A = (A + A.T + sp.diags(rng.standard_normal(n))).tocsr()
+    x = rng.standard_normal(n)
+    ab = to_banded_lower(A)
+    assert ab.shape[0] - 1 <= k
+    # the rounding of two (2k+1)-term row sums, with a factor 2 to spare
+    tol = 2.0 * (2 * k + 1) * np.finfo(float).eps * (abs(A) @ np.abs(x))
+    assert np.all(np.abs(band_matvec(ab, x) - A @ x) <= tol)
+
+
+def test_band_matvec_of_an_empty_vector():
+    assert band_matvec(np.zeros((1, 0), order="F"), np.zeros(0)).shape == (0,)
+
+
+def test_banded_solve_refuses_an_indefinite_band():
+    # tridiagonal [1 -2; -2 1]: determinant -3, so pbsv fails on column 2
+    ab = np.asfortranarray([[1.0, 1.0, 1.0], [-2.0, -2.0, 0.0]])
+    with pytest.raises(NotSPDError, match="info 2"):
+        solve_banded_spd(ab, np.ones(3))
+
+
+def test_workspace_refuses_a_band_that_differs_from_its_matrix(monkeypatch):
+    # the 1D verify multiplies on the bands, so a wrong band must not pass
+    convert = stepper.to_banded_lower
+
+    def corrupted(A):
+        ab = convert(A)
+        ab[1, 2] *= 1.0 + 1e-9
+        return ab
+    monkeypatch.setattr(stepper, "to_banded_lower", corrupted)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="lower band of M"):
+            _workspace(_space(n=6, k=k))
+
+
+def test_workspace_matvecs_match_csr():
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3):
+        for space in _spaces_1d_2d(n=6, k=k):
+            work = _workspace(space)
+            x = _interior_rhs(space, rng)
+            mu, ku = work.matvecs(x)
+            np.testing.assert_allclose(mu, work.M_ff @ x, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(ku, work.K_ff @ x, rtol=0,
+                                       atol=1e-14 * abs(work.K_ff).max())
 
 
 def test_banded_workspace_refills_the_band_for_every_solve():

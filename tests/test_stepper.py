@@ -62,7 +62,7 @@ def test_init_example1_positive_mass_and_energy():
     M = assemble_mass(space)
     assert l2_norm_sq(U0, M) > 0.0
     ones = LoadAssembler(space)(lambda x, t: np.ones_like(x), 0.0)
-    assert float(ones.coefficients @ U0.coefficients) > 0.0
+    assert float(ones @ U0.coefficients) > 0.0
 
 
 # A one-step run is exactly the predictor-corrector first step.
