@@ -180,47 +180,42 @@ def _evaluate_field(fn, columns, t=None):
 class LoadAssembler:
     """Reusable load-vector assembler bound to one space and quadrature rule.
 
-    Precomputes the scatter operator and the quadrature point coordinates,
+    Precomputes the quadrature weights times |det J| per element, the basis
+    values at the quadrature points and the quadrature point coordinates,
     one array per axis, so repeated assemblies (one per time step) reduce to
-    evaluating the forcing at those points and one sparse matrix-vector
-    product. With rows given (node indices, e.g. the free nodes) the
-    operator has only those rows, and the load comes out in their order.
+    evaluating the forcing at those points, one (n_el, n_q) @ (n_q, n_local)
+    product for the element loads and one np.bincount into the rows. With
+    rows given (node indices, e.g. the free nodes) the load has only those
+    rows, in their order; the other nodes go to one extra bin that is dropped.
     """
 
     def __init__(self, space: LagrangeSpace, rows=None):
         k = space.degree
         rule = reference_rule(space.mesh.dim, assembly_degree(k))
         basis = reference_basis(space.mesh.dim, k)
-        vals = basis.eval(rule.points)          # (nl, nq)
+        self._vals_t = np.ascontiguousarray(basis.eval(rule.points).T)  # (nq, nl)
         _, _, det, _ = _geometry(space.mesh)
-        wdet = det[:, None] * rule.weights[None, :]   # (ne, nq)
+        self._wdet = det[:, None] * rule.weights[None, :]   # (ne, nq)
         points = _quad_points_physical(space.mesh, rule)
-        ne, nq, _ = points.shape
-        data = (wdet[:, None, :] * vals[None, :, :]).ravel()   # (ne, nl, nq)
-        shape = (ne, vals.shape[0], nq)
-        dofs = np.broadcast_to(space.element_dofs[:, :, None], shape).ravel()
-        cols = np.broadcast_to(
-            (np.arange(ne)[:, None, None] * nq + np.arange(nq)[None, None, :]),
-            shape).ravel()
-        n_rows = space.n_nodes
+        dofs = space.element_dofs.ravel()
+        self._n_rows = space.n_nodes
         if rows is not None:
-            # renumber the kept rows and drop the others before the scatter
-            n_rows = len(rows)
-            row_of = np.full(space.n_nodes, -1)
-            row_of[rows] = np.arange(n_rows)
+            self._n_rows = len(rows)
+            row_of = np.full(space.n_nodes, self._n_rows)
+            row_of[rows] = np.arange(self._n_rows)
             dofs = row_of[dofs]
-            keep = dofs >= 0
-            data, dofs, cols = data[keep], dofs[keep], cols[keep]
-        self._op = sp.coo_matrix((data, (dofs, cols)),
-                                 shape=(n_rows, ne * nq)).tocsr()
-        self._columns = _columns(points.reshape(ne * nq, -1))
+        self._dofs = dofs
+        self._columns = _columns(points.reshape(-1, points.shape[2]))
 
     def __call__(self, f, t) -> np.ndarray:
         fvals = _evaluate_field(f, self._columns, t)
         if not np.isfinite(fvals).all():
             raise NonFiniteFieldError(
                 f"forcing returned a non-finite value at t={t}")
-        return self._op @ fvals
+        # np.dot: the @ ufunc costs twice as much on these small operands
+        elem = np.dot(self._wdet * fvals.reshape(self._wdet.shape), self._vals_t)
+        return np.bincount(self._dofs, weights=elem.ravel(),
+                           minlength=self._n_rows + 1)[:self._n_rows]
 
 
 def interpolate(space: LagrangeSpace, u) -> FieldVector:

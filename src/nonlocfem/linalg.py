@@ -7,14 +7,23 @@ lower band, which the factorization overwrites; the stepper preallocates
 that band and refills it in place for every solve. In 1D the stepper also
 multiplies by M and K on their lower bands (BLAS sbmv, band_matvec), so 1D
 trajectories agree with earlier versions to roundoff, not byte for byte.
-CG accepts a start vector: the stepper fills its system matrix
-in place on the sparsity pattern M and K share and starts CG from the
-Galerkin best fit of the last two levels, so 2D trajectories agree with a
-zero start to the solver tolerance, not bit for bit. The stepper verifies
-every accepted solution against an independently recomputed residual.
+CG accepts a start vector: the stepper fills delta times its system
+matrix, M + (a delta/2) K, in place on the sparsity pattern M and K share
+and starts CG from the Galerkin best fit of the last two levels, so 2D
+trajectories agree with a zero start to the solver tolerance, not bit for
+bit. The stepper verifies every accepted solution against an independently
+recomputed residual.
+
+Every CG reduction goes through dot, one single-threaded einsum loop, on
+purpose: NumPy's @ and norm hand vectors of more than 10 000 entries to
+OpenBLAS, which splits them across threads. On a 2-core host that made the
+2D step slower, and the split changes the rounding, so x would depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,22 +49,36 @@ class SolverConvergenceError(RuntimeError):
     """The iteration budget was exhausted before reaching the tolerance."""
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two float vectors by NumPy's einsum loop, on one thread
+    whatever the BLAS thread count (not SciPy BLAS ddot either: SciPy runs
+    its own OpenBLAS thread pool)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
               max_iterations: int | None = None,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Preconditioned CG on a reduced SPD system; returns (x, iterations).
 
     x0 is the start vector (zero if None; not modified). Convergence means
-    ||b - A x|| <= tol ||b||, whatever the start.
+    ||b - A x|| <= tol ||b||, whatever the start. Every reduction is dot,
+    so x and the iteration count do not depend on the BLAS thread count.
+    A NaN stops CG at once: a non-finite ||b|| raises ValueError, a NaN
+    diagonal entry or curvature NotSPDError.
     """
     n = len(b)
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), 0
+    if not math.isfinite(bnorm):
+        raise ValueError(f"right-hand side norm is {bnorm} (a non-finite "
+                         f"entry or an overflow)")
     limit = 10 * n if max_iterations is None else max_iterations
+    bound = tol * bnorm
     diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        raise NotSPDError("matrix has a nonpositive diagonal entry")
+    if not np.all(diag > 0.0):
+        raise NotSPDError("matrix has a nonpositive or NaN diagonal entry")
     inv_diag = 1.0 / diag
 
     if x0 is None:
@@ -64,32 +87,32 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
     else:
         x = np.array(x0, dtype=float)
         r = b - A @ x
-        if np.linalg.norm(r) <= tol * bnorm:
+        if math.sqrt(dot(r, r)) <= bound:
             return x, 0
     z = inv_diag * r
     p = z.copy()
-    rz = r @ z
+    rz = dot(r, z)
     for it in range(1, limit + 1):
         Ap = A @ p
-        curvature = p @ Ap
-        if curvature <= 0.0:
+        curvature = dot(p, Ap)
+        if not curvature > 0.0:
             raise NotSPDError(
                 f"nonpositive curvature {curvature:.3e} on iteration {it}")
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
+        if math.sqrt(dot(r, r)) <= bound:
             # recurrence says converged; accept only if the true residual agrees
             r_true = b - A @ x
-            if np.linalg.norm(r_true) <= tol * bnorm:
+            if math.sqrt(dot(r_true, r_true)) <= bound:
                 return x, it
             r = r_true
             z = inv_diag * r
             p = z.copy()
-            rz = r @ z
+            rz = dot(r, z)
             continue
         z = inv_diag * r
-        rz_new = r @ z
+        rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverConvergenceError(

@@ -8,9 +8,11 @@ step is one linear SPD solve with system matrix M/delta + (a/2) K. In 1D
 that matrix is refilled in place on a preallocated lower band and solved by
 one LAPACK pbsv call, and every product with M or K (the residual check,
 the next level's M u and K u) is BLAS sbmv on their lower bands; the load
-is evaluated on the free rows only. In 2D the matrix is filled in place on
-the sparsity pattern M and K share, CG starts from the Galerkin best fit of
-the last two levels, and the products are CSR.
+is evaluated on the free rows only. In 2D delta times the matrix,
+M + (a delta/2) K, is filled in place on the sparsity pattern M and K share,
+CG solves it against delta rhs from the Galerkin best fit of the last two
+levels, and the products are CSR; the reductions of the solve run on one
+thread on purpose (see linalg).
 
 At extinction (zero field with a negative exponent) the coefficient is
 undefined; the trajectory is frozen at zero from that step on, matching
@@ -32,7 +34,7 @@ from .coefficient import (DegenerateCoefficientError, GuardStatus,
                           NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
 from .linalg import (DIRECT_BANDED, SolverConvergenceError, band_matvec,
-                     cg_jacobi, method_for_dim, solve_banded_spd,
+                     cg_jacobi, dot, method_for_dim, solve_banded_spd,
                      to_banded_lower)
 from .mesh import LagrangeSpace
 
@@ -103,19 +105,28 @@ def galerkin_start(levels, rhs, a_star, delta):
     """The point of span{u} closest to the solution of
     (M/delta + (a/2) K) x = rhs in the energy norm of that matrix.
 
-    levels holds (u, M u, K u) of earlier levels, so the 2x2 Galerkin system
-    costs dot products only. Eigenvalues below 1e-13 of the largest are
+    levels holds (u, M u, K u) of earlier levels, so the Galerkin system
+    (2x2 for two levels) costs dot products only, and the start is a linear
+    combination of the levels. Eigenvalues below 1e-13 of the largest are
     dropped (a zero or repeated level); with none positive the start is 0.
+    The reductions are linalg.dot, independent of the BLAS thread count.
     """
-    X = np.column_stack([u for u, _, _ in levels])
-    G = (X.T @ np.column_stack([mu for _, mu, _ in levels]) / delta
-         + (0.5 * a_star) * (X.T @ np.column_stack([ku for _, _, ku in levels])))
+    half_a = 0.5 * a_star
+    m = len(levels)
+    G = np.empty((m, m))
+    for i, (u, _, _) in enumerate(levels):
+        for j, (_, mu, ku) in enumerate(levels[:i + 1]):
+            G[i, j] = G[j, i] = dot(u, mu) / delta + half_a * dot(u, ku)
     lam, V = np.linalg.eigh(G)
     if not lam[-1] > 0.0:
         return np.zeros(len(rhs))
     keep = lam > 1e-13 * lam[-1]
     V = V[:, keep]
-    return X @ (V @ ((V.T @ (X.T @ rhs)) / lam[keep]))
+    c = V @ ((V.T @ [dot(u, rhs) for u, _, _ in levels]) / lam[keep])
+    x = c[0] * levels[0][0]
+    for ci, (u, _, _) in zip(c[1:], levels[1:]):
+        x += ci * u
+    return x
 
 
 class StepWorkspace:
@@ -125,8 +136,9 @@ class StepWorkspace:
     solver_tol is the relative residual bound every solve is verified to.
     M and K must share one sparsity pattern (they are scattered from the
     same element dofs), so the system matrix is M/delta + (a/2) K entry by
-    entry: in 1D on their lower bands, in 2D on their CSR data. Either way
-    it is allocated once and refilled in place for every solve.
+    entry: in 1D on their lower bands, in 2D on their CSR data, there scaled
+    by delta to M + (a delta/2) K. Either way it is allocated once and
+    refilled in place for every solve.
 
     In 1D the products with M and K (matvecs) run on the lower bands, so
     the residual check would share a band-conversion error with the solve.
@@ -193,10 +205,12 @@ class StepWorkspace:
             np.multiply(self.Kb, 0.5 * a_star, out=self.ab)
             self.ab += self.Mb_delta
             return solve_banded_spd(self.ab, rhs)
-        np.multiply(self.M_ff.data, 1.0 / delta, out=self.A.data)
-        self.A.data += (0.5 * a_star) * self.K_ff.data
+        # CG runs on delta (M/delta + (a/2) K) = M + (a delta/2) K and delta rhs:
+        # the same solution, refilled with no nnz-sized temporary
+        np.multiply(self.K_ff.data, 0.5 * a_star * delta, out=self.A.data)
+        self.A.data += self.M_ff.data
         x0 = galerkin_start(levels, rhs, a_star, delta) if levels else None
-        x, _ = cg_jacobi(self.A, rhs, self.solver_tol, x0=x0)
+        x, _ = cg_jacobi(self.A, delta * rhs, self.solver_tol, x0=x0)
         return x
 
     def solve_verified(self, a_star, rhs, levels=()):

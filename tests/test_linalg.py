@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+import nonlocfem
 from nonlocfem import stepper
 from nonlocfem.assembly import SparseSymMatrix, assemble_mass, assemble_stiffness
 from nonlocfem.linalg import (NotSPDError, SolverConvergenceError,
@@ -18,9 +24,13 @@ def _space(n=8, k=1):
     return build_lagrange_space(uniform_interval_mesh(0.0, 1.0, n), k)
 
 
+def _space_2d(n=4, k=1):
+    return build_lagrange_space(uniform_square_mesh(n), k)
+
+
 def _spaces_1d_2d(n=8, k=1):
     """A 1D space (banded backend) and a small 2D one (CG backend)."""
-    return [_space(n, k), build_lagrange_space(uniform_square_mesh(4), k)]
+    return [_space(n, k), _space_2d(4, k)]
 
 
 def _heat_step_matrix(space, delta=1e-2, a=1.0):
@@ -153,6 +163,67 @@ def test_not_spd_raises():
         b = _interior_rhs(space, rng)
         with pytest.raises(NotSPDError):
             _solve(space, b, delta=1.0, a=-2.0)
+
+
+@pytest.mark.parametrize("where, error, cause", [
+    ("rhs", ValueError, "right-hand side norm is nan"),
+    ("diagonal", NotSPDError, "NaN diagonal"),
+    ("off-diagonal", NotSPDError, "curvature nan on iteration 1"),
+])
+def test_cg_stops_at_the_first_nan(where, error, cause):
+    # a NaN fails every "<= 0" test, so without these checks CG would run
+    # its whole 10 n budget and report a convergence failure
+    A_ff, b, _ = _heat_step_system()
+    A_ff = A_ff.tolil()
+    if where == "rhs":
+        b = b.copy()
+        b[3] = np.nan
+    elif where == "diagonal":
+        A_ff[3, 3] = np.nan
+    else:
+        A_ff[3, 4] = A_ff[4, 3] = np.nan
+    with pytest.raises(error, match=cause):
+        cg_jacobi(A_ff.tocsr(), b, 1e-12)
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from nonlocfem.assembly import assemble_mass, assemble_stiffness
+from nonlocfem.linalg import cg_jacobi
+from nonlocfem.mesh import build_lagrange_space, uniform_square_mesh
+from nonlocfem.stepper import galerkin_start
+
+space = build_lagrange_space(uniform_square_mesh(110), 1)
+free = space.free_node_indices
+M = assemble_mass(space).restrict(free)
+K = assemble_stiffness(space).restrict(free)
+delta, a = 1e-2, 0.7
+A = (M / delta + (0.5 * a) * K).tocsr()
+u1, u2 = np.random.default_rng(12).standard_normal((2, len(free)))
+b = M @ u1 / delta - (0.5 * a) * (K @ u1)
+x0 = galerkin_start([(u, M @ u, K @ u) for u in (u1, u2)], b, a, delta)
+x, iterations = cg_jacobi(A, b, 1e-12, x0=x0)
+print(len(free), iterations, hashlib.sha256(x0.tobytes()).hexdigest(),
+      hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_cg_results_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product across threads above 10 000 entries,
+    # and each split rounds differently; the CG reductions must not use it
+    src = str(Path(nonlocfem.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert int(outputs[0][0]) > 10_000
+    assert outputs[0] == outputs[1]
 
 
 def test_iteration_budget_exhaustion():
@@ -306,6 +377,23 @@ def test_banded_workspace_agrees_with_dense_and_cg(k, n, delta, a, seed):
     expect = _dense_solve(space, b, delta, a)
     assert _rel_err(x, expect) <= 1e-10
     assert _rel_err(x, x_cg) <= 1e-10
+
+
+@settings(deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(2, 6),
+       delta=st.floats(1e-4, 1.0), a=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cg_workspace_agrees_with_dense(k, n, delta, a, seed):
+    # CG runs on delta times the step matrix, M + (a delta/2) K, with delta
+    # times the right-hand side, and starts from two earlier levels
+    space = _space_2d(n, k)
+    rng = np.random.default_rng(seed)
+    work = _workspace(space, delta)
+    b = _interior_rhs(space, rng)
+    levels = [(u, *work.matvecs(u))
+              for u in (_interior_rhs(space, rng), _interior_rhs(space, rng))]
+    x, _, _ = work.solve_verified(a, b, levels)
+    assert _rel_err(x, _dense_solve(space, b, delta, a)) <= 1e-10
 
 
 def test_restricted_mass_and_stiffness_share_pattern():
