@@ -56,11 +56,6 @@ class SparseSymMatrix:
                              f"vs scale {scale:.3e}")
         self.matrix = matrix
 
-    def __matmul__(self, other):
-        if isinstance(other, FieldVector):
-            return self.matrix @ other.coefficients
-        return self.matrix @ other
-
     def restrict(self, indices) -> sp.csr_matrix:
         """Submatrix on the given node indices (row/column elimination)."""
         return self.matrix[indices][:, indices].tocsr()

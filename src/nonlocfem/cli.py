@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .harness import (_CONFIG_KEYS, ConfigError, RunConfig, SweepError,
                       config_from_sources, emit_outputs, energy_study,
@@ -191,11 +192,7 @@ def _cmd_energy(args) -> int:
     for case in cases:
         if case not in CASE_IDS:
             raise ConfigError(f"unknown case {case!r}")
-        configs.append(RunConfig(case=case, out_dir=base.out_dir,
-                                 guard_floor=base.guard_floor,
-                                 guard_ceiling=base.guard_ceiling,
-                                 guard_policy=base.guard_policy,
-                                 solver_tol=base.solver_tol))
+        configs.append(replace(base, case=case))
     study = energy_study(configs)
     paths = emit_outputs([study], base.out_dir)
     for case in cases:

@@ -324,9 +324,9 @@ def energy_study(configs) -> EnergyStudy:
     meta: dict = {}
     for config in configs:
         report = run_solve(config)
-        for t, energy in report.energy_history:
-            rows.append((config.resolved().case, t, energy))
-        meta[f"{config.resolved().case}"] = report.metadata
+        case = report.config.case
+        rows.extend((case, t, energy) for t, energy in report.energy_history)
+        meta[case] = report.metadata
     return EnergyStudy(rows=rows, metadata=meta)
 
 

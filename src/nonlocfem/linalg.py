@@ -3,22 +3,22 @@
 Two methods: Jacobi-preconditioned conjugate gradients (2D) and a banded
 Cholesky factorization (1D node orderings, where the matrices have
 bandwidth k). The banded solve is one LAPACK pbsv call on a Fortran-order
-lower band, which the factorization overwrites; the stepper preallocates
-that band and refills it in place for every solve. In 1D the stepper also
-multiplies by M and K on their lower bands (BLAS sbmv, band_matvec), so 1D
-trajectories agree with earlier versions to roundoff, not byte for byte.
-CG accepts a start vector: the stepper fills delta times its system
-matrix, M + (a delta/2) K, in place on the sparsity pattern M and K share
-and starts CG from the Galerkin best fit of the last two levels, so 2D
-trajectories agree with a zero start to the solver tolerance, not bit for
-bit. The stepper verifies every accepted solution against an independently
-recomputed residual.
+lower band, which the factorization overwrites. Both backends solve the
+same system M + (a delta/2) K: the stepper preallocates it (a band in 1D,
+CSR data on the sparsity pattern M and K share in 2D) and refills it in
+place for every solve. In 1D the stepper also multiplies by M and K on
+their lower bands (BLAS sbmv, band_matvec), so 1D trajectories agree with
+earlier versions to roundoff, not byte for byte. CG accepts a start
+vector: the stepper starts it from the Galerkin best fit of the last two
+levels, so 2D trajectories agree with a zero start to the solver
+tolerance, not bit for bit. The stepper verifies every solution, the
+step-1 predictor included, against an independently recomputed residual.
 
-Every CG reduction goes through dot, one single-threaded einsum loop, on
-purpose: NumPy's @ and norm hand vectors of more than 10 000 entries to
-OpenBLAS, which splits them across threads. On a 2-core host that made the
-2D step slower, and the split changes the rounding, so x would depend on
-the BLAS thread count.
+Every CG reduction, and every inner product of the stepper, goes through
+dot, one single-threaded einsum loop, on purpose: NumPy's @ and norm hand
+vectors of more than 10 000 entries to OpenBLAS, which splits them across
+threads. On a 2-core host that made the 2D step slower, and the split
+changes the rounding, so results would depend on the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -82,10 +82,6 @@ class LagrangeSpace:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_free(self) -> int:
-        return len(self.free_node_indices)
-
 
 def uniform_interval_mesh(a: float, b: float, n: int) -> SimplicialMesh:
     """Partition [a, b] into n equal elements.

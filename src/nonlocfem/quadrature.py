@@ -27,10 +27,6 @@ class QuadratureRule:
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.weights)
-
 
 # Dunavant symmetric rules in compressed form. Each entry of an orbit list is
 # (orbit_type, weight, params): "S3" is the centroid, "S21" the 3-point orbit

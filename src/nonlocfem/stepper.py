@@ -3,16 +3,18 @@
 The first step is a predictor-corrector pair: a solve with the coefficient
 frozen at a(U_0) followed by exactly one corrected solve with the
 coefficient at the predicted midpoint. Every later step evaluates the
-coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}, so each
-step is one linear SPD solve with system matrix M/delta + (a/2) K. In 1D
-that matrix is refilled in place on a preallocated lower band and solved by
-one LAPACK pbsv call, and every product with M or K (the residual check,
-the next level's M u and K u) is BLAS sbmv on their lower bands; the load
-is evaluated on the free rows only. In 2D delta times the matrix,
-M + (a delta/2) K, is filled in place on the sparsity pattern M and K share,
-CG solves it against delta rhs from the Galerkin best fit of the last two
-levels, and the products are CSR; the reductions of the solve run on one
-thread on purpose (see linalg).
+coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}. Every
+solve, the predictor included, is one linear SPD system
+(M + theta K) x = M u - theta K u + delta F with theta = a delta/2, checked
+against its residual by StepWorkspace.solve_verified. In 1D that matrix is
+refilled in place on a preallocated lower band and solved by one LAPACK
+pbsv call, and every product with M or K (the residual check, the next
+level's M u and K u) is BLAS sbmv on their lower bands; the load is
+evaluated on the free rows only. In 2D it is filled in place on the
+sparsity pattern M and K share, CG solves it from the Galerkin best fit of
+the last two levels, and the products are CSR. Every inner product is
+linalg.dot, on one thread on purpose, so a trajectory does not depend on
+the BLAS thread count (see linalg).
 
 At extinction (zero field with a negative exponent) the coefficient is
 undefined; the trajectory is frozen at zero from that step on, matching
@@ -101,9 +103,9 @@ class TrajectorySummary:
     frozen: bool
 
 
-def galerkin_start(levels, rhs, a_star, delta):
-    """The point of span{u} closest to the solution of
-    (M/delta + (a/2) K) x = rhs in the energy norm of that matrix.
+def galerkin_start(levels, rhs, theta):
+    """The point of span{u} closest to the solution of (M + theta K) x = rhs
+    in the energy norm of that matrix.
 
     levels holds (u, M u, K u) of earlier levels, so the Galerkin system
     (2x2 for two levels) costs dot products only, and the start is a linear
@@ -111,12 +113,11 @@ def galerkin_start(levels, rhs, a_star, delta):
     dropped (a zero or repeated level); with none positive the start is 0.
     The reductions are linalg.dot, independent of the BLAS thread count.
     """
-    half_a = 0.5 * a_star
     m = len(levels)
     G = np.empty((m, m))
     for i, (u, _, _) in enumerate(levels):
         for j, (_, mu, ku) in enumerate(levels[:i + 1]):
-            G[i, j] = G[j, i] = dot(u, mu) / delta + half_a * dot(u, ku)
+            G[i, j] = G[j, i] = dot(u, mu) + theta * dot(u, ku)
     lam, V = np.linalg.eigh(G)
     if not lam[-1] > 0.0:
         return np.zeros(len(rhs))
@@ -135,10 +136,9 @@ class StepWorkspace:
     The mesh dimension picks the backend (see linalg.method_for_dim);
     solver_tol is the relative residual bound every solve is verified to.
     M and K must share one sparsity pattern (they are scattered from the
-    same element dofs), so the system matrix is M/delta + (a/2) K entry by
-    entry: in 1D on their lower bands, in 2D on their CSR data, there scaled
-    by delta to M + (a delta/2) K. Either way it is allocated once and
-    refilled in place for every solve.
+    same element dofs), so the system matrix M + theta K is formed entry by
+    entry, on their lower bands in 1D and on their CSR data in 2D. Either
+    way it is allocated once and refilled in place for every solve.
 
     In 1D the products with M and K (matvecs) run on the lower bands, so
     the residual check would share a band-conversion error with the solve.
@@ -171,7 +171,6 @@ class StepWorkspace:
             self.Kb = to_banded_lower(self.K_ff)
             _check_band(self.Mb, self.M_ff, "M")
             _check_band(self.Kb, self.K_ff, "K")
-            self.Mb_delta = self.Mb / grid.delta
             self.ab = np.empty_like(self.Mb)
         else:
             self.A = self.M_ff.copy()
@@ -191,31 +190,28 @@ class StepWorkspace:
             return band_matvec(self.Mb, x), band_matvec(self.Kb, x)
         return self.M_ff @ x, self.K_ff @ x
 
-    def step_rhs(self, a_star, mu, ku, F):
-        """M u / delta - (a/2) K u + F, from M u and K u of the last level."""
-        rhs = mu / self.grid.delta - (0.5 * a_star) * ku
+    def step_rhs(self, theta, mu, ku, F):
+        """M u - theta K u + delta F, from M u and K u of the last level."""
+        rhs = mu - theta * ku
         if F is not None:
-            rhs = rhs + F
+            rhs += self.grid.delta * F
         return rhs
 
-    def _solve_once(self, a_star, rhs, levels=()):
-        delta = self.grid.delta
+    def _solve_once(self, theta, rhs, levels=()):
+        # refilled on every solve, with no matrix-sized temporary: the banded
+        # factorization overwrites its band
         if self.use_banded:
-            # refilled on every solve: the factorization overwrites the band
-            np.multiply(self.Kb, 0.5 * a_star, out=self.ab)
-            self.ab += self.Mb_delta
+            np.multiply(self.Kb, theta, out=self.ab)
+            self.ab += self.Mb
             return solve_banded_spd(self.ab, rhs)
-        # CG runs on delta (M/delta + (a/2) K) = M + (a delta/2) K and delta rhs:
-        # the same solution, refilled with no nnz-sized temporary
-        np.multiply(self.K_ff.data, 0.5 * a_star * delta, out=self.A.data)
+        np.multiply(self.K_ff.data, theta, out=self.A.data)
         self.A.data += self.M_ff.data
-        x0 = galerkin_start(levels, rhs, a_star, delta) if levels else None
-        x, _ = cg_jacobi(self.A, delta * rhs, self.solver_tol, x0=x0)
-        return x
+        x0 = galerkin_start(levels, rhs, theta) if levels else None
+        return cg_jacobi(self.A, rhs, self.solver_tol, x0=x0)[0]
 
-    def solve_verified(self, a_star, rhs, levels=()):
-        """Solve (M/delta + (a/2) K) x = rhs and verify the residual against
-        an independently recomputed matvec; returns (x, M x, K x).
+    def solve_verified(self, theta, rhs, levels=()):
+        """Solve (M + theta K) x = rhs and verify the residual against an
+        independently recomputed matvec; returns (x, M x, K x).
 
         levels holds (u, M u, K u) of earlier levels; CG starts from their
         Galerkin best fit (see galerkin_start).
@@ -226,20 +222,18 @@ class StepWorkspace:
         """
         if len(rhs) == 0:
             return rhs.copy(), rhs.copy(), rhs.copy()
-        x = self._solve_once(a_star, rhs, levels)
-        delta = self.grid.delta
-        half_a = 0.5 * a_star
+        x = self._solve_once(theta, rhs, levels)
         bound = self.solver_tol * max(dnrm2(rhs), 1e-300)
-        scale = self._m_scale / delta + half_a * self._k_scale
+        scale = self._m_scale + theta * self._k_scale
         for attempt in range(2):
             mu_x, ku_x = self.matvecs(x)
-            ax = mu_x / delta + half_a * ku_x
-            res = dnrm2(ax - rhs)
+            r = rhs - (mu_x + theta * ku_x)
+            res = dnrm2(r)
             floor = _FLOOR_EPS * scale * dnrm2(x)
             if res <= max(bound, floor):
                 return x, mu_x, ku_x
             if attempt == 0 and self.use_banded:
-                x = x + self._solve_once(a_star, rhs - ax)
+                x = x + self._solve_once(theta, r)
             else:
                 break
         raise SolverConvergenceError(
@@ -275,22 +269,23 @@ def _coefficient(coeff, s):
 def _first_step_coefficient(work, coeff, u0, mu0, ku0):
     """Corrected coefficient of step 1, its guard status and the load used.
 
-    The predictor solves with the coefficient frozen at a(U_0); the
-    coefficient is then evaluated once at the predicted midpoint. A guard
-    trip of a(U_0) aborts under the abort policy and is otherwise not
-    recorded; a degenerate a(U_0) is returned as is, so the step freezes.
+    The predictor is a verified solve with the coefficient frozen at
+    a(U_0); the coefficient is then evaluated once at the predicted
+    midpoint, whose squared norm (u1 + u0).M(u1 + u0)/4 comes from the
+    products that solve returns. A guard trip of a(U_0) aborts under the
+    abort policy and is otherwise not recorded; a degenerate a(U_0) is
+    returned as is, so the step freezes.
     """
-    a0, status0 = _coefficient(coeff, float(u0 @ mu0))
+    a0, status0 = _coefficient(coeff, dot(u0, mu0))
     if status0 == GuardStatus.DEGENERATE:
         return a0, status0, None
     if status0 != GuardStatus.OK and work.guard_policy == ABORT:
         raise GuardTripError(1, work.grid.time(1), status0, a0)
     F = work.load_vector(0.5 * work.grid.delta)
-    u10 = work._solve_once(a0, work.step_rhs(a0, mu0, ku0, F),
-                           levels=((u0, mu0, ku0),))
-    uhalf = 0.5 * (u10 + u0)
-    mu_half, _ = work.matvecs(uhalf)
-    a_half, status_half = _coefficient(coeff, float(uhalf @ mu_half))
+    theta0 = 0.5 * a0 * work.grid.delta
+    u1, mu1, _ = work.solve_verified(
+        theta0, work.step_rhs(theta0, mu0, ku0, F), ((u0, mu0, ku0),))
+    a_half, status_half = _coefficient(coeff, 0.25 * dot(u1 + u0, mu1 + mu0))
     return a_half, status_half, F
 
 
@@ -325,7 +320,7 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     u = U0.coefficients[free]
     mu, ku = work.matvecs(u)
     u_old = mu_old = ku_old = None
-    energy_history = [(0.0, float(u @ mu))]
+    energy_history = [(0.0, dot(u, mu))]
     coefficient_history = []
     frozen = False
     for n in range(1, grid.n_steps + 1):
@@ -336,9 +331,8 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
             elif n == 1:
                 a, status, F = _first_step_coefficient(work, coeff, u, mu, ku)
             else:
-                ubar = 1.5 * u - 0.5 * u_old
-                a, status = _coefficient(
-                    coeff, float(ubar @ (1.5 * mu - 0.5 * mu_old)))
+                a, status = _coefficient(coeff, dot(1.5 * u - 0.5 * u_old,
+                                                    1.5 * mu - 0.5 * mu_old))
             if status != GuardStatus.OK:
                 if work.guard_policy == ABORT:
                     raise GuardTripError(n, t, status, a)
@@ -356,15 +350,16 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                     F = work.load_vector(t - 0.5 * grid.delta)
                 levels = ((u, mu, ku),) if n == 1 \
                     else ((u, mu, ku), (u_old, mu_old, ku_old))
+                theta = 0.5 * a * grid.delta
                 u_new, mu_new, ku_new = work.solve_verified(
-                    a, work.step_rhs(a, mu, ku, F), levels)
+                    theta, work.step_rhs(theta, mu, ku, F), levels)
         except GuardTripError:
             raise
         except Exception as exc:
             raise SteppingError(f"step {n} at t={t:g}: {exc}") from exc
         u_old, mu_old, ku_old = u, mu, ku
         u, mu, ku = u_new, mu_new, ku_new
-        energy_history.append((t, float(u @ mu)))
+        energy_history.append((t, dot(u, mu)))
         if n in snap_indices:
             U = embed(u)
             for t_req in snap_indices[n]:

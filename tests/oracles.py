@@ -124,7 +124,7 @@ def ritz_project(space: LagrangeSpace, grad_u, quad_refinement: int = 0) -> Fiel
     grad_u is called with coordinate arrays and must return du/dx (1D) or a
     pair (du/dx, du/dy) (2D). Diagnostic operation; solved directly.
     """
-    if space.n_free == 0:
+    if len(space.free_node_indices) == 0:
         raise SingularSystemError("no interior nodes: projection system is empty")
     dim = space.mesh.dim
     k = space.degree

@@ -1,8 +1,11 @@
 """The package keeps only what a run reaches: every public module-level
-function and class in src/nonlocfem has a caller there. A helper that only
-tests call belongs in tests/oracles.py."""
+function and class in src/nonlocfem, and every public method and property
+of its classes, has a caller there. A helper that only tests call belongs
+in tests/oracles.py; a test reaches a matrix, space or rule through its
+data (.matrix, .free_node_indices, .weights) instead."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nonlocfem
@@ -21,10 +24,14 @@ def _loaded_names(node):
             yield from (alias.name for alias in sub.names)
 
 
-def test_every_public_definition_has_a_caller_in_src():
+def _modules():
     # __init__.py only re-exports, so an import there is not a caller
-    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
-               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    modules = _modules()
     # name -> every (module, top-level statement) that references it
     referenced = {}
     for module, tree in modules.items():
@@ -38,6 +45,22 @@ def test_every_public_definition_has_a_caller_in_src():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and not stmt.name.startswith("_")
         and not referenced.get(stmt.name, set()) - {(module, index)}]
+    assert unreached == [], f"no caller in src/: {', '.join(unreached)}"
+
+
+def test_every_public_method_has_a_caller_in_src():
+    # matched by name, as an attribute of any object: a method is reached
+    # when its name is loaded anywhere in src/ outside its own body
+    modules = _modules()
+    loads = Counter(name for tree in modules.values()
+                    for name in _loaded_names(tree))
+    unreached = [
+        f"{module}.{cls.name}.{method.name}"
+        for module, tree in modules.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for method in cls.body if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and loads[method.name] == Counter(_loaded_names(method))[method.name]]
     assert unreached == [], f"no caller in src/: {', '.join(unreached)}"
 
 

@@ -38,7 +38,7 @@ def test_span_hooks_and_probes_resolve_on_a_traced_run():
     assert {"first_step", "run_end", "space"} <= set(tracer.marks)
     assert tracer.counters["steps"] == 2
     assert tracer.counters["cg_iters"] > 0
-    assert layers["stepper.solve_verified"][2] == 2
+    assert layers["stepper.solve_verified"][2] == 3   # plus the step-1 predictor
     assert np.isfinite(report.final_error)
 
 

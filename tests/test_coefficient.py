@@ -159,7 +159,7 @@ def test_lipschitz_directional_limit(setting):
     V = FieldVector(W.coefficients + eps * e.coefficients, space)
     ratio = lipschitz_witness(coeff, V, W, M)
     s = l2_norm_sq(W, M)
-    inner = float(W.coefficients @ (M @ e.coefficients))
+    inner = float(W.coefficients @ (M.matrix @ e.coefficients))
     expect = abs(2.0 * gamma) * s ** (gamma - 1.0) * abs(inner)
     assert math.isfinite(ratio)
     assert ratio == pytest.approx(expect, rel=1e-4)

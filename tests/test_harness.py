@@ -1,3 +1,4 @@
+import ast
 import logging
 import math
 import os
@@ -371,6 +372,21 @@ def test_cli_energy(tmp_path, capsys):
     code = main(["energy", "--cases", "example1", "--out-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "energy_study.csv").exists()
+
+
+def test_cli_energy_passes_common_flags_to_every_case(tmp_path, capsys):
+    code = main(["energy", "--cases", "example2,example3",
+                 "--solver-tol", "1e-11", "--guard-ceiling", "1e9",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "energy_study.meta.txt").read_text()
+    entries = dict(line.split(" = ", 1) for line in text.splitlines())
+    assert sorted(entries) == ["example2", "example3"]
+    for case, entry in entries.items():
+        meta = ast.literal_eval(entry)
+        assert meta["case"] == case
+        assert meta["solver_tol"] == 1e-11
+        assert meta["guard_ceiling"] == 1e9
 
 
 def test_cli_energy_rejects_flags_it_does_not_use(capsys):

@@ -47,8 +47,10 @@ def _workspace(space, delta=1e-2, **options):
 
 def _solve(space, b, delta=1e-2, a=1.0, **options):
     """x with (M/delta + (a/2) K) x = b on the free nodes, by the stepper's
-    verified solve with the backend of the space's dimension."""
-    x, _, _ = _workspace(space, delta, **options).solve_verified(a, b)
+    verified solve of (M + theta K) x = delta b, theta = a delta/2, with the
+    backend of the space's dimension."""
+    x, _, _ = _workspace(space, delta, **options).solve_verified(
+        0.5 * a * delta, delta * b)
     return x
 
 
@@ -202,27 +204,56 @@ delta, a = 1e-2, 0.7
 A = (M / delta + (0.5 * a) * K).tocsr()
 u1, u2 = np.random.default_rng(12).standard_normal((2, len(free)))
 b = M @ u1 / delta - (0.5 * a) * (K @ u1)
-x0 = galerkin_start([(u, M @ u, K @ u) for u in (u1, u2)], b, a, delta)
+x0 = galerkin_start([(u, M @ u, K @ u) for u in (u1, u2)], delta * b,
+                    0.5 * a * delta)
 x, iterations = cg_jacobi(A, b, 1e-12, x0=x0)
 print(len(free), iterations, hashlib.sha256(x0.tobytes()).hexdigest(),
       hashlib.sha256(x.tobytes()).hexdigest())
 """
 
 
-def test_cg_results_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a dot product across threads above 10 000 entries,
-    # and each split rounds differently; the CG reductions must not use it
+_RUN_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from nonlocfem.harness import RunConfig, run_solve
+
+report = run_solve(RunConfig(case="example3", k=1, n=110, delta=1e-2,
+                             t_end=0.03))
+energy = np.array([e for _, e in report.energy_history])
+coeff = np.array([a for _, a, _ in report.coefficient_history])
+print(len(energy), hashlib.sha256(energy.tobytes()).hexdigest(),
+      hashlib.sha256(coeff.tobytes()).hexdigest(), repr(report.final_error))
+"""
+
+
+def _outputs_under_blas_threads(probe):
+    """Stdout words of the probe script run under one and two BLAS threads."""
     src = str(Path(nonlocfem.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
+    return outputs
+
+
+def test_cg_results_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product across threads above 10 000 entries,
+    # and each split rounds differently; the CG reductions must not use it
+    outputs = _outputs_under_blas_threads(_THREAD_PROBE)
     assert int(outputs[0][0]) > 10_000
+    assert outputs[0] == outputs[1]
+
+
+def test_trajectory_does_not_depend_on_the_blas_thread_count():
+    # the energy and coefficient norms of stepper.run on 11 881 free nodes
+    # must not use a threaded dot product either
+    outputs = _outputs_under_blas_threads(_RUN_THREAD_PROBE)
+    assert int(outputs[0][0]) == 4
     assert outputs[0] == outputs[1]
 
 
@@ -324,7 +355,7 @@ def test_banded_workspace_refills_the_band_for_every_solve():
         work = _workspace(space, delta)
         b = _interior_rhs(space, rng)
         for a in (1.0, 0.25):
-            x, _, _ = work.solve_verified(a, b)
+            x, _, _ = work.solve_verified(0.5 * a * delta, delta * b)
             assert _rel_err(x, _dense_solve(space, b, delta, a)) <= 1e-10
 
 
@@ -348,7 +379,8 @@ def test_banded_refinement_recovers_a_perturbed_solve(monkeypatch):
     b = _interior_rhs(space, np.random.default_rng(10))
     expect = _dense_solve(space, b, delta, a)
     calls = _perturbed_banded_kernel(monkeypatch, 1e-6 * expect, False)
-    x, _, _ = _workspace(space, delta).solve_verified(a, b)
+    x, _, _ = _workspace(space, delta).solve_verified(0.5 * a * delta,
+                                                      delta * b)
     assert len(calls) == 2   # the solve and one refinement pass
     assert _rel_err(x, expect) <= 1e-10
 
@@ -360,7 +392,7 @@ def test_banded_persistent_error_fails_verification(monkeypatch):
     expect = _dense_solve(space, b, delta, a)
     calls = _perturbed_banded_kernel(monkeypatch, 1e-6 * expect, True)
     with pytest.raises(SolverConvergenceError):
-        _workspace(space, delta).solve_verified(a, b)
+        _workspace(space, delta).solve_verified(0.5 * a * delta, delta * b)
     assert len(calls) == 2   # refinement runs once, then the solve is refused
 
 
@@ -384,20 +416,20 @@ def test_banded_workspace_agrees_with_dense_and_cg(k, n, delta, a, seed):
        delta=st.floats(1e-4, 1.0), a=st.floats(1e-3, 1e3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_cg_workspace_agrees_with_dense(k, n, delta, a, seed):
-    # CG runs on delta times the step matrix, M + (a delta/2) K, with delta
-    # times the right-hand side, and starts from two earlier levels
+    # the workspace solves M + (a delta/2) K, delta times the step matrix,
+    # against delta times the right-hand side, from two earlier levels
     space = _space_2d(n, k)
     rng = np.random.default_rng(seed)
     work = _workspace(space, delta)
     b = _interior_rhs(space, rng)
     levels = [(u, *work.matvecs(u))
               for u in (_interior_rhs(space, rng), _interior_rhs(space, rng))]
-    x, _, _ = work.solve_verified(a, b, levels)
+    x, _, _ = work.solve_verified(0.5 * a * delta, delta * b, levels)
     assert _rel_err(x, _dense_solve(space, b, delta, a)) <= 1e-10
 
 
 def test_restricted_mass_and_stiffness_share_pattern():
-    # the 2D stepper fills M/delta + (a/2) K in place on this shared pattern
+    # the 2D stepper fills M + (a delta/2) K in place on this shared pattern
     for k in (1, 2, 3):
         for space in _spaces_1d_2d(n=6, k=k):
             free = space.free_node_indices

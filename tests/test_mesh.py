@@ -78,14 +78,14 @@ def test_all_elements_have_positive_measure():
 def test_lagrange_counts_1d():
     m = uniform_interval_mesh(0.0, 1.0, 4)
     s1 = build_lagrange_space(m, 1)
-    assert s1.n_nodes == 5 and s1.n_free == 3
+    assert s1.n_nodes == 5 and len(s1.free_node_indices) == 3
     s3 = build_lagrange_space(m, 3)
-    assert s3.n_nodes == 13 and s3.n_free == 11
+    assert s3.n_nodes == 13 and len(s3.free_node_indices) == 11
 
 
 def test_lagrange_counts_2d():
     s = build_lagrange_space(uniform_square_mesh(2), 1)
-    assert s.n_nodes == 9 and s.n_free == 1
+    assert s.n_nodes == 9 and len(s.free_node_indices) == 1
     s3 = build_lagrange_space(uniform_square_mesh(2), 3)
     assert s3.n_nodes == (3 * 2 + 1) ** 2
 

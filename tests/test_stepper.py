@@ -150,6 +150,26 @@ def test_single_step_run_is_one_predictor_corrector():
     assert len(traj.energy_history) == 2  # t = 0 and t = delta
 
 
+def test_step_one_predictor_is_verified(monkeypatch):
+    # an error of 1e-6 in the predictor's banded solve must be caught by its
+    # residual check and refined away, not carried into a(U) of step 1
+    config = RunConfig(case="example1", k=2, n=16, delta=1e-2, t_end=0.05)
+    expect = np.array([a for _, a, _ in run_solve(config).coefficient_history])
+    kernel = stepper.solve_banded_spd
+    calls = []
+
+    def perturbed_once(ab, b):
+        calls.append(len(calls))
+        x = kernel(ab, b)
+        return x * (1.0 + 1e-6) if len(calls) == 1 else x
+    monkeypatch.setattr(stepper, "solve_banded_spd", perturbed_once)
+    report = run_solve(config)
+    got = np.array([a for _, a, _ in report.coefficient_history])
+    # the predictor, its refinement pass, then one solve per step
+    assert len(calls) == len(got) + 2
+    assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-12
+
+
 def test_energy_decay_unforced_runs():
     # ||U_n||_M nonincreasing whenever f = 0, for several exponents
     for gamma in (0.0, 0.5, 2.0):
@@ -303,7 +323,8 @@ def test_galerkin_start_is_no_worse_than_extrapolations(system):
     def a_norm(v):
         return float(np.sqrt(max(v @ A @ v, 0.0)))
 
-    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)], b, a, delta)
+    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)],
+                           delta * b, 0.5 * a * delta)
     # roundoff of the 2x2 solve and of dropping a nearly dependent level
     slack = 1e-6 * (a_norm(exact) + a_norm(u1) + a_norm(u2))
     for candidate in (u1, 1.5 * u1 - 0.5 * u2, 2.0 * u1 - u2):
@@ -323,7 +344,8 @@ def test_galerkin_start_is_finite_for_degenerate_levels(system, kind):
         u2 = u1.copy()
     else:
         u1 = u2 = np.zeros_like(b)
-    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)], b, a, delta)
+    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)],
+                           delta * b, 0.5 * a * delta)
     assert np.all(np.isfinite(start))
     if kind == "both zero":
         assert np.all(start == 0.0)
