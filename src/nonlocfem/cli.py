@@ -20,7 +20,7 @@ from .harness import (_CONFIG_KEYS, ConfigError, RunConfig, SweepError,
 from .linalg import NotSPDError, SolverConvergenceError
 from .manufactured import (CASE_IDS, AlphaSolveConfig, fixed_point_map,
                            make_case, solve_alpha, verify_case)
-from .stepper import GuardTripError, SteppingError
+from .stepper import ABORT, WARN, GuardTripError, SteppingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,7 +35,7 @@ def _add_common(parser):
     parser.add_argument("--guard-floor", dest="guard_floor", type=float)
     parser.add_argument("--guard-ceiling", dest="guard_ceiling", type=float)
     parser.add_argument("--guard-policy", dest="guard_policy",
-                        choices=["warn", "abort"])
+                        choices=[WARN, ABORT])
     parser.add_argument("--out-dir", dest="out_dir")
 
 

@@ -21,7 +21,7 @@ from .coefficient import DEFAULT_CEILING, DEFAULT_FLOOR, NonlocalCoefficient
 from .linalg import method_for_dim
 from .manufactured import CASE_IDS, make_case
 from .mesh import build_lagrange_space, uniform_interval_mesh, uniform_square_mesh
-from .stepper import WARN, TimeGrid, run
+from .stepper import ABORT, DEFAULT_SOLVER_TOL, WARN, TimeGrid, run
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ class RunConfig:
     n: int | None = None
     delta: float | None = None
     t_end: float | None = None
-    solver_tol: float = 1e-12
+    solver_tol: float = DEFAULT_SOLVER_TOL
     guard_floor: float = DEFAULT_FLOOR
     guard_ceiling: float = DEFAULT_CEILING
     guard_policy: str = WARN
@@ -95,8 +95,8 @@ class RunConfig:
             value = getattr(cfg, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if cfg.guard_policy not in ("warn", "abort"):
-            raise ConfigError(f"guard_policy must be warn or abort, "
+        if cfg.guard_policy not in (WARN, ABORT):
+            raise ConfigError(f"guard_policy must be {WARN} or {ABORT}, "
                               f"got {cfg.guard_policy!r}")
         tags = {}
         for t in cfg.snapshots:
@@ -189,12 +189,16 @@ class EnergyStudy:
     metadata: dict = field(default_factory=dict)
 
 
-def _build_space(config: RunConfig, dim: int):
+def _build_mesh(config: RunConfig, dim: int):
     if dim == 1:
-        mesh = uniform_interval_mesh(0.0, 1.0, config.n)
-    else:
-        mesh = uniform_square_mesh(config.n)
-    return build_lagrange_space(mesh, config.k)
+        return uniform_interval_mesh(0.0, 1.0, config.n)
+    return uniform_square_mesh(config.n)
+
+
+def _time_grid(config: RunConfig) -> TimeGrid:
+    """The steps of a run: delta rounded so that it divides t_end."""
+    return TimeGrid(t_end=config.t_end,
+                    n_steps=max(1, round(config.t_end / config.delta)))
 
 
 def _metadata(config: RunConfig, dim: int, grid: TimeGrid) -> dict:
@@ -218,9 +222,8 @@ def run_solve(config: RunConfig) -> RunReport:
     """Run one case to t_end and measure the final L2 error."""
     config = config.resolved()
     case = make_case(config.case)
-    space = _build_space(config, case.dim)
-    n_steps = max(1, round(config.t_end / config.delta))
-    grid = TimeGrid(t_end=config.t_end, n_steps=n_steps)
+    space = build_lagrange_space(_build_mesh(config, case.dim), config.k)
+    grid = _time_grid(config)
     if abs(grid.delta - config.delta) > 1e-9 * config.delta:
         logger.warning("delta %g does not divide t_end %g; stepping with "
                        "delta %r", config.delta, config.t_end, grid.delta)
@@ -261,23 +264,21 @@ def _pairwise_rates(errors):
 def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
     config = config.resolved()
     dim = make_case(config.case).dim
+    # every row is resolved before any runs, so a bad ladder value is a
+    # ConfigError; each row's h and delta come from the mesh and time grid
+    # that run_solve builds, whether or not its run succeeds
+    row_cfgs = [(replace(config, n=int(value)) if kind == "h"
+                 else replace(config, delta=float(value))).resolved()
+                for value in values]
     rows = []
     errors = []
     xs = []
     failures = []
-    cell = 1.0 if dim == 1 else math.sqrt(2.0)
-    for value in values:
-        if kind == "h":
-            row_cfg = replace(config, n=int(value))
-            h, delta = cell / int(value), config.delta
-        else:
-            row_cfg = replace(config, delta=float(value))
-            h, delta = cell / config.n, float(value)
+    for value, row_cfg in zip(values, row_cfgs):
+        h, delta = _build_mesh(row_cfg, dim).h, _time_grid(row_cfg).delta
         try:
-            report = run_solve(row_cfg)
-            err: float | None = report.final_error
+            err: float | None = run_solve(row_cfg).final_error
             note = ""
-            h, delta = report.h, report.metadata["delta"]
         except Exception as exc:  # keep remaining rows; re-raise at the end
             err, note = None, f"failed: {exc}"
             failures.append((value, exc))

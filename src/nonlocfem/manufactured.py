@@ -1,13 +1,10 @@
-"""Closed-form solutions built by separation of variables u = k(x) l(t).
+"""Closed-form solutions built by separation of variables u = w(x) l(t).
 
 The time factor solves l' = -l^(2*gamma+1); the profile solves
 w + alpha * Lap(w) = g with the scalar alpha fixed by the self-consistency
-equation alpha = (integral of w(., alpha)^2)^gamma. Three ready-to-run
-cases are shipped:
-
-  example1: 1D, gamma = 1/2,  forcing x^2/(t+1)^2, decaying solution.
-  example2: 1D, gamma = -1/3, forcing e^x sqrt([1-t]_+), extinction at t = 1.
-  example3: 2D, gamma = 2,    unforced, product-of-sines profile.
+equation alpha = (integral of w(., alpha)^2)^gamma. Each shipped case is
+one entry of _CASES, from which make_case derives w, l, u = w l and
+u0 = u(., 0) the same way for every case.
 
 Alpha is re-solved at construction time (never hard-coded) by bracketed
 root finding on alpha - G(alpha); the known decimals are asserted in tests.
@@ -24,8 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import gauss_legendre_interval
-
-CASE_IDS = ("example1", "example2", "example3")
 
 # Gauss-Legendre points per direction for the self-consistency integrals,
 # and the iteration budget of the alpha root search
@@ -63,7 +58,6 @@ class ManufacturedCase:
     case_id: str
     dim: int
     gamma: float
-    C: float
     alpha: float
     w: Callable                 # spatial profile, vanishing on the boundary
     l: Callable                 # time factor
@@ -145,71 +139,117 @@ def solve_alpha(G, config: AlphaSolveConfig) -> float:
         f"in {_ALPHA_MAX_ITERATIONS} iterations")
 
 
-def _ex1_profile_unclamped(alpha, x):
+@dataclass(frozen=True)
+class _CaseSpec:
+    """What defines one shipped case; make_case derives everything else."""
+
+    dim: int
+    gamma: float
+    C: float                       # offset of the time factor l_of_t
+    bracket: tuple[float, float]   # alpha search bracket
+    profile: Callable              # profile(alpha, *x) before the boundary clamp
+    g: Callable | None
+    f: Callable | None
+    t_max: float
+    default_t_end: float
+    default_k: int
+    default_n: int
+    default_delta: float
+    fixed_point_profile: Callable | None = None  # G's integrand, if not profile
+
+
+def _ex1_profile(alpha, x):
     sa = math.sqrt(alpha)
     C1 = (1.0 - 2.0 * alpha + 2.0 * alpha * math.cos(1.0 / sa)) / math.sin(1.0 / sa)
-    x = np.asarray(x, dtype=float)
     return (C1 * np.sin(x / sa) - 2.0 * alpha * np.cos(x / sa)
             - x * x + 2.0 * alpha)
 
 
-def _ex2_profile_unclamped(alpha, x):
-    sa = math.sqrt(alpha)
-    s32 = math.sqrt(1.5)
-    A = s32 / (alpha + 1.0)
-    B = s32 * (math.e - math.cos(1.0 / sa)) / ((alpha + 1.0) * math.sin(1.0 / sa))
+def _ex1_forcing(x, t):
     x = np.asarray(x, dtype=float)
+    return x * x / (np.asarray(t) + 1.0) ** 2
+
+
+_EX2_G_SCALE = math.sqrt(1.5)   # g = -_EX2_G_SCALE e^x
+
+
+def _ex2_profile(alpha, x):
+    sa = math.sqrt(alpha)
+    A = _EX2_G_SCALE / (alpha + 1.0)
+    B = (_EX2_G_SCALE * (math.e - math.cos(1.0 / sa))
+         / ((alpha + 1.0) * math.sin(1.0 / sa)))
     return B * np.sin(x / sa) + A * np.cos(x / sa) - A * np.exp(x)
+
+
+def _ex2_forcing(x, t):
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return np.exp(x) * np.sqrt(np.maximum(1.0 - t, 0.0))
 
 
 _EX3_AMPLITUDE = (8.0 / math.pi ** 2) ** 0.25
 
 
-def fixed_point_map(case_id: str):
-    """The case-defining map G(alpha) and its search bracket.
+def _ex3_profile(alpha, x, y, omega_y=math.pi):
+    return _EX3_AMPLITUDE * np.sin(math.pi * x) * np.sin(omega_y * y)
 
-    G is always the self-consistency integral (integral of w(., alpha)^2
-    over the domain) raised to the case exponent; for the 2D case the
-    y-frequency of the profile depends on alpha through the separation
-    constant, and the bracket is kept tight because the map crosses the
-    diagonal more than once.
-    """
+
+_CASES = {
+    "example1": _CaseSpec(
+        dim=1, gamma=0.5, C=-1.0, bracket=(0.1, 0.3), profile=_ex1_profile,
+        g=lambda x: -np.asarray(x, dtype=float) ** 2, f=_ex1_forcing,
+        t_max=math.inf, default_t_end=10.0,
+        default_k=2, default_n=100, default_delta=1e-3),
+    "example2": _CaseSpec(
+        dim=1, gamma=-1.0 / 3.0, C=1.0, bracket=(0.1, 0.12),
+        profile=_ex2_profile,
+        g=lambda x: -_EX2_G_SCALE * np.exp(np.asarray(x, dtype=float)),
+        f=_ex2_forcing, t_max=1.0, default_t_end=2.0,
+        default_k=2, default_n=100, default_delta=1e-3),
+    # G takes the y-frequency sqrt(1/alpha - pi^2) from the separation
+    # constant, which is pi only at the exact root; the bracket is tight
+    # because G crosses the diagonal more than once
+    "example3": _CaseSpec(
+        dim=2, gamma=2.0, C=-0.25, bracket=(0.045, 0.055),
+        profile=_ex3_profile, g=None, f=None,
+        t_max=math.inf, default_t_end=1.0,
+        default_k=3, default_n=16, default_delta=1e-2,
+        fixed_point_profile=lambda a, x, y: _ex3_profile(
+            a, x, y, math.sqrt((1.0 - math.pi ** 2 * a) / a))),
+}
+
+CASE_IDS = tuple(_CASES)
+
+
+def _tensor_rule(dim: int):
+    """Tensor Gauss-Legendre grid (one array per axis) and weights on [0,1]^dim."""
     rule = gauss_legendre_interval(2 * _QUAD_POINTS - 1)
     p, wq = rule.points[:, 0], rule.weights
-
-    if case_id == "example1":
-        def G(a):
-            vals = _ex1_profile_unclamped(a, p)
-            return math.sqrt(float(np.sum(wq * vals ** 2)))
-        return G, (0.1, 0.3)
-
-    if case_id == "example2":
-        def G(a):
-            vals = _ex2_profile_unclamped(a, p)
-            return float(np.sum(wq * vals ** 2)) ** (-1.0 / 3.0)
-        return G, (0.1, 0.12)
-
-    if case_id == "example3":
-        X, Y = np.meshgrid(p, p, indexing="ij")
-        W2 = np.outer(wq, wq)
-
-        def G(a):
-            lam = math.pi ** 2 * a
-            omega_y = math.sqrt((1.0 - lam) / a)
-            vals = _EX3_AMPLITUDE * np.sin(math.pi * X) * np.sin(omega_y * Y)
-            return float(np.sum(W2 * vals ** 2)) ** 2.0
-        return G, (0.045, 0.055)
-
-    raise ValueError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
+    weights = wq
+    for _ in range(dim - 1):
+        weights = np.multiply.outer(weights, wq)
+    return np.meshgrid(*[p] * dim, indexing="ij"), weights
 
 
-def _clamp_1d(x, values):
-    on_boundary = (x == 0.0) | (x == 1.0)
-    return np.where(on_boundary, 0.0, values)
+def fixed_point_map(case_id: str):
+    """The case-defining map G(alpha) = (integral of w(., alpha)^2)^gamma,
+    by tensor Gauss-Legendre quadrature, and its search bracket."""
+    if case_id not in _CASES:
+        raise ValueError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
+    spec = _CASES[case_id]
+    integrand = spec.fixed_point_profile or spec.profile
+    X, W = _tensor_rule(spec.dim)
+
+    def G(a):
+        return float(np.sum(W * integrand(a, *X) ** 2)) ** spec.gamma
+    return G, spec.bracket
 
 
-def _clamp_2d(x, y, values):
-    on_boundary = ((x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0))
+def _clamp(values, x):
+    """values, set to 0 wherever a coordinate lies on {0, 1}."""
+    on_boundary = False
+    for xi in x:
+        on_boundary = on_boundary | (xi == 0.0) | (xi == 1.0)
     return np.where(on_boundary, 0.0, values)
 
 
@@ -218,86 +258,24 @@ def make_case(case_id: str) -> ManufacturedCase:
     """Assemble a shipped case with alpha re-solved from its fixed point."""
     G, bracket = fixed_point_map(case_id)
     alpha = solve_alpha(G, AlphaSolveConfig(bracket=bracket))
+    spec = _CASES[case_id]
 
-    if case_id == "example1":
-        gamma, C = 0.5, -1.0
-
-        def w(x):
-            x = np.asarray(x, dtype=float)
-            return _clamp_1d(x, _ex1_profile_unclamped(alpha, x))
-
-        def l(t):
-            return l_of_t(gamma, C, t)
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return -x * x
-
-        def u(x, t):
-            return w(x) * l(t)
-
-        def f(x, t):
-            x = np.asarray(x, dtype=float)
-            return x * x / (np.asarray(t) + 1.0) ** 2
-
-        def u0(x):
-            return w(x)
-
-        return ManufacturedCase(case_id, 1, gamma, C, alpha, w, l, g, u, f, u0,
-                                t_max=math.inf, default_t_end=10.0,
-                                default_k=2, default_n=100, default_delta=1e-3)
-
-    if case_id == "example2":
-        gamma, C = -1.0 / 3.0, 1.0
-        scale0 = (2.0 / 3.0) ** 1.5
-
-        def w(x):
-            x = np.asarray(x, dtype=float)
-            return _clamp_1d(x, _ex2_profile_unclamped(alpha, x))
-
-        def l(t):
-            return l_of_t(gamma, C, t)
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return -math.sqrt(1.5) * np.exp(x)
-
-        def u(x, t):
-            return w(x) * l(t)
-
-        def f(x, t):
-            x = np.asarray(x, dtype=float)
-            t = np.asarray(t, dtype=float)
-            return np.exp(x) * np.sqrt(np.maximum(1.0 - t, 0.0))
-
-        def u0(x):
-            return w(x) * scale0
-
-        return ManufacturedCase(case_id, 1, gamma, C, alpha, w, l, g, u, f, u0,
-                                t_max=1.0, default_t_end=2.0,
-                                default_k=2, default_n=100, default_delta=1e-3)
-
-    gamma, C = 2.0, -0.25
-    C3 = _EX3_AMPLITUDE
-
-    def w(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        vals = C3 * np.sin(math.pi * x) * np.sin(math.pi * y)
-        return _clamp_2d(x, y, vals)
+    def w(*x):
+        x = [np.asarray(xi, dtype=float) for xi in x]
+        return _clamp(spec.profile(alpha, *x), x)
 
     def l(t):
-        return l_of_t(gamma, C, t)
+        return l_of_t(spec.gamma, spec.C, t)
 
-    def u(x, y, t):
-        return w(x, y) * l(t)
+    def u(*xt):
+        return w(*xt[:-1]) * l(xt[-1])
 
-    def u0(x, y):
-        return w(x, y)
+    def u0(*x):
+        return u(*x, 0.0)
 
-    return ManufacturedCase(case_id, 2, gamma, C, alpha, w, l, None, u, None,
-                            u0, t_max=math.inf, default_t_end=1.0,
-                            default_k=3, default_n=16, default_delta=1e-2)
+    return ManufacturedCase(case_id, spec.dim, spec.gamma, alpha, w, l, spec.g,
+                            u, spec.f, u0, spec.t_max, spec.default_t_end,
+                            spec.default_k, spec.default_n, spec.default_delta)
 
 
 @dataclass(frozen=True)
@@ -342,37 +320,27 @@ def verify_case(case: ManufacturedCase) -> CaseReport:
     requires it positive), and the consistency of a(u(., t)) with
     alpha * l(t)^(2*gamma).
     """
-    # sample counts in space and time, finite-difference steps
-    n_space, n_time, dx, dt = 50, 50, 1e-3, 1e-3
+    # finite-difference steps; points per axis and about how many sample
+    # times to keep, by dimension
+    dx, dt = 1e-3, 1e-3
+    n_axis, n_times = {1: (50, 50), 2: (25, 10)}[case.dim]
     G, _ = fixed_point_map(case.case_id)
     fp_residual = abs(case.alpha - G(case.alpha))
 
-    rule = gauss_legendre_interval(2 * _QUAD_POINTS - 1)
-    p, wq = rule.points[:, 0], rule.weights
-    ts = _time_samples(case, n_time)
-    if case.dim == 1:
-        xs = np.linspace(4 * dx, 1.0 - 4 * dx, n_space)
-    else:
-        grid1 = np.linspace(4 * dx, 1.0 - 4 * dx, max(8, n_space // 2))
-        ts = ts[:: max(1, len(ts) // 10)]
-        XX, YY = np.meshgrid(grid1, grid1, indexing="ij")
-        PX, PY = np.meshgrid(p, p, indexing="ij")
-        W2 = np.outer(wq, wq)
+    P, W = _tensor_rule(case.dim)
+    ts = _time_samples(case, 50)
+    ts = ts[:: max(1, len(ts) // n_times)]
+    axis = np.linspace(4 * dx, 1.0 - 4 * dx, n_axis)
+    xs = np.meshgrid(*[axis] * case.dim, indexing="ij")
 
-    max_residual = 0.0
-    coeff_dev = 0.0
+    max_residual = coeff_dev = 0.0
     for t in ts:
-        if case.dim == 1:
-            s = float(np.sum(wq * case.u(p, t) ** 2))
-            u_t = _fd_time_derivative(lambda tt: case.u(xs, tt), t, dt)
-            lap = _fd_second_derivative(lambda xx: case.u(xx, t), xs, dx)
-            fv = case.f(xs, t) if case.f is not None else 0.0
-        else:
-            s = float(np.sum(W2 * case.u(PX, PY, t) ** 2))
-            u_t = _fd_time_derivative(lambda tt: case.u(XX, YY, tt), t, dt)
-            lap = (_fd_second_derivative(lambda xx: case.u(xx, YY, t), XX, dx)
-                   + _fd_second_derivative(lambda yy: case.u(XX, yy, t), YY, dx))
-            fv = case.f(XX, YY, t) if case.f is not None else 0.0
+        s = float(np.sum(W * case.u(*P, t) ** 2))
+        u_t = _fd_time_derivative(lambda tt: case.u(*xs, tt), t, dt)
+        lap = sum(_fd_second_derivative(
+            lambda xi, i=i: case.u(*xs[:i], xi, *xs[i + 1:], t), xs[i], dx)
+            for i in range(case.dim))
+        fv = case.f(*xs, t) if case.f is not None else 0.0
         if s == 0.0:
             residual = np.abs(u_t - fv)  # extinct continuation: u == 0
         else:
@@ -384,24 +352,17 @@ def verify_case(case: ManufacturedCase) -> CaseReport:
                                 abs(a_val - target) / max(1.0, abs(target)))
         max_residual = max(max_residual, float(np.max(residual)))
 
-    t_b = np.linspace(0.0, min(case.default_t_end, 2.0), 7)
+    # each face: one coordinate at 0 or 1, the others on an open edge grid
+    edge = np.meshgrid(*[np.linspace(0.0, 1.0, 11)] * case.dim,
+                       indexing="ij", sparse=True)
     boundary_max = 0.0
-    for t in t_b:
-        if case.dim == 1:
-            vals = np.abs(case.u(np.array([0.0, 1.0]), t))
-        else:
-            edge = np.linspace(0.0, 1.0, 11)
-            vals = np.concatenate([
-                np.abs(case.u(edge, np.zeros_like(edge), t)),
-                np.abs(case.u(edge, np.ones_like(edge), t)),
-                np.abs(case.u(np.zeros_like(edge), edge, t)),
-                np.abs(case.u(np.ones_like(edge), edge, t))])
-        boundary_max = max(boundary_max, float(np.max(vals)))
+    for t in np.linspace(0.0, min(case.default_t_end, 2.0), 7):
+        for i in range(case.dim):
+            for side in (0.0, 1.0):
+                vals = case.u(*edge[:i], side, *edge[i + 1:], t)
+                boundary_max = max(boundary_max, float(np.max(np.abs(vals))))
 
-    if case.dim == 1:
-        initial_mass = float(np.sum(wq * case.u0(p)))
-    else:
-        initial_mass = float(np.sum(W2 * case.u0(PX, PY)))
+    initial_mass = float(np.sum(W * case.u0(*P)))
 
     return CaseReport(case_id=case.case_id, max_pde_residual=max_residual,
                       fixed_point_residual=fp_residual,

@@ -42,8 +42,10 @@ from .mesh import LagrangeSpace
 
 logger = logging.getLogger(__name__)
 
+# guard policies, and the default relative residual bound of every solve
 WARN = "warn"
 ABORT = "abort"
+DEFAULT_SOLVER_TOL = 1e-12
 
 # the verified residual is never required below this multiple of
 # ||A||_max ||x||, the backward-stable scale attainable in double precision
@@ -151,7 +153,8 @@ class StepWorkspace:
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
                  K: SparseSymMatrix, grid: TimeGrid, forcing=None,
-                 solver_tol: float = 1e-12, guard_policy: str = WARN):
+                 solver_tol: float = DEFAULT_SOLVER_TOL,
+                 guard_policy: str = WARN):
         if not solver_tol > 0:
             raise ValueError(f"solver_tol must be positive, got {solver_tol}")
         if guard_policy not in (WARN, ABORT):
@@ -290,7 +293,7 @@ def _first_step_coefficient(work, coeff, u0, mu0, ku0):
 
 
 def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
-        solver_tol: float = 1e-12, guard_policy: str = WARN,
+        solver_tol: float = DEFAULT_SOLVER_TOL, guard_policy: str = WARN,
         snapshot_times=()) -> TrajectorySummary:
     """Full trajectory: init, predictor-corrector, then multistep to t_end.
 

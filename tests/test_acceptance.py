@@ -155,7 +155,10 @@ def test_criterion_6_energy_decay():
 def test_criterion_7_extinction_behavior():
     # ceiling 1e3 makes leaving the bounded-coefficient regime visible; the
     # default 1e12 is never reached at desk scale because the discrete field
-    # stalls at the solver-resolution level instead of reaching exact zero
+    # rings instead of reaching exact zero: from t = 1 on every Crank-Nicolson
+    # mode factor is negative, so U changes sign each step (the M-cosine of
+    # consecutive levels is -0.9999 at t = 0.999 -> 1.000 and -1.0000 at
+    # t = 1.2 and t = 2) while its norm decays only slowly
     config = RunConfig(case="example2", k=2, n=100, delta=1e-3, t_end=2.0,
                        guard_ceiling=1e3)
     report = run_solve(config)

@@ -5,18 +5,22 @@ import os
 import re
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nonlocfem import harness
 from nonlocfem.cli import main
 from nonlocfem.harness import (_CONFIG_KEYS, ENERGY_HEADER, SWEEP_HEADER,
-                               ConfigError, EnergyStudy, RunConfig, SweepResult,
-                               _fit_slope, _pairwise_rates, config_from_sources,
-                               emit_outputs, energy_csv, energy_study,
-                               parse_config_file, run_solve, sweep_csv,
-                               sweep_delta, sweep_h)
+                               ConfigError, EnergyStudy, RunConfig, SweepError,
+                               SweepResult, _fit_slope, _pairwise_rates,
+                               config_from_sources, emit_outputs, energy_csv,
+                               energy_study, parse_config_file, run_solve,
+                               sweep_csv, sweep_delta, sweep_h)
+from nonlocfem.manufactured import CASE_IDS, make_case
+from nonlocfem.stepper import SteppingError
 
 
 def _quick_config(**kw):
@@ -104,11 +108,29 @@ def test_cli_refuses_bad_snapshot_times(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_lists_every_config_key():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    listed = re.search(r"Recognized keys: `([^`]*)`", readme).group(1)
+    listed = re.search(r"Recognized keys: `([^`]*)`", _README.read_text()).group(1)
     assert [key.strip() for key in listed.split(",")] == list(_CONFIG_KEYS)
     assert list(_CONFIG_KEYS) == [f.name for f in fields(RunConfig)]
+
+
+def test_readme_case_table_matches_cases():
+    # the rows below the "| case | Ω | γ |" header, up to the first non-row
+    lines = _README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| case"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert [row[0] for row in rows] == list(CASE_IDS)
+    for case_id, omega, gamma, *_ in rows:
+        case = make_case(case_id)
+        assert float(Fraction(gamma)) == case.gamma
+        assert omega == {1: "(0,1)", 2: "(0,1)²"}[case.dim]
 
 
 def test_bad_config_value_rejected():
@@ -156,6 +178,48 @@ def test_sweep_delta_rows():
     result = sweep_delta(_quick_config(k=2, n=32), [0.05, 0.025, 0.0125])
     assert [row.delta for row in result.rows] == [0.05, 0.025, 0.0125]
     assert result.fitted_slope is not None
+
+
+def test_sweep_row_failing_numerically_reports_its_effective_delta(
+        monkeypatch, tmp_path, capsys):
+    # 0.1 / 0.03 is not an integer, so that row steps with delta 0.1 / 3;
+    # its row says so even when its run fails
+    real_run = harness.run
+
+    def run(space, u0, f, coeff, grid, **kwargs):
+        if grid.n_steps == 3:
+            raise SteppingError("injected failure")
+        return real_run(space, u0, f, coeff, grid, **kwargs)
+
+    monkeypatch.setattr(harness, "run", run)
+    with pytest.raises(SweepError) as info:
+        sweep_delta(_quick_config(n=4, t_end=0.1), [0.05, 0.03])
+    ran, failed = info.value.partial.rows
+    assert (ran.delta, failed.delta) == (0.05, 0.1 / 3)
+    assert ran.error_l2 > 0.0 and ran.note == ""
+    assert failed.error_l2 is None and failed.note == "failed: injected failure"
+
+    code = main(["sweep-dt", "--case", "example1", "--k", "1", "--n", "4",
+                 "--t-end", "0.1", "--delta-list", "0.05,0.03",
+                 "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "injected failure" in capsys.readouterr().err
+    rows = (tmp_path / "sweep_dt_example1_k1.csv").read_text().splitlines()
+    assert rows[2].split(",")[3] == format(0.1 / 3, ".17g")
+
+
+@pytest.mark.parametrize("command, ladder", [
+    ("sweep-h", ["--n-list", "0,8"]),
+    ("sweep-dt", ["--n", "4", "--delta-list", "0,0.03"]),
+])
+def test_cli_sweep_bad_ladder_value_is_a_config_error(command, ladder,
+                                                       tmp_path, capsys):
+    # every row is checked before the first one runs, so nothing is written
+    code = main([command, "--case", "example1", "--k", "1", "--t-end", "0.1",
+                 *ladder, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "must be positive, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_zero_error_rows_have_undefined_rates():
@@ -275,10 +339,18 @@ def test_guard_log_complete_in_report():
 
 # --- CLI ---
 
-def test_cli_alpha(capsys):
-    assert main(["alpha", "example1"]) == 0
+# example3's printed decimals are set by the solve tolerance; the exact root
+# is 1 / (2 pi^2) = 0.0506605918211689
+_ALPHA_DECIMALS = {"example1": "0.223688785954835",
+                   "example2": "0.108016681670528",
+                   "example3": "0.050660591821089"}
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_cli_alpha(case_id, capsys):
+    assert main(["alpha", case_id]) == 0
     out = capsys.readouterr().out
-    assert "0.223688785954835" in out
+    assert f"alpha({case_id}) = {_ALPHA_DECIMALS[case_id]}" in out
 
 
 def test_cli_solve_and_outputs(tmp_path, capsys):
@@ -299,9 +371,12 @@ def test_cli_sweep_dt(tmp_path, capsys):
     assert "fitted slope" in capsys.readouterr().out
 
 
-def test_cli_verify(capsys):
-    assert main(["verify", "example1"]) == 0
-    assert "fixed-point residual" in capsys.readouterr().out
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_cli_verify(case_id, capsys):
+    assert main(["verify", case_id]) == 0
+    out = capsys.readouterr().out
+    assert "fixed-point residual" in out
+    assert "boundary trace max:       0.000e+00" in out
 
 
 def test_cli_config_error_exit_code(capsys):

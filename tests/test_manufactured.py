@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from oracles import w_profile_1d, w_profile_2d
 from scipy.optimize import brentq
 
@@ -200,13 +202,6 @@ def test_example3_center_value():
     assert expect == pytest.approx(0.9488499966575886, rel=1e-14)
 
 
-def test_example1_boundary_values():
-    case = make_case("example1")
-    for t in (0.0, 0.7, 5.0):
-        assert case.u(0.0, t) == 0.0
-        assert case.u(1.0, t) == 0.0
-
-
 def test_example2_extinct_for_late_times():
     case = make_case("example2")
     x = np.linspace(0.0, 1.0, 21)
@@ -237,24 +232,84 @@ def test_example2_profile_matches_generic_variation_of_constants():
     np.testing.assert_allclose(generic, case.w(x), atol=1e-12)
 
 
-def test_case_separated_structure():
-    # u(x, t) factors exactly as w(x) l(t)
-    case = make_case("example1")
-    x = np.linspace(0.0, 1.0, 13)
-    for t in (0.0, 2.5):
-        np.testing.assert_allclose(case.u(x, t), case.w(x) * case.l(t),
-                                   rtol=1e-15)
+# --- per-case properties, over every entry of CASE_IDS ---
+
+@st.composite
+def _case_sample(draw, forced=False):
+    """A case id, points of its closed domain (one array per axis) and a time
+    in [0, default_t_end]; with forced, a forced case and a time < t_max."""
+    case_id = draw(st.sampled_from(
+        [cid for cid in CASE_IDS if not forced or make_case(cid).f is not None]))
+    case = make_case(case_id)
+    n = draw(st.integers(1, 8))
+    axis = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    x = tuple(np.array(draw(axis)) for _ in range(case.dim))
+    t_hi = min(case.default_t_end, case.t_max) if forced else case.default_t_end
+    t = draw(st.floats(0.0, t_hi, exclude_max=forced and t_hi == case.t_max))
+    return case_id, x, t
 
 
-def test_forcing_consistent_with_profile_forcing():
-    # f = -g(x) l(t)^(2 gamma + 1) for the forced cases
-    for cid in ("example1", "example2"):
-        case = make_case(cid)
-        x = np.linspace(0.1, 0.9, 9)
-        for t in (0.0, 0.4):
-            lv = float(case.l(t))
-            expect = -case.g(x) * lv ** (2.0 * case.gamma + 1.0)
-            np.testing.assert_allclose(case.f(x, t), expect, rtol=1e-12)
+# one explicit sample per case, so every case runs whatever hypothesis draws
+_EVERY_CASE = [(cid, (np.array([0.25, 0.5]),) * make_case(cid).dim, 0.5)
+               for cid in CASE_IDS]
+
+
+def _with_examples(samples):
+    def decorate(test):
+        for sample in reversed(samples):
+            test = example(sample)(test)
+        return test
+    return decorate
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(deadline=None)
+@given(_case_sample())
+@_with_examples(_EVERY_CASE)
+def test_initial_datum_is_u_at_time_zero(sample):
+    case_id, x, _ = sample
+    case = make_case(case_id)
+    assert _bits(case.u0(*x)) == _bits(case.u(*x, 0.0))
+
+
+@settings(deadline=None)
+@given(_case_sample())
+@_with_examples(_EVERY_CASE + [
+    ("example1", (np.linspace(0.0, 1.0, 13),), t) for t in (0.0, 2.5)])
+def test_u_is_w_times_l(sample):
+    case_id, x, t = sample
+    case = make_case(case_id)
+    assert _bits(case.u(*x, t)) == _bits(case.w(*x) * case.l(t))
+
+
+@settings(deadline=None)
+@given(_case_sample())
+@_with_examples(_EVERY_CASE + [
+    ("example1", (np.array(0.5),), t) for t in (0.0, 0.7, 5.0)])
+def test_u_vanishes_on_the_boundary(sample):
+    # the drawn points are moved onto each face in turn: one coordinate at
+    # 0 or 1, the others where they were drawn
+    case_id, x, t = sample
+    case = make_case(case_id)
+    for i in range(case.dim):
+        for side in (0.0, 1.0):
+            face = x[:i] + (np.full_like(x[i], side),) + x[i + 1:]
+            assert np.all(case.u(*face, t) == 0.0)
+
+
+@settings(deadline=None)
+@given(_case_sample(forced=True))
+@_with_examples([(cid, (np.linspace(0.1, 0.9, 9),), t)
+                 for cid in ("example1", "example2") for t in (0.0, 0.4)])
+def test_forcing_is_minus_g_times_l_power(sample):
+    # f = -g(x) l(t)^(2 gamma + 1) before t_max
+    case_id, x, t = sample
+    case = make_case(case_id)
+    expect = -case.g(*x) * float(case.l(t)) ** (2.0 * case.gamma + 1.0)
+    np.testing.assert_allclose(case.f(*x, t), expect, rtol=1e-12)
 
 
 def test_decay_classification_gamma_positive():
