@@ -5,6 +5,12 @@ the affine element transforms. The assembly rule has degree 2k+2;
 error norms use a rule two degrees higher (capped at the largest available
 symmetric triangle rule in 2D) so measured convergence rates reflect the
 discretization, not the integrator.
+
+Load vectors come a block of times per call (LoadAssembler): a forcing
+f(x..., t) is called once with the quadrature point coordinates as rows
+and the times as a column, and its values must broadcast to one row per
+time; a wrong shape raises ValueError and a non-finite value
+NonFiniteFieldError.
 """
 
 from __future__ import annotations
@@ -160,28 +166,34 @@ def _evaluate_field(fn, columns, t=None):
     axis (see _columns), in one call.
 
     fn takes the columns (then t, if given) and returns an array of values,
-    or a scalar for a constant field. A float array of the right length is
-    returned as is; anything else is converted and broadcast into a new
-    array, and a result of the wrong shape raises ValueError.
+    or a scalar for a constant field. t is a scalar, or a column of times
+    (shape (n_t, 1)) that the points broadcast against, for n_t rows of
+    values. A float array of the right shape is returned as is; anything
+    else is converted and broadcast into a new array, and a result that does
+    not broadcast to that shape raises ValueError.
     """
     vals = fn(*columns) if t is None else fn(*columns, t)
-    n = len(columns[0])
+    shape = np.broadcast_shapes(np.shape(t), columns[0].shape)
     if (isinstance(vals, np.ndarray) and vals.dtype == np.float64
-            and vals.shape == (n,)):
+            and vals.shape == shape):
         return vals
-    return np.broadcast_to(np.asarray(vals, dtype=float), (n,)).copy()
+    return np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
 
 
 class LoadAssembler:
-    """Reusable load-vector assembler bound to one space and quadrature rule.
+    """Load-vector assembler bound to one space and quadrature rule, which
+    computes the loads of many times in one call.
 
     Precomputes the quadrature weights times |det J| per element, the basis
     values at the quadrature points and the quadrature point coordinates,
-    one array per axis, so repeated assemblies (one per time step) reduce to
-    evaluating the forcing at those points, one (n_el, n_q) @ (n_q, n_local)
-    product for the element loads and one np.bincount into the rows. With
-    rows given (node indices, e.g. the free nodes) the load has only those
-    rows, in their order; the other nodes go to one extra bin that is dropped.
+    one array per axis. A call evaluates the forcing once for all its times
+    (the point coordinates as rows, the times as a column), forms every
+    element load in one (n_t, n_el, n_q) @ (n_q, n_local) product and sums
+    them into the rows by one np.bincount, each time's dofs offset by its
+    index times (n_rows + 1). Every row is bit for bit the load of its time
+    alone. With rows given (node indices, e.g. the free nodes) the load has
+    only those rows, in their order; the other nodes go to one extra bin per
+    time that is dropped.
     """
 
     def __init__(self, space: LagrangeSpace, rows=None):
@@ -200,17 +212,38 @@ class LoadAssembler:
             row_of[rows] = np.arange(self._n_rows)
             dofs = row_of[dofs]
         self._dofs = dofs
+        self._block_dofs = dofs     # extended on the first call of more times
         self._columns = _columns(points.reshape(-1, points.shape[2]))
+        self.n_points = self._wdet.size
 
-    def __call__(self, f, t) -> np.ndarray:
-        fvals = _evaluate_field(f, self._columns, t)
-        if not np.isfinite(fvals).all():
+    def __call__(self, f, times) -> np.ndarray:
+        """Loads at the given times, shape (len(times), n_rows).
+
+        f(x..., t) gets the point coordinates as rows and t as a column, so
+        its values must broadcast to (len(times), n_points); otherwise
+        ValueError. A non-finite value raises NonFiniteFieldError naming
+        the first time that has one.
+        """
+        times = np.asarray(times, dtype=float)
+        n_t = len(times)
+        fvals = _evaluate_field(f, self._columns, times[:, None])
+        finite = np.isfinite(fvals)
+        if not finite.all():
+            bad = times[np.argmin(finite.all(axis=1))]
             raise NonFiniteFieldError(
-                f"forcing returned a non-finite value at t={t}")
-        # np.dot: the @ ufunc costs twice as much on these small operands
-        elem = np.dot(self._wdet * fvals.reshape(self._wdet.shape), self._vals_t)
-        return np.bincount(self._dofs, weights=elem.ravel(),
-                           minlength=self._n_rows + 1)[:self._n_rows]
+                f"forcing returned a non-finite value at t={bad}")
+        weighted = self._wdet * fvals.reshape(n_t, *self._wdet.shape)
+        del fvals, finite   # blocks are large: keep two of them alive at most
+        elem = weighted @ self._vals_t      # (n_t, ne, nl)
+        del weighted
+        width = self._n_rows + 1
+        size = n_t * len(self._dofs)
+        if len(self._block_dofs) < size:
+            self._block_dofs = (width * np.arange(n_t)[:, None]
+                                + self._dofs).ravel()
+        loads = np.bincount(self._block_dofs[:size], weights=elem.ravel(),
+                            minlength=n_t * width)
+        return loads.reshape(n_t, width)[:, :self._n_rows]
 
 
 def interpolate(space: LagrangeSpace, u) -> FieldVector:

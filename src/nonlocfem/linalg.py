@@ -7,18 +7,24 @@ lower band, which the factorization overwrites. Both backends solve the
 same system M + (a delta/2) K: the stepper preallocates it (a band in 1D,
 CSR data on the sparsity pattern M and K share in 2D) and refills it in
 place for every solve. In 1D the stepper also multiplies by M and K on
-their lower bands (BLAS sbmv, band_matvec), so 1D trajectories agree with
-earlier versions to roundoff, not byte for byte. CG accepts a start
-vector: the stepper starts it from the Galerkin best fit of the last two
-levels, so 2D trajectories agree with a zero start to the solver
-tolerance, not bit for bit. The stepper verifies every solution, the
-step-1 predictor included, against an independently recomputed residual.
+their lower bands (BLAS sbmv, band_matvec), and both band kernels can
+write into vectors the caller holds (the stepper's level rows), so 1D
+trajectories agree with earlier versions to roundoff, not byte for byte.
+CG accepts a start vector, its residual and the diagonal of A: the
+stepper starts it from the Galerkin best fit of the last two levels, whose
+residual it forms from the products it carries, and passes the diagonal
+from the stored diagonals of M and K, so a solve makes no matrix-vector
+product and no diagonal extraction before its first iteration. 2D
+trajectories agree with a zero start to the solver tolerance, not bit for
+bit. The stepper verifies every solution, the step-1 predictor included,
+against an independently recomputed residual.
 
-Every CG reduction, and every inner product of the stepper, goes through
-dot, one single-threaded einsum loop, on purpose: NumPy's @ and norm hand
-vectors of more than 10 000 entries to OpenBLAS, which splits them across
-threads. On a 2-core host that made the 2D step slower, and the split
-changes the rounding, so results would depend on the BLAS thread count.
+Every CG reduction goes through dot, and every inner product of the
+stepper through one einsum, both single-threaded loops, on purpose:
+NumPy's @ and norm hand vectors of more than 10 000 entries to OpenBLAS,
+which splits them across threads. On a 2-core host that made the 2D step
+slower, and the split changes the rounding, so results would depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -58,14 +64,20 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
               max_iterations: int | None = None,
-              x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+              x0: np.ndarray | None = None, r0: np.ndarray | None = None,
+              diagonal: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Preconditioned CG on a reduced SPD system; returns (x, iterations).
 
-    x0 is the start vector (zero if None; not modified). Convergence means
-    ||b - A x|| <= tol ||b||, whatever the start. Every reduction is dot,
-    so x and the iteration count do not depend on the BLAS thread count.
-    A NaN stops CG at once: a non-finite ||b|| raises ValueError, a NaN
-    diagonal entry or curvature NotSPDError.
+    x0 is the start vector (zero if None; not modified). r0, if given with
+    x0, is taken as its residual b - A x0 (not modified), so the start costs
+    no matrix-vector product; the stepper forms it from products it carries.
+    diagonal, if given, is the diagonal of A, which is then not extracted.
+    Convergence means ||b - A x|| <= tol ||b||: every stop after an
+    iteration is confirmed on the recomputed residual, a start already
+    within the bound is accepted on r0. Every reduction is dot, so x and the
+    iteration count do not depend on the BLAS thread count. A NaN stops CG
+    at once: a non-finite ||b|| raises ValueError, a NaN diagonal entry or
+    curvature NotSPDError.
     """
     n = len(b)
     bnorm = math.sqrt(dot(b, b))
@@ -76,7 +88,7 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
                          f"entry or an overflow)")
     limit = 10 * n if max_iterations is None else max_iterations
     bound = tol * bnorm
-    diag = A.diagonal()
+    diag = A.diagonal() if diagonal is None else diagonal
     if not np.all(diag > 0.0):
         raise NotSPDError("matrix has a nonpositive or NaN diagonal entry")
     inv_diag = 1.0 / diag
@@ -86,7 +98,7 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = b - A @ x
+        r = b - A @ x if r0 is None else np.array(r0, dtype=float)
         if math.sqrt(dot(r, r)) <= bound:
             return x, 0
     z = inv_diag * r
@@ -133,21 +145,25 @@ def to_banded_lower(A: sp.spmatrix) -> np.ndarray:
     return ab
 
 
-def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+def band_matvec(ab: np.ndarray, x: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """A x for a symmetric A in lower banded storage (see to_banded_lower),
-    by BLAS dsbmv; x must be a float64 vector of length A.shape[0]."""
+    by BLAS dsbmv; x must be a float64 vector of length A.shape[0]. With
+    out (a contiguous float64 vector of that length) dsbmv writes A x into
+    it."""
     if len(x) == 0:
-        return np.zeros(0)   # dsbmv rejects an empty vector
-    return dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
+        return np.zeros(0) if out is None else out   # dsbmv rejects it
+    return dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1, y=out, overwrite_y=1)
 
 
 def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cholesky solve in lower banded storage (see to_banded_lower), by one
     LAPACK pbsv call.
 
-    A Fortran-order ab is overwritten by its Cholesky factor; b is not.
+    A Fortran-order ab is overwritten by its Cholesky factor, and a
+    contiguous float64 b by the solution, which is returned.
     """
-    _, x, info = dpbsv(ab, b, lower=1, overwrite_ab=1)
+    _, x, info = dpbsv(ab, b, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise NotSPDError(f"banded Cholesky failed: pbsv info {info}")
     if info < 0:

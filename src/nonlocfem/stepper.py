@@ -9,16 +9,34 @@ solve, the predictor included, is one linear SPD system
 against its residual by StepWorkspace.solve_verified. In 1D that matrix is
 refilled in place on a preallocated lower band and solved by one LAPACK
 pbsv call, and every product with M or K (the residual check, the next
-level's M u and K u) is BLAS sbmv on their lower bands; the load is
-evaluated on the free rows only. In 2D it is filled in place on the
-sparsity pattern M and K share, CG solves it from the Galerkin best fit of
-the last two levels, and the products are CSR. Every inner product is
-linalg.dot, on one thread on purpose, so a trajectory does not depend on
-the BLAS thread count (see linalg).
+level's M u and K u) is BLAS sbmv on their lower bands. In 2D it is filled
+in place on the sparsity pattern M and K share, CG solves it from the
+Galerkin best fit of the last two levels, and the products are CSR. The
+loads are evaluated on the free rows, a block of steps per call.
 
-At extinction (zero field with a negative exponent) the coefficient is
-undefined; the trajectory is frozen at zero from that step on, matching
-the continuation of the exact extinct solutions.
+run carries u, M u and K u of the last two levels as rows of one array,
+and a new level overwrites the older one (pbsv and sbmv write into the rows
+themselves), so nothing is moved or reallocated per level. Every per-step
+scalar then comes from one single-threaded einsum of the two u rows
+against the product rows (M u in 1D; M u, K u and delta F of the coming
+step in 2D): the energy U_n.M U_n, the extrapolated norm
+2.25 E_n - 0.75 (u_n.M u_{n-1} + u_{n-1}.M u_n) + 0.25 E_{n-1}, the cross
+term of the two levels and, in 2D, the Gram matrix and right-hand-side
+projections of the Galerkin start, whose residual then also comes from the
+carried products instead of a matrix-vector product. No reduction runs on
+multithreaded BLAS, so a trajectory does not depend on the BLAS thread
+count (see linalg).
+
+At extinction the coefficient is undefined, and the trajectory is frozen
+at zero from that step on, matching the continuation of the exact extinct
+solutions. That happens at a zero field with a negative exponent, and
+also once a gamma < 0 trajectory rings: when theta dim pi^2 > 1 and the two
+levels have a negative M-inner product. Galerkin eigenvalues of the
+conforming spaces here bound the first Laplace eigenvalue dim pi^2 from
+above, so theta dim pi^2 > 1 makes the Crank-Nicolson factor
+(1 - theta lambda)/(1 + theta lambda) of every discrete mode negative: the
+step can no longer represent a decay, and for gamma < 0 a large theta
+means a vanishing norm.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ from .coefficient import (DegenerateCoefficientError, GuardStatus,
                           NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
 from .linalg import (DIRECT_BANDED, SolverConvergenceError, band_matvec,
-                     cg_jacobi, dot, method_for_dim, solve_banded_spd,
+                     cg_jacobi, method_for_dim, solve_banded_spd,
                      to_banded_lower)
 from .mesh import LagrangeSpace
 
@@ -50,6 +68,12 @@ DEFAULT_SOLVER_TOL = 1e-12
 # the verified residual is never required below this multiple of
 # ||A||_max ||x||, the backward-stable scale attainable in double precision
 _FLOOR_EPS = 64.0 * np.finfo(float).eps
+
+# loads are computed this many steps ahead, fewer where the block would
+# hold more forcing values than this (512 KiB; 163 steps of example1's
+# default mesh, whose 100 elements have 4 quadrature points each)
+_LOAD_BLOCK_STEPS = 256
+_LOAD_BLOCK_VALUES = 1 << 16
 
 
 class SteppingError(RuntimeError):
@@ -105,42 +129,58 @@ class TrajectorySummary:
     frozen: bool
 
 
-def galerkin_start(levels, rhs, theta):
+def galerkin_start(levels, rhs, theta, reduced=None, residual=None):
     """The point of span{u} closest to the solution of (M + theta K) x = rhs
     in the energy norm of that matrix.
 
     levels holds (u, M u, K u) of earlier levels, so the Galerkin system
-    (2x2 for two levels) costs dot products only, and the start is a linear
-    combination of the levels. Eigenvalues below 1e-13 of the largest are
-    dropped (a zero or repeated level); with none positive the start is 0.
-    The reductions are linalg.dot, independent of the BLAS thread count.
+    (2x2 for two levels) needs inner products only: the Gram matrix
+    G_ij = u_i.(M + theta K) u_j and the projections p_i = u_i.rhs. reduced
+    passes (G, p) when the caller holds them (the stepper reads them off its
+    per-step reduction); otherwise they come from one einsum of the u
+    against the products and rhs, on one thread whatever the BLAS thread
+    count. Eigenvalues below 1e-13 of the largest are dropped (a zero or
+    repeated level); with none positive the start is 0. The start is a
+    linear combination of the levels, and if residual is given, the start
+    residual rhs - (M + theta K) x is written into it from the same
+    combination of the products, with no matrix-vector product.
     """
     m = len(levels)
-    G = np.empty((m, m))
-    for i, (u, _, _) in enumerate(levels):
-        for j, (_, mu, ku) in enumerate(levels[:i + 1]):
-            G[i, j] = G[j, i] = dot(u, mu) + theta * dot(u, ku)
+    if reduced is None:
+        u, mu, ku = (np.array(part) for part in zip(*levels))
+        R = np.einsum("ij,kj->ik", u, np.vstack([mu, ku, rhs[None]]))
+        G, p = R[:, :m] + theta * R[:, m:2 * m], R[:, 2 * m]
+    else:
+        G, p = reduced
+    if residual is not None:
+        np.copyto(residual, rhs)
     lam, V = np.linalg.eigh(G)
     if not lam[-1] > 0.0:
         return np.zeros(len(rhs))
     keep = lam > 1e-13 * lam[-1]
     V = V[:, keep]
-    c = V @ ((V.T @ [dot(u, rhs) for u, _, _ in levels]) / lam[keep])
+    c = V @ ((V.T @ p) / lam[keep])
     x = c[0] * levels[0][0]
     for ci, (u, _, _) in zip(c[1:], levels[1:]):
         x += ci * u
+    if residual is not None:
+        for ci, (_, mu, ku) in zip(c, levels):
+            residual -= ci * mu
+            residual -= (ci * theta) * ku
     return x
 
 
 class StepWorkspace:
-    """Reduced matrices, banded forms and the load operator of one run.
+    """Reduced matrices, banded forms and the loads of one run.
 
     The mesh dimension picks the backend (see linalg.method_for_dim);
     solver_tol is the relative residual bound every solve is verified to.
     M and K must share one sparsity pattern (they are scattered from the
     same element dofs), so the system matrix M + theta K is formed entry by
     entry, on their lower bands in 1D and on their CSR data in 2D. Either
-    way it is allocated once and refilled in place for every solve.
+    way it is allocated once and refilled in place for every solve; in 2D
+    the Jacobi diagonal of CG is theta diag K + diag M from the two
+    diagonals stored here, bit for bit the diagonal of the refilled matrix.
 
     In 1D the products with M and K (matvecs) run on the lower bands, so
     the residual check would share a band-conversion error with the solve.
@@ -148,7 +188,12 @@ class StepWorkspace:
     a fixed vector v: every entry of band(v) - csr(v) must lie within
     4 (2b + 1) eps (|A| |v|) for bandwidth b, four times the most that two
     roundings of a (2b + 1)-term row sum can differ; otherwise it raises
-    ValueError. The load operator is built on the free rows only.
+    ValueError.
+
+    The loads live on the free rows. scaled_load computes them for a block
+    of up to _LOAD_BLOCK_STEPS steps at once, when the stepping first needs
+    one of them (see LoadAssembler), with at most _LOAD_BLOCK_VALUES
+    forcing values per block.
     """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
@@ -177,66 +222,111 @@ class StepWorkspace:
             self.ab = np.empty_like(self.Mb)
         else:
             self.A = self.M_ff.copy()
+            self._diag_m = self.M_ff.diagonal()
+            self._diag_k = self.K_ff.diagonal()
         self.load = None if forcing is None else LoadAssembler(space, self.free)
         self.forcing = forcing
+        self._loads = None
+        self._loads_from = self._loads_end = 1   # the steps _loads holds
         self._m_scale = abs(self.M_ff.data).max() if self.M_ff.nnz else 0.0
         self._k_scale = abs(self.K_ff.data).max() if self.K_ff.nnz else 0.0
 
-    def load_vector(self, t_mid):
+    def scaled_load(self, n):
+        """delta F of step n (1-based) on the free rows, or None if unforced.
+
+        F is the load at the step's midpoint n delta - delta/2 (exactly
+        delta/2 for step 1). A miss computes the block of steps from n on.
+        """
         if self.load is None:
             return None
-        return self.load(self.forcing, t_mid)
+        if not self._loads_from <= n < self._loads_end:
+            grid = self.grid
+            per_step = max(self.load.n_points, 1)
+            block = max(1, min(_LOAD_BLOCK_STEPS,
+                               _LOAD_BLOCK_VALUES // per_step))
+            steps = np.arange(n, min(n + block, grid.n_steps + 1))
+            self._loads = None      # freed before the next block is built
+            self._loads = self.load(self.forcing,
+                                    steps * grid.delta - 0.5 * grid.delta)
+            self._loads *= grid.delta
+            self._loads_from, self._loads_end = n, n + len(steps)
+        return self._loads[n - self._loads_from]
 
-    def matvecs(self, x):
-        """(M x, K x) on the free nodes: sbmv on the bands in 1D, CSR in 2D."""
+    def matvecs(self, x, out=(None, None)):
+        """(M x, K x) on the free nodes: sbmv on the bands in 1D, CSR in 2D.
+
+        With out = (mx, kx), two contiguous vectors, the products are also
+        written there (by sbmv itself in 1D)."""
         if self.use_banded:
-            return band_matvec(self.Mb, x), band_matvec(self.Kb, x)
-        return self.M_ff @ x, self.K_ff @ x
+            return (band_matvec(self.Mb, x, out[0]),
+                    band_matvec(self.Kb, x, out[1]))
+        products = self.M_ff @ x, self.K_ff @ x
+        if out[0] is not None:
+            out[0][:], out[1][:] = products
+        return products
 
-    def step_rhs(self, theta, mu, ku, F):
-        """M u - theta K u + delta F, from M u and K u of the last level."""
-        rhs = mu - theta * ku
-        if F is not None:
-            rhs += self.grid.delta * F
+    def step_rhs(self, theta, mu, ku, dF):
+        """M u - theta K u + delta F, from M u and K u of the last level and
+        dF = delta F (None if unforced)."""
+        rhs = np.multiply(ku, -theta)
+        rhs += mu
+        if dF is not None:
+            rhs += dF
         return rhs
 
-    def _solve_once(self, theta, rhs, levels=()):
+    def _solve_once(self, theta, rhs, x, levels=(), reduced=None):
         # refilled on every solve, with no matrix-sized temporary: the banded
-        # factorization overwrites its band
+        # factorization overwrites its band, and pbsv the copy of rhs in x
         if self.use_banded:
             np.multiply(self.Kb, theta, out=self.ab)
             self.ab += self.Mb
-            return solve_banded_spd(self.ab, rhs)
+            np.copyto(x, rhs)
+            return solve_banded_spd(self.ab, x)
         np.multiply(self.K_ff.data, theta, out=self.A.data)
         self.A.data += self.M_ff.data
-        x0 = galerkin_start(levels, rhs, theta) if levels else None
-        return cg_jacobi(self.A, rhs, self.solver_tol, x0=x0)[0]
+        diagonal = np.multiply(self._diag_k, theta)
+        diagonal += self._diag_m
+        x0 = r0 = None
+        if levels:
+            r0 = np.empty_like(rhs)
+            x0 = galerkin_start(levels, rhs, theta, reduced, r0)
+        x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0=x0, r0=r0,
+                         diagonal=diagonal)[0]
+        return x
 
-    def solve_verified(self, theta, rhs, levels=()):
+    def solve_verified(self, theta, rhs, levels=(), reduced=None, out=None):
         """Solve (M + theta K) x = rhs and verify the residual against an
         independently recomputed matvec; returns (x, M x, K x).
 
         levels holds (u, M u, K u) of earlier levels; CG starts from their
-        Galerkin best fit (see galerkin_start).
+        Galerkin best fit (see galerkin_start, which also takes reduced).
+        With out = (x, M x, K x), three contiguous vectors, the results are
+        written there and out is returned.
 
         A direct solve gets one iterative-refinement pass if needed. The
         acceptance bound never goes below the backward-stable scale
         ||A||_max ||x|| eps attainable in double precision.
         """
+        if out is None:
+            out = tuple(np.empty_like(rhs) for _ in range(3))
         if len(rhs) == 0:
-            return rhs.copy(), rhs.copy(), rhs.copy()
-        x = self._solve_once(theta, rhs, levels)
+            return out
+        x = self._solve_once(theta, rhs, out[0], levels, reduced)
         bound = self.solver_tol * max(dnrm2(rhs), 1e-300)
         scale = self._m_scale + theta * self._k_scale
         for attempt in range(2):
-            mu_x, ku_x = self.matvecs(x)
-            r = rhs - (mu_x + theta * ku_x)
+            mu_x, ku_x = self.matvecs(x, out[1:])
+            r = np.multiply(ku_x, theta)
+            r += mu_x
+            np.subtract(rhs, r, out=r)
             res = dnrm2(r)
             floor = _FLOOR_EPS * scale * dnrm2(x)
             if res <= max(bound, floor):
-                return x, mu_x, ku_x
+                if x is not out[0]:
+                    np.copyto(out[0], x)
+                return out
             if attempt == 0 and self.use_banded:
-                x = x + self._solve_once(theta, r)
+                x = x + self._solve_once(theta, r, r)
             else:
                 break
         raise SolverConvergenceError(
@@ -269,38 +359,15 @@ def _coefficient(coeff, s):
     return a, check_guards(a, coeff)
 
 
-def _first_step_coefficient(work, coeff, u0, mu0, ku0):
-    """Corrected coefficient of step 1, its guard status and the load used.
-
-    The predictor is a verified solve with the coefficient frozen at
-    a(U_0); the coefficient is then evaluated once at the predicted
-    midpoint, whose squared norm (u1 + u0).M(u1 + u0)/4 comes from the
-    products that solve returns. A guard trip of a(U_0) aborts under the
-    abort policy and is otherwise not recorded; a degenerate a(U_0) is
-    returned as is, so the step freezes.
-    """
-    a0, status0 = _coefficient(coeff, dot(u0, mu0))
-    if status0 == GuardStatus.DEGENERATE:
-        return a0, status0, None
-    if status0 != GuardStatus.OK and work.guard_policy == ABORT:
-        raise GuardTripError(1, work.grid.time(1), status0, a0)
-    F = work.load_vector(0.5 * work.grid.delta)
-    theta0 = 0.5 * a0 * work.grid.delta
-    u1, mu1, _ = work.solve_verified(
-        theta0, work.step_rhs(theta0, mu0, ku0, F), ((u0, mu0, ku0),))
-    a_half, status_half = _coefficient(coeff, 0.25 * dot(u1 + u0, mu1 + mu0))
-    return a_half, status_half, F
-
-
 def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
         solver_tol: float = DEFAULT_SOLVER_TOL, guard_policy: str = WARN,
         snapshot_times=()) -> TrajectorySummary:
     """Full trajectory: init, predictor-corrector, then multistep to t_end.
 
     f may be None for an unforced problem. Snapshot times are matched to the
-    nearest grid time. The loop carries U, M U and K U of the last two
-    levels on the free nodes; full-length fields are built only for the
-    snapshots and the final field.
+    nearest grid time. The loop carries the last two levels as rows of one
+    array (see the module docstring) on the free nodes; full-length fields
+    are built only for the snapshots and the final field.
     """
     M = assemble_mass(space)
     K = assemble_stiffness(space)
@@ -308,6 +375,7 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                          solver_tol=solver_tol, guard_policy=guard_policy)
     U0 = init(space, u0)
     free = work.free
+    delta = grid.delta
 
     def embed(u_free):
         full = np.zeros(space.n_nodes)
@@ -319,25 +387,75 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
         snap_indices.setdefault(grid.nearest_index(t_req), []).append(t_req)
     snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
-    # levels n-1 and n-2 on the free nodes: u, M u and K u
-    u = U0.coefficients[free]
-    mu, ku = work.matvecs(u)
-    u_old = mu_old = ku_old = None
-    energy_history = [(0.0, dot(u, mu))]
+    # level i (0 or 1) is u = rows[i], M u = rows[2 + i], K u = rows[4 + i];
+    # row 6 is delta F of the coming step (2D only). R[i][j] below is the
+    # reduction of u_i against product row j, as Python floats.
+    rows = np.zeros((7, len(free)))
+    levels = tuple((rows[i], rows[2 + i], rows[4 + i]) for i in (0, 1))
+    us = rows[:2]
+    products = rows[2:4] if work.use_banded else rows[2:]
+    forced_2d = not work.use_banded and f is not None
+
+    def reduce(n_next):
+        if forced_2d and n_next <= grid.n_steps:
+            rows[6] = work.scaled_load(n_next)
+        return np.einsum("ij,kj->ik", us, products).tolist()
+
+    def galerkin(R, theta, c):
+        # Gram matrix and projections of the rhs of a solve from level c
+        if work.use_banded:
+            return None
+        R = np.array(R)
+        gram = R[:, :2] + theta * R[:, 2:4]
+        return gram, R[:, c] - theta * R[:, 2 + c] + R[:, 4]
+
+    def solve(theta, c, dF, R):
+        # the next level from level c, written over the other level
+        _, mu, ku = levels[c]
+        rhs = work.step_rhs(theta, mu, ku, dF)
+        work.solve_verified(theta, rhs, levels, galerkin(R, theta, c),
+                            levels[1 - c])
+
+    c = 0      # the newest level; 1 - c is the one before
+    rows[0] = U0.coefficients[free]
+    work.matvecs(rows[0], out=(rows[2], rows[4]))
+    R = reduce(1)
+    energy_history = [(0.0, R[0][0])]
     coefficient_history = []
     frozen = False
+    stiffness_per_a = 0.5 * delta * space.mesh.dim * math.pi ** 2
     for n in range(1, grid.n_steps + 1):
         t = grid.time(n)
+        o = 1 - c
         try:
             if frozen:
                 a, status = math.inf, GuardStatus.DEGENERATE
             elif n == 1:
-                a, status, F = _first_step_coefficient(work, coeff, u, mu, ku)
+                # predictor: a(U_0) frozen, solved into the empty level; the
+                # corrector's coefficient is taken at the predicted midpoint
+                a, status = _coefficient(coeff, R[c][c])
+                if status != GuardStatus.DEGENERATE:
+                    if status != GuardStatus.OK and guard_policy == ABORT:
+                        raise GuardTripError(1, t, status, a)
+                    theta = 0.5 * a * delta
+                    solve(theta, c, work.scaled_load(1), R)
+                    R = reduce(1)
+                    a, status = _coefficient(
+                        coeff, 0.25 * (R[o][o] + R[o][c] + R[c][o] + R[c][c]))
             else:
-                a, status = _coefficient(coeff, dot(1.5 * u - 0.5 * u_old,
-                                                    1.5 * mu - 0.5 * mu_old))
+                a, status = _coefficient(coeff, 2.25 * R[c][c]
+                                         - 0.75 * (R[c][o] + R[o][c])
+                                         + 0.25 * R[o][o])
+                if (coeff.gamma < 0.0 and status != GuardStatus.DEGENERATE
+                        and a * stiffness_per_a > 1.0 and R[c][o] < 0.0):
+                    cosine = R[c][o] / math.sqrt(max(R[c][c] * R[o][o], 1e-300))
+                    logger.warning("extinction at t=%g: theta*dim*pi^2 = %.3g "
+                                   "> 1 and the M-cosine of the last two "
+                                   "levels is %.4f < 0; the field is frozen "
+                                   "at zero", t, a * stiffness_per_a, cosine)
+                    a, status = math.inf, GuardStatus.DEGENERATE
             if status != GuardStatus.OK:
-                if work.guard_policy == ABORT:
+                if guard_policy == ABORT:
                     raise GuardTripError(n, t, status, a)
                 if not coefficient_history \
                         or coefficient_history[-1][2] != status:
@@ -346,33 +464,32 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
             coefficient_history.append((t, a, status))
             if status == GuardStatus.DEGENERATE:
                 # extinction: the trajectory stays at zero from here on
-                frozen = True
-                u_new = mu_new = ku_new = np.zeros(len(free))
+                if not frozen:
+                    frozen = True
+                    rows[:] = 0.0
+                energy = 0.0
             else:
-                if n > 1:
-                    F = work.load_vector(t - 0.5 * grid.delta)
-                levels = ((u, mu, ku),) if n == 1 \
-                    else ((u, mu, ku), (u_old, mu_old, ku_old))
-                theta = 0.5 * a * grid.delta
-                u_new, mu_new, ku_new = work.solve_verified(
-                    theta, work.step_rhs(theta, mu, ku, F), levels)
+                theta = 0.5 * a * delta
+                solve(theta, c, work.scaled_load(n), R)
+                c = o
+                R = reduce(n + 1)
+                energy = R[c][c]
         except GuardTripError:
             raise
         except Exception as exc:
             raise SteppingError(f"step {n} at t={t:g}: {exc}") from exc
-        u_old, mu_old, ku_old = u, mu, ku
-        u, mu, ku = u_new, mu_new, ku_new
-        energy_history.append((t, dot(u, mu)))
+        energy_history.append((t, energy))
         if n in snap_indices:
-            U = embed(u)
+            U = embed(rows[c])
             for t_req in snap_indices[n]:
                 snapshots[t_req] = (t, U)
 
     first_trip = next(((n, t, status) for n, (t, _, status)
                        in enumerate(coefficient_history, 1)
                        if status != GuardStatus.OK), None)
-    return TrajectorySummary(grid=grid, final=embed(u),
+    return TrajectorySummary(grid=grid, final=embed(rows[c]),
                              energy_history=energy_history,
                              coefficient_history=coefficient_history,
                              snapshots=snapshots, first_guard_trip=first_trip,
                              frozen=frozen)
+

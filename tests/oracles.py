@@ -11,7 +11,8 @@ import math
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from nonlocfem.assembly import (FieldVector, SparseSymMatrix, _geometry,
+from nonlocfem.assembly import (FieldVector, NonFiniteFieldError,
+                                SparseSymMatrix, _geometry,
                                 _quad_points_physical, assemble_stiffness,
                                 assembly_degree)
 from nonlocfem.basis import reference_basis
@@ -110,6 +111,35 @@ def element_stiffness_matrix(vertices, k: int) -> np.ndarray:
         JinvT = np.array([[e2[1], -e1[1]], [-e2[0], e1[0]]]) / d
     pg = np.einsum("dc,iqc->iqd", JinvT, grads)
     return det * np.einsum("iqd,jqd,q->ij", pg, pg, rule.weights)
+
+
+# --- the load of one time ---
+
+def per_step_load(space: LagrangeSpace, f, t, rows=None) -> np.ndarray:
+    """The load vector (f(., t), phi_i) of one time, as the stepper computed
+    it once per step before loads came in blocks: f at every quadrature
+    point for the scalar t, one (n_el, n_q) @ (n_q, n_local) product and one
+    np.bincount into the rows (all nodes, or the given node indices)."""
+    dim, k = space.mesh.dim, space.degree
+    rule = reference_rule(dim, assembly_degree(k))
+    vals_t = np.ascontiguousarray(reference_basis(dim, k).eval(rule.points).T)
+    _, _, det, _ = _geometry(space.mesh)
+    wdet = det[:, None] * rule.weights[None, :]
+    points = _quad_points_physical(space.mesh, rule).reshape(-1, dim)
+    n_rows, dofs = space.n_nodes, space.element_dofs.ravel()
+    if rows is not None:
+        n_rows = len(rows)
+        row_of = np.full(space.n_nodes, n_rows)
+        row_of[rows] = np.arange(n_rows)
+        dofs = row_of[dofs]
+    fvals = np.broadcast_to(np.asarray(f(*points.T, t), dtype=float),
+                            (len(points),))
+    if not np.isfinite(fvals).all():
+        raise NonFiniteFieldError(
+            f"forcing returned a non-finite value at t={t}")
+    elem = np.dot(wdet * fvals.reshape(wdet.shape), vals_t)
+    return np.bincount(dofs, weights=elem.ravel(),
+                       minlength=n_rows + 1)[:n_rows]
 
 
 # --- Ritz projection ---

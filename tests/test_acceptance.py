@@ -14,6 +14,7 @@ from conftest import ACCEPTANCE_LINES
 from oracles import (element_mass_matrix, element_stiffness_matrix, evaluate,
                      l2_norm_sq, monomial_integral)
 
+from nonlocfem import harness
 from nonlocfem.assembly import FieldVector, assemble_mass, interpolate, l2_error
 from nonlocfem.cli import main
 from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient
@@ -70,8 +71,23 @@ def test_criterion_2_manufactured_residuals():
     _criterion(2, "manufactured-solution residuals", ok, "; ".join(details))
 
 
-def test_criterion_3_spatial_convergence():
+def _record_frozen_runs(monkeypatch):
+    """Record, for every run a sweep makes, whether the extinction freeze
+    fired; none of the convergence runs goes extinct."""
+    frozen = []
+    stepping = harness.run
+
+    def recording(*args, **kwargs):
+        traj = stepping(*args, **kwargs)
+        frozen.append(traj.frozen)
+        return traj
+    monkeypatch.setattr(harness, "run", recording)
+    return frozen
+
+
+def test_criterion_3_spatial_convergence(monkeypatch):
     ladders = {1: [8, 16, 32, 64], 2: [4, 8, 16, 32], 3: [2, 4, 8, 16]}
+    frozen = _record_frozen_runs(monkeypatch)
     t0 = time.perf_counter()
     details = []
     ok = True
@@ -83,12 +99,13 @@ def test_criterion_3_spatial_convergence():
         ok = ok and k_ok
         details.append(f"k={k}: slope={slope:.3f} (target {k + 1})")
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 600.0
-    details.append(f"total {elapsed:.1f}s")
+    ok = ok and elapsed < 600.0 and len(frozen) == 12 and not any(frozen)
+    details.append(f"total {elapsed:.1f}s; frozen runs {sum(frozen)}")
     _criterion(3, "spatial convergence", ok, "; ".join(details))
 
 
-def test_criterion_4_temporal_convergence():
+def test_criterion_4_temporal_convergence(monkeypatch):
+    frozen = _record_frozen_runs(monkeypatch)
     t0 = time.perf_counter()
     config = RunConfig(case="example1", k=3, n=32, t_end=10.0)
     result_1d = sweep_delta(config, [0.1 / 2 ** j for j in range(5)])
@@ -100,10 +117,11 @@ def test_criterion_4_temporal_convergence():
     slope_2d = result_2d.fitted_slope
     ok = ok and slope_2d is not None and abs(slope_2d - 2.0) <= 0.35
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 900.0
+    ok = ok and elapsed < 900.0 and len(frozen) == 9 and not any(frozen)
     _criterion(4, "temporal convergence", ok,
                f"1D slope={slope_1d:.3f} (tol 0.25); "
-               f"2D slope={slope_2d:.3f} (tol 0.35); total {elapsed:.1f}s")
+               f"2D slope={slope_2d:.3f} (tol 0.35); total {elapsed:.1f}s; "
+               f"frozen runs {sum(frozen)}")
 
 
 def test_criterion_5_classical_cn_oracle():
@@ -154,11 +172,11 @@ def test_criterion_6_energy_decay():
 
 def test_criterion_7_extinction_behavior():
     # ceiling 1e3 makes leaving the bounded-coefficient regime visible; the
-    # default 1e12 is never reached at desk scale because the discrete field
-    # rings instead of reaching exact zero: from t = 1 on every Crank-Nicolson
-    # mode factor is negative, so U changes sign each step (the M-cosine of
-    # consecutive levels is -0.9999 at t = 0.999 -> 1.000 and -1.0000 at
-    # t = 1.2 and t = 2) while its norm decays only slowly
+    # default 1e12 is never reached at desk scale. From t = 1 on every
+    # Crank-Nicolson mode factor is negative, so the discrete field would
+    # ring, changing sign each step (the M-cosine of consecutive levels is
+    # -0.9999) while its norm decays only slowly; the stepper detects that
+    # and freezes the field at zero, at t = 1.001 with either ceiling
     config = RunConfig(case="example2", k=2, n=100, delta=1e-3, t_end=2.0,
                        guard_ceiling=1e3)
     report = run_solve(config)

@@ -4,20 +4,22 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
-from oracles import l2_norm_sq
+from oracles import l2_norm_sq, per_step_load
 
-from nonlocfem import stepper
-from nonlocfem.assembly import LoadAssembler, assemble_mass, assemble_stiffness
+from nonlocfem import linalg, stepper
+from nonlocfem.assembly import (LoadAssembler, SparseSymMatrix, assemble_mass,
+                                assemble_stiffness)
 from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient
 from nonlocfem.harness import RunConfig, run_solve
 from nonlocfem.linalg import cg_jacobi
 from nonlocfem.manufactured import make_case
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
-from nonlocfem.stepper import (GuardTripError, SteppingError, TimeGrid,
-                               galerkin_start, init, run)
+from nonlocfem.stepper import (GuardTripError, StepWorkspace, SteppingError,
+                               TimeGrid, galerkin_start, init, run)
 
 
 def _space_1d(n, k):
@@ -61,7 +63,7 @@ def test_init_example1_positive_mass_and_energy():
     U0 = init(space, case.u0)
     M = assemble_mass(space)
     assert l2_norm_sq(U0, M) > 0.0
-    ones = LoadAssembler(space)(lambda x, t: np.ones_like(x), 0.0)
+    ones = LoadAssembler(space)(lambda x, t: np.ones_like(x), [0.0])[0]
     assert float(ones @ U0.coefficients) > 0.0
 
 
@@ -281,15 +283,15 @@ def test_histories_are_complete_and_time_ordered():
 
 def test_errors_carry_step_context():
     # forcing turns non-finite after t = 0.05: the failure names the step
+    # that computed the block of loads, and the first bad time in it
     space = _space_1d(8, 1)
     grid = TimeGrid(t_end=0.1, n_steps=10)
 
     def bad_forcing(x, t):
-        if t > 0.05:
-            return np.full_like(x, np.nan)
-        return np.zeros_like(x)
+        return np.where(t > 0.05, np.nan, 0.0) * x
 
-    with pytest.raises(SteppingError, match=r"step \d+ at t="):
+    with pytest.raises(SteppingError,
+                       match=r"step \d+ at t=.*non-finite value at t=0\.05"):
         run(space, _sin_pi, bad_forcing, NonlocalCoefficient(gamma=0.0), grid)
 
 
@@ -354,8 +356,8 @@ def test_galerkin_start_is_finite_for_degenerate_levels(system, kind):
 def test_cg_starts_warm_and_saves_iterations(monkeypatch):
     calls = []
 
-    def recording_cg(A, b, tol, max_iterations=None, x0=None):
-        x, iterations = cg_jacobi(A, b, tol, max_iterations, x0=x0)
+    def recording_cg(A, b, tol, max_iterations=None, x0=None, **start):
+        x, iterations = cg_jacobi(A, b, tol, max_iterations, x0=x0, **start)
         calls.append((A.copy(), b.copy(), tol, x0, iterations))
         return x, iterations
 
@@ -366,3 +368,182 @@ def test_cg_starts_warm_and_saves_iterations(monkeypatch):
     warm = sum(iterations for *_, iterations in calls)
     cold = sum(cg_jacobi(A, b, tol)[1] for A, b, tol, _, _ in calls)
     assert warm < cold
+
+
+# --- extinction at the defaults ---
+
+def _degenerate_times(coefficient_history):
+    return [t for t, _, status in coefficient_history
+            if status == GuardStatus.DEGENERATE]
+
+
+def test_example2_freezes_at_extinction_by_default():
+    # no tuned guard: from t = 1 the Crank-Nicolson factor of every mode is
+    # negative and the field rings; the rule freezes it
+    report = run_solve(RunConfig(case="example2"))
+    frozen = _degenerate_times(report.coefficient_history)
+    assert frozen and 0.99 <= frozen[0] <= 1.05
+    assert frozen == [t for t, _, _ in report.coefficient_history
+                      if t >= frozen[0]]
+    assert all(e == 0.0 for t, e in report.energy_history if t >= frozen[0])
+    # the ringing field left 5.91e-8 at t = 2 before the rule
+    assert report.final_error < 5.9e-8
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(case="example1"), RunConfig(case="example3"),
+    RunConfig(case="example2", t_end=0.99)], ids=["ex1", "ex3", "ex2-0.99"])
+def test_runs_before_extinction_never_freeze(config):
+    report = run_solve(config)
+    assert _degenerate_times(report.coefficient_history) == []
+    assert min(e for _, e in report.energy_history) > 0.0
+
+
+def test_negative_exponent_run_kept_alive_never_freezes():
+    # example2's datum with the forcing not cut off at t = 1: gamma < 0, but
+    # the norm never vanishes, so no step may freeze
+    case = make_case("example2")
+    space = _space_1d(case.default_n, case.default_k)
+    grid = TimeGrid(t_end=2.0, n_steps=2000)
+    traj = run(space, case.u0, lambda x, t: np.exp(x) + 0.0 * t,
+               NonlocalCoefficient(gamma=case.gamma), grid)
+    assert not traj.frozen
+    assert _degenerate_times(traj.coefficient_history) == []
+    assert min(e for _, e in traj.energy_history) > 0.0
+
+
+def test_first_discrete_eigenvalue_bounds_dim_pi_squared():
+    # the min-max principle behind the freeze rule: on a conforming space
+    # with exactly integrated M and K, the smallest eigenvalue of K v =
+    # lambda M v is at least the first Laplace eigenvalue dim pi^2
+    from scipy.linalg import eigh
+    spaces = [_space_1d(n, k) for n in (2, 3, 5, 8) for k in (1, 2, 3)]
+    spaces += [build_lagrange_space(uniform_square_mesh(n), k)
+               for n in (2, 3, 4) for k in (1, 2, 3)]
+    for space in spaces:
+        free = space.free_node_indices
+        M = assemble_mass(space).restrict(free).toarray()
+        K = assemble_stiffness(space).restrict(free).toarray()
+        lam1 = eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0]
+        dim = space.mesh.dim
+        assert lam1 >= dim * np.pi ** 2 * (1.0 - 1e-12), (dim, space.degree)
+
+
+# --- the loads of a block of steps ---
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_block_loads_equal_the_per_step_load(case_id, monkeypatch):
+    # 300 steps on the default mesh: blocks of 163 steps (2^16 forcing values
+    # over 400 quadrature points), the last one short; every step is checked
+    case = make_case(case_id)
+    space = _space_1d(100, 2)
+    grid = TimeGrid(t_end=0.3, n_steps=300)
+    work = StepWorkspace(space, assemble_mass(space),
+                         assemble_stiffness(space), grid, forcing=case.f)
+    blocks = _record_load_blocks(monkeypatch)
+    free = space.free_node_indices
+    for n in range(1, grid.n_steps + 1):
+        t_mid = 0.5 * grid.delta if n == 1 else grid.time(n) - 0.5 * grid.delta
+        expect = grid.delta * per_step_load(space, case.f, t_mid, free)
+        np.testing.assert_array_equal(work.scaled_load(n), expect)
+    assert blocks == [163, 137]
+
+
+def _record_load_blocks(monkeypatch):
+    """The number of times in every LoadAssembler call."""
+    blocks = []
+    original = LoadAssembler.__call__
+
+    def recording(self, f, times):
+        blocks.append(len(times))
+        return original(self, f, times)
+    monkeypatch.setattr(LoadAssembler, "__call__", recording)
+    return blocks
+
+
+def test_loads_are_computed_once_per_block(monkeypatch):
+    blocks = _record_load_blocks(monkeypatch)
+    case = make_case("example1")
+    run(_space_1d(8, 1), case.u0, case.f, NonlocalCoefficient(case.gamma),
+        TimeGrid(t_end=0.6, n_steps=600))
+    assert blocks == [256, 256, 88]
+    blocks.clear()
+    run(_space_1d(100, 2), case.u0, case.f, NonlocalCoefficient(case.gamma),
+        TimeGrid(t_end=0.6, n_steps=600))
+    assert blocks == [163, 163, 163, 111]
+
+
+# --- work removed from every step ---
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name, None)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting, raising=False)
+    return calls
+
+
+def test_1d_step_makes_one_reduction_and_no_dot(monkeypatch):
+    case = make_case("example1")
+    space = _space_1d(16, 2)
+    counts = []
+    for n_steps in (4, 40):
+        with monkeypatch.context() as patch:
+            dots = _count_calls(patch, stepper, "dot")
+            dots_linalg = _count_calls(patch, linalg, "dot")
+            einsums = _count_calls(patch, np, "einsum")
+            run(space, case.u0, case.f, NonlocalCoefficient(case.gamma),
+                TimeGrid(t_end=0.01 * n_steps, n_steps=n_steps))
+        counts.append((len(dots) + len(dots_linalg), len(einsums)))
+    (dots_4, einsums_4), (dots_40, einsums_40) = counts
+    assert dots_4 == dots_40 == 0
+    assert einsums_40 - einsums_4 == 36
+
+
+def test_2d_step_reads_no_matrix_diagonal(monkeypatch):
+    case = make_case("example3")
+    space = build_lagrange_space(uniform_square_mesh(4), 2)
+    counts = []
+    for n_steps in (2, 6):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, sp.csr_matrix, "diagonal")
+            run(space, case.u0, case.f, NonlocalCoefficient(case.gamma),
+                TimeGrid(t_end=0.01 * n_steps, n_steps=n_steps))
+        counts.append(len(calls))
+    assert counts == [2, 2]    # diag M and diag K, stored by the workspace
+
+
+class _CountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts its matrix-vector products."""
+
+    matvecs = 0
+
+    def _matmul_vector(self, other):
+        _CountingCSR.matvecs += 1
+        return super()._matmul_vector(other)
+
+
+def test_2d_solve_costs_cg_iterations_plus_three_matvecs(monkeypatch):
+    # CG's confirmation and the verify's M x and K x; the start residual
+    # comes from the carried products
+    restrict = SparseSymMatrix.restrict
+    monkeypatch.setattr(SparseSymMatrix, "restrict",
+                        lambda self, idx: _CountingCSR(restrict(self, idx)))
+    iterations = []
+
+    def recording_cg(*args, **kwargs):
+        x, its = cg_jacobi(*args, **kwargs)
+        iterations.append(its)
+        return x, its
+    monkeypatch.setattr(stepper, "cg_jacobi", recording_cg)
+    monkeypatch.setattr(_CountingCSR, "matvecs", 0)
+    case = make_case("example3")
+    run(build_lagrange_space(uniform_square_mesh(6), 2), case.u0, case.f,
+        NonlocalCoefficient(case.gamma), TimeGrid(t_end=0.1, n_steps=10))
+    assert len(iterations) == 11     # the step-1 predictor, then one per step
+    assert all(its > 0 for its in iterations)
+    # M u_0 and K u_0 once, then every solve
+    assert _CountingCSR.matvecs == 2 + sum(iterations) + 3 * len(iterations)
