@@ -8,10 +8,9 @@ same system M + (a delta/2) K: the stepper preallocates it (a band in 1D,
 CSR data on the sparsity pattern M and K share in 2D) and refills it in
 place for every solve. In 1D the stepper also multiplies by M and K on
 their lower bands (BLAS sbmv, band_matvec), and both band kernels can
-write into vectors the caller holds (the stepper's level rows), so 1D
-trajectories agree with earlier versions to roundoff, not byte for byte.
-CG accepts a start vector, its residual and the diagonal of A: the
-stepper starts it from the Galerkin best fit of the last two levels, whose
+write into vectors the caller holds (the stepper's level rows). CG
+accepts a start vector, its residual and the diagonal of A: the stepper
+starts it from the Galerkin best fit of the last two levels, whose
 residual it forms from the products it carries, and passes the diagonal
 from the stored diagonals of M and K, so a solve makes no matrix-vector
 product and no diagonal extraction before its first iteration. 2D
@@ -20,7 +19,7 @@ bit. The stepper verifies every solution, the step-1 predictor included,
 against an independently recomputed residual.
 
 Every CG reduction goes through dot, and every inner product of the
-stepper through one einsum, both single-threaded loops, on purpose:
+stepper through einsum, both single-threaded loops, on purpose:
 NumPy's @ and norm hand vectors of more than 10 000 entries to OpenBLAS,
 which splits them across threads. On a 2-core host that made the 2D step
 slower, and the split changes the rounding, so results would depend on

@@ -18,14 +18,14 @@ run carries u, M u and K u of the last two levels as rows of one array,
 and a new level overwrites the older one (pbsv and sbmv write into the rows
 themselves), so nothing is moved or reallocated per level. Every per-step
 scalar then comes from one single-threaded einsum of the two u rows
-against the product rows (M u in 1D; M u, K u and delta F of the coming
-step in 2D): the energy U_n.M U_n, the extrapolated norm
-2.25 E_n - 0.75 (u_n.M u_{n-1} + u_{n-1}.M u_n) + 0.25 E_{n-1}, the cross
-term of the two levels and, in 2D, the Gram matrix and right-hand-side
-projections of the Galerkin start, whose residual then also comes from the
-carried products instead of a matrix-vector product. No reduction runs on
-multithreaded BLAS, so a trajectory does not depend on the BLAS thread
-count (see linalg).
+against their M u rows: the energy U_n.M U_n, the extrapolated norm
+2.25 E_n - 0.75 (u_n.M u_{n-1} + u_{n-1}.M u_n) + 0.25 E_{n-1} and the
+cross term of the two levels. Every solve gets the same rows as its start
+on both backends: CG starts from their Galerkin best fit, which
+galerkin_start forms by einsum, with its residual from the carried
+products instead of a matrix-vector product; the banded solve ignores
+them. No reduction runs on multithreaded BLAS, so a trajectory does not
+depend on the BLAS thread count (see linalg).
 
 At extinction the coefficient is undefined, and the trajectory is frozen
 at zero from that step on, matching the continuation of the exact extinct
@@ -129,52 +129,43 @@ class TrajectorySummary:
     frozen: bool
 
 
-def galerkin_start(levels, rhs, theta, reduced=None, residual=None):
-    """The point of span{u} closest to the solution of (M + theta K) x = rhs
-    in the energy norm of that matrix.
+def galerkin_start(u, mu, ku, rhs, theta):
+    """The point of the span of the rows of u closest to the solution of
+    (M + theta K) x = rhs in the energy norm of that matrix, and its
+    residual: returns (x, rhs - (M + theta K) x).
 
-    levels holds (u, M u, K u) of earlier levels, so the Galerkin system
-    (2x2 for two levels) needs inner products only: the Gram matrix
-    G_ij = u_i.(M + theta K) u_j and the projections p_i = u_i.rhs. reduced
-    passes (G, p) when the caller holds them (the stepper reads them off its
-    per-step reduction); otherwise they come from one einsum of the u
-    against the products and rhs, on one thread whatever the BLAS thread
-    count. Eigenvalues below 1e-13 of the largest are dropped (a zero or
-    repeated level); with none positive the start is 0. The start is a
-    linear combination of the levels, and if residual is given, the start
-    residual rhs - (M + theta K) x is written into it from the same
-    combination of the products, with no matrix-vector product.
+    u holds earlier levels as rows, and mu and ku their products with M and
+    K, so the Galerkin system (2x2 for two levels) needs inner products only:
+    the Gram matrix G_ij = u_i.(M + theta K) u_j and the projections
+    p_i = u_i.rhs, from einsums on one thread whatever the BLAS thread count.
+    Eigenvalues below 1e-13 of the largest are dropped (a zero or repeated
+    level); with none positive the start is 0 and its residual rhs. The
+    residual comes from the same combination of the products as the start
+    from the levels, with no matrix-vector product.
     """
-    m = len(levels)
-    if reduced is None:
-        u, mu, ku = (np.array(part) for part in zip(*levels))
-        R = np.einsum("ij,kj->ik", u, np.vstack([mu, ku, rhs[None]]))
-        G, p = R[:, :m] + theta * R[:, m:2 * m], R[:, 2 * m]
-    else:
-        G, p = reduced
-    if residual is not None:
-        np.copyto(residual, rhs)
+    G = np.einsum("ij,kj->ik", u, mu)
+    G += theta * np.einsum("ij,kj->ik", u, ku)
+    p = np.einsum("ij,j->i", u, rhs)
+    x, residual = np.zeros(len(rhs)), rhs.copy()
     lam, V = np.linalg.eigh(G)
     if not lam[-1] > 0.0:
-        return np.zeros(len(rhs))
+        return x, residual
     keep = lam > 1e-13 * lam[-1]
     V = V[:, keep]
     c = V @ ((V.T @ p) / lam[keep])
-    x = c[0] * levels[0][0]
-    for ci, (u, _, _) in zip(c[1:], levels[1:]):
-        x += ci * u
-    if residual is not None:
-        for ci, (_, mu, ku) in zip(c, levels):
-            residual -= ci * mu
-            residual -= (ci * theta) * ku
-    return x
+    for ci, u_i, mu_i, ku_i in zip(c, u, mu, ku):
+        x += ci * u_i
+        residual -= ci * mu_i
+        residual -= (ci * theta) * ku_i
+    return x, residual
 
 
 class StepWorkspace:
     """Reduced matrices, banded forms and the loads of one run.
 
-    The mesh dimension picks the backend (see linalg.method_for_dim);
-    solver_tol is the relative residual bound every solve is verified to.
+    The mesh dimension picks the backend (see linalg.method_for_dim), and
+    only the workspace branches on it; solver_tol is the relative residual
+    bound every solve is verified to.
     M and K must share one sparsity pattern (they are scattered from the
     same element dofs), so the system matrix M + theta K is formed entry by
     entry, on their lower bands in 1D and on their CSR data in 2D. Either
@@ -198,15 +189,11 @@ class StepWorkspace:
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
                  K: SparseSymMatrix, grid: TimeGrid, forcing=None,
-                 solver_tol: float = DEFAULT_SOLVER_TOL,
-                 guard_policy: str = WARN):
+                 solver_tol: float = DEFAULT_SOLVER_TOL):
         if not solver_tol > 0:
             raise ValueError(f"solver_tol must be positive, got {solver_tol}")
-        if guard_policy not in (WARN, ABORT):
-            raise ValueError(f"unknown guard policy {guard_policy!r}")
         self.grid = grid
         self.solver_tol = solver_tol
-        self.guard_policy = guard_policy
         self.free = space.free_node_indices
         self.M_ff = M.restrict(self.free)
         self.K_ff = K.restrict(self.free)
@@ -274,7 +261,7 @@ class StepWorkspace:
             rhs += dF
         return rhs
 
-    def _solve_once(self, theta, rhs, x, levels=(), reduced=None):
+    def _solve_once(self, theta, rhs, x, start=()):
         # refilled on every solve, with no matrix-sized temporary: the banded
         # factorization overwrites its band, and pbsv the copy of rhs in x
         if self.use_banded:
@@ -287,21 +274,21 @@ class StepWorkspace:
         diagonal = np.multiply(self._diag_k, theta)
         diagonal += self._diag_m
         x0 = r0 = None
-        if levels:
-            r0 = np.empty_like(rhs)
-            x0 = galerkin_start(levels, rhs, theta, reduced, r0)
+        if start:
+            x0, r0 = galerkin_start(*start, rhs, theta)
         x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0=x0, r0=r0,
                          diagonal=diagonal)[0]
         return x
 
-    def solve_verified(self, theta, rhs, levels=(), reduced=None, out=None):
+    def solve_verified(self, theta, rhs, start=(), out=None):
         """Solve (M + theta K) x = rhs and verify the residual against an
         independently recomputed matvec; returns (x, M x, K x).
 
-        levels holds (u, M u, K u) of earlier levels; CG starts from their
-        Galerkin best fit (see galerkin_start, which also takes reduced).
-        With out = (x, M x, K x), three contiguous vectors, the results are
-        written there and out is returned.
+        start = (u, M u, K u) holds earlier levels and their products as
+        rows: CG starts from their Galerkin best fit (see galerkin_start),
+        the banded solve ignores them. With out = (x, M x, K x), three
+        contiguous vectors, the results are written there and out is
+        returned.
 
         A direct solve gets one iterative-refinement pass if needed. The
         acceptance bound never goes below the backward-stable scale
@@ -311,7 +298,7 @@ class StepWorkspace:
             out = tuple(np.empty_like(rhs) for _ in range(3))
         if len(rhs) == 0:
             return out
-        x = self._solve_once(theta, rhs, out[0], levels, reduced)
+        x = self._solve_once(theta, rhs, out[0], start)
         bound = self.solver_tol * max(dnrm2(rhs), 1e-300)
         scale = self._m_scale + theta * self._k_scale
         for attempt in range(2):
@@ -369,10 +356,11 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     array (see the module docstring) on the free nodes; full-length fields
     are built only for the snapshots and the final field.
     """
+    if guard_policy not in (WARN, ABORT):
+        raise ValueError(f"unknown guard policy {guard_policy!r}")
     M = assemble_mass(space)
     K = assemble_stiffness(space)
-    work = StepWorkspace(space, M, K, grid, forcing=f,
-                         solver_tol=solver_tol, guard_policy=guard_policy)
+    work = StepWorkspace(space, M, K, grid, forcing=f, solver_tol=solver_tol)
     U0 = init(space, u0)
     free = work.free
     delta = grid.delta
@@ -388,38 +376,26 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
     # level i (0 or 1) is u = rows[i], M u = rows[2 + i], K u = rows[4 + i];
-    # row 6 is delta F of the coming step (2D only). R[i][j] below is the
-    # reduction of u_i against product row j, as Python floats.
-    rows = np.zeros((7, len(free)))
+    # start holds the u, M u and K u rows of both levels for every solve.
+    # R[i][j] below is u_i.M u_j, as Python floats.
+    rows = np.zeros((6, len(free)))
     levels = tuple((rows[i], rows[2 + i], rows[4 + i]) for i in (0, 1))
-    us = rows[:2]
-    products = rows[2:4] if work.use_banded else rows[2:]
-    forced_2d = not work.use_banded and f is not None
+    start = rows[:2], rows[2:4], rows[4:]
+    us, mus = start[:2]
 
-    def reduce(n_next):
-        if forced_2d and n_next <= grid.n_steps:
-            rows[6] = work.scaled_load(n_next)
-        return np.einsum("ij,kj->ik", us, products).tolist()
+    def reduce():
+        return np.einsum("ij,kj->ik", us, mus).tolist()
 
-    def galerkin(R, theta, c):
-        # Gram matrix and projections of the rhs of a solve from level c
-        if work.use_banded:
-            return None
-        R = np.array(R)
-        gram = R[:, :2] + theta * R[:, 2:4]
-        return gram, R[:, c] - theta * R[:, 2 + c] + R[:, 4]
-
-    def solve(theta, c, dF, R):
+    def solve(theta, c, dF):
         # the next level from level c, written over the other level
         _, mu, ku = levels[c]
         rhs = work.step_rhs(theta, mu, ku, dF)
-        work.solve_verified(theta, rhs, levels, galerkin(R, theta, c),
-                            levels[1 - c])
+        work.solve_verified(theta, rhs, start, levels[1 - c])
 
     c = 0      # the newest level; 1 - c is the one before
     rows[0] = U0.coefficients[free]
     work.matvecs(rows[0], out=(rows[2], rows[4]))
-    R = reduce(1)
+    R = reduce()
     energy_history = [(0.0, R[0][0])]
     coefficient_history = []
     frozen = False
@@ -438,8 +414,8 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                     if status != GuardStatus.OK and guard_policy == ABORT:
                         raise GuardTripError(1, t, status, a)
                     theta = 0.5 * a * delta
-                    solve(theta, c, work.scaled_load(1), R)
-                    R = reduce(1)
+                    solve(theta, c, work.scaled_load(1))
+                    R = reduce()
                     a, status = _coefficient(
                         coeff, 0.25 * (R[o][o] + R[o][c] + R[c][o] + R[c][c]))
             else:
@@ -470,9 +446,9 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                 energy = 0.0
             else:
                 theta = 0.5 * a * delta
-                solve(theta, c, work.scaled_load(n), R)
+                solve(theta, c, work.scaled_load(n))
                 c = o
-                R = reduce(n + 1)
+                R = reduce()
                 energy = R[c][c]
         except GuardTripError:
             raise

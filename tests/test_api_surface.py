@@ -67,3 +67,20 @@ def test_every_public_method_has_a_caller_in_src():
 def test_every_exported_name_resolves():
     missing = [name for name in nonlocfem.__all__ if not hasattr(nonlocfem, name)]
     assert missing == []
+
+
+def test_only_the_workspace_reads_the_backend():
+    # the stepper passes the same arguments on both backends; only
+    # StepWorkspace branches on use_banded
+    def loads_outside_workspace(node):
+        if isinstance(node, ast.ClassDef) and node.name == "StepWorkspace":
+            return 0
+        own = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+            node.ctx, ast.Load) and "use_banded" in (
+                getattr(node, "id", None), getattr(node, "attr", None))
+        return own + sum(loads_outside_workspace(child)
+                         for child in ast.iter_child_nodes(node))
+
+    readers = {module: count for module, tree in _modules().items()
+               if (count := loads_outside_workspace(tree))}
+    assert readers == {}, f"use_banded read outside StepWorkspace: {readers}"

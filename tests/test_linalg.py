@@ -204,10 +204,13 @@ delta, a = 1e-2, 0.7
 A = (M / delta + (0.5 * a) * K).tocsr()
 u1, u2 = np.random.default_rng(12).standard_normal((2, len(free)))
 b = M @ u1 / delta - (0.5 * a) * (K @ u1)
-x0 = galerkin_start([(u, M @ u, K @ u) for u in (u1, u2)], delta * b,
-                    0.5 * a * delta)
+us = np.array([u1, u2])
+x0, r0 = galerkin_start(us, np.array([M @ u for u in us]),
+                        np.array([K @ u for u in us]), delta * b,
+                        0.5 * a * delta)
 x, iterations = cg_jacobi(A, b, 1e-12, x0=x0)
 print(len(free), iterations, hashlib.sha256(x0.tobytes()).hexdigest(),
+      hashlib.sha256(r0.tobytes()).hexdigest(),
       hashlib.sha256(x.tobytes()).hexdigest())
 """
 
@@ -422,9 +425,9 @@ def test_cg_workspace_agrees_with_dense(k, n, delta, a, seed):
     rng = np.random.default_rng(seed)
     work = _workspace(space, delta)
     b = _interior_rhs(space, rng)
-    levels = [(u, *work.matvecs(u))
-              for u in (_interior_rhs(space, rng), _interior_rhs(space, rng))]
-    x, _, _ = work.solve_verified(0.5 * a * delta, delta * b, levels)
+    us = np.array([_interior_rhs(space, rng), _interior_rhs(space, rng)])
+    mus, kus = (np.array(products) for products in zip(*map(work.matvecs, us)))
+    x, _, _ = work.solve_verified(0.5 * a * delta, delta * b, (us, mus, kus))
     assert _rel_err(x, _dense_solve(space, b, delta, a)) <= 1e-10
 
 

@@ -256,6 +256,14 @@ def test_guard_abort_policy():
                                  GuardStatus.DEGENERATE)
 
 
+def test_unknown_guard_policy_is_refused_before_assembly(monkeypatch):
+    assembled = _count_calls(monkeypatch, stepper, "assemble_mass")
+    with pytest.raises(ValueError, match="guard policy 'ignore'"):
+        run(_space_1d(8, 1), _sin_pi, None, NonlocalCoefficient(gamma=0.0),
+            TimeGrid(t_end=0.01, n_steps=1), guard_policy="ignore")
+    assert assembled == []
+
+
 def test_extinction_freeze_with_negative_exponent():
     # zero initial data and gamma < 0: coefficient undefined from the start,
     # the run continues with the field frozen at zero
@@ -311,8 +319,10 @@ def _step_system(draw):
     return M, K, a, delta, draw(vectors), draw(vectors), draw(vectors)
 
 
-def _level(M, K, u):
-    return u, M @ u, K @ u
+def _levels(M, K, *us):
+    """The levels us as rows, and their products with M and K as rows."""
+    u = np.array(us)
+    return u, np.array([M @ v for v in u]), np.array([K @ v for v in u])
 
 
 @settings(deadline=None)
@@ -325,8 +335,8 @@ def test_galerkin_start_is_no_worse_than_extrapolations(system):
     def a_norm(v):
         return float(np.sqrt(max(v @ A @ v, 0.0)))
 
-    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)],
-                           delta * b, 0.5 * a * delta)
+    start, _ = galerkin_start(*_levels(M, K, u1, u2), delta * b,
+                              0.5 * a * delta)
     # roundoff of the 2x2 solve and of dropping a nearly dependent level
     slack = 1e-6 * (a_norm(exact) + a_norm(u1) + a_norm(u2))
     for candidate in (u1, 1.5 * u1 - 0.5 * u2, 2.0 * u1 - u2):
@@ -346,11 +356,49 @@ def test_galerkin_start_is_finite_for_degenerate_levels(system, kind):
         u2 = u1.copy()
     else:
         u1 = u2 = np.zeros_like(b)
-    start = galerkin_start([_level(M, K, u1), _level(M, K, u2)],
-                           delta * b, 0.5 * a * delta)
+    start, residual = galerkin_start(*_levels(M, K, u1, u2), delta * b,
+                                     0.5 * a * delta)
     assert np.all(np.isfinite(start))
     if kind == "both zero":
+        # zero levels give exactly the zero start and its residual rhs
         assert np.all(start == 0.0)
+        np.testing.assert_array_equal(residual, delta * b)
+
+
+@settings(deadline=None)
+@given(_step_system())
+def test_galerkin_start_residual_is_the_residual_of_the_start(system):
+    M, K, a, delta, u1, u2, b = system
+    theta, rhs = 0.5 * a * delta, delta * b
+    levels = _levels(M, K, u1, u2)
+    x0, r0 = galerkin_start(*levels, rhs, theta)
+    dense = rhs - (M + theta * K) @ x0
+    # r0 = rhs - sum_i c_i (M u_i + theta K u_i) and x0 = sum_i c_i u_i for
+    # the Galerkin coefficients c. Each product, scaling and sum rounds, so
+    # in every entry r0 and the dense residual of x0 differ by at most
+    # 2 (n + 8) eps (|rhs| + sum_i |c_i| W |u_i| + W |x0|), W = |M| + theta |K|.
+    # With gradual underflow each operation may also add an absolute error
+    # of up to eta, the least subnormal, which a later product scales by at
+    # most |c_i| (1 + theta), ||M|| |u|, ||K|| |u| or ||W|| (max row sums).
+    # c solves G c = p (G_ij = u_i.(M + theta K) u_j, p_i = u_i.rhs) on the
+    # eigenvalues of G above 1e-13 of the largest, so
+    # ||c||_1 <= sqrt(2) ||p||_1 / lam_low, with lam_low the least eigenvalue
+    # above half that cut-off (at most every eigenvalue kept).
+    u = levels[0]
+    W = np.abs(M) + theta * np.abs(K)
+    lam = np.linalg.eigvalsh(u @ (M + theta * K) @ u.T)
+    c_bound = 0.0
+    if lam[-1] > 0.0:
+        lam_low = lam[lam > 0.5e-13 * lam[-1]][0]
+        c_bound = np.sqrt(2.0) * np.abs(u @ rhs).sum() / lam_low
+    scale = (np.abs(rhs) + c_bound * np.max(W @ np.abs(u.T), axis=1)
+             + W @ np.abs(x0))
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    norm_m, norm_k = (np.abs(X).sum(axis=1).max() for X in (M, K))
+    underflow = eta * (1.0 + c_bound * (1.0 + theta) + norm_m + theta * norm_k
+                       + (norm_m + norm_k) * np.abs(u).max())
+    assert np.all(np.abs(r0 - dense)
+                  <= 2 * (len(b) + 8) * (eps * scale + underflow))
 
 
 def test_cg_starts_warm_and_saves_iterations(monkeypatch):
@@ -501,6 +549,21 @@ def test_1d_step_makes_one_reduction_and_no_dot(monkeypatch):
     (dots_4, einsums_4), (dots_40, einsums_40) = counts
     assert dots_4 == dots_40 == 0
     assert einsums_40 - einsums_4 == 36
+
+
+def test_galerkin_start_is_called_once_per_2d_solve_only(monkeypatch):
+    # every CG solve, the step-1 predictor included, forms its own start;
+    # the banded solve takes the same start argument and ignores it
+    n_steps = 5
+    for space, case_id, per_solve in (
+            (build_lagrange_space(uniform_square_mesh(4), 2), "example3", 1),
+            (_space_1d(16, 2), "example1", 0)):
+        case = make_case(case_id)
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, stepper, "galerkin_start")
+            run(space, case.u0, case.f, NonlocalCoefficient(case.gamma),
+                TimeGrid(t_end=0.01 * n_steps, n_steps=n_steps))
+        assert len(calls) == per_solve * (n_steps + 1)
 
 
 def test_2d_step_reads_no_matrix_diagonal(monkeypatch):
