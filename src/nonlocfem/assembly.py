@@ -194,6 +194,12 @@ class LoadAssembler:
     alone. With rows given (node indices, e.g. the free nodes) the load has
     only those rows, in their order; the other nodes go to one extra bin per
     time that is dropped.
+
+    The temporaries of a call (the finiteness mask, the weighted forcing
+    values and the element loads) are buffers of the assembler, allocated on
+    the first call and grown only when a call brings more times, so a run
+    of equal blocks allocates them once. The returned block is always a new
+    array, and later calls leave it alone.
     """
 
     def __init__(self, space: LagrangeSpace, rows=None):
@@ -215,6 +221,16 @@ class LoadAssembler:
         self._block_dofs = dofs     # extended on the first call of more times
         self._columns = _columns(points.reshape(-1, points.shape[2]))
         self.n_points = self._wdet.size
+        self._allocate_buffers(0)
+
+    def _allocate_buffers(self, n_t):
+        """The finiteness mask, weighted values and element loads of n_t
+        times; the old buffers are freed before the new ones are made."""
+        self._finite = self._weighted = self._elem = None
+        n_el, n_q = self._wdet.shape
+        self._finite = np.empty((n_t, self.n_points), dtype=bool)
+        self._weighted = np.empty((n_t, n_el, n_q))
+        self._elem = np.empty((n_t, n_el, self._vals_t.shape[1]))
 
     def __call__(self, f, times) -> np.ndarray:
         """Loads at the given times, shape (len(times), n_rows).
@@ -227,15 +243,17 @@ class LoadAssembler:
         times = np.asarray(times, dtype=float)
         n_t = len(times)
         fvals = _evaluate_field(f, self._columns, times[:, None])
-        finite = np.isfinite(fvals)
+        if len(self._weighted) < n_t:
+            self._allocate_buffers(n_t)
+        finite = np.isfinite(fvals, out=self._finite[:n_t])
         if not finite.all():
             bad = times[np.argmin(finite.all(axis=1))]
             raise NonFiniteFieldError(
                 f"forcing returned a non-finite value at t={bad}")
-        weighted = self._wdet * fvals.reshape(n_t, *self._wdet.shape)
-        del fvals, finite   # blocks are large: keep two of them alive at most
-        elem = weighted @ self._vals_t      # (n_t, ne, nl)
-        del weighted
+        weighted = np.multiply(self._wdet, fvals.reshape(n_t, *self._wdet.shape),
+                               out=self._weighted[:n_t])
+        del fvals   # blocks are large: release the forcing values early
+        elem = np.matmul(weighted, self._vals_t, out=self._elem[:n_t])
         width = self._n_rows + 1
         size = n_t * len(self._dofs)
         if len(self._block_dofs) < size:

@@ -68,8 +68,9 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
     """Preconditioned CG on a reduced SPD system; returns (x, iterations).
 
     x0 is the start vector (zero if None; not modified). r0, if given with
-    x0, is taken as its residual b - A x0 (not modified), so the start costs
-    no matrix-vector product; the stepper forms it from products it carries.
+    x0, is taken as its residual b - A x0, so the start costs no
+    matrix-vector product; the stepper forms it from products it carries.
+    r0 is consumed: CG updates that float vector in place as its residual.
     diagonal, if given, is the diagonal of A, which is then not extracted.
     Convergence means ||b - A x|| <= tol ||b||: every stop after an
     iteration is confirmed on the recomputed residual, a start already
@@ -97,7 +98,7 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = b - A @ x if r0 is None else np.array(r0, dtype=float)
+        r = b - A @ x if r0 is None else r0
         if math.sqrt(dot(r, r)) <= bound:
             return x, 0
     z = inv_diag * r

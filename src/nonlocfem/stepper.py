@@ -185,6 +185,12 @@ class StepWorkspace:
     of up to _LOAD_BLOCK_STEPS steps at once, when the stepping first needs
     one of them (see LoadAssembler), with at most _LOAD_BLOCK_VALUES
     forcing values per block.
+
+    Besides the system matrix, the workspace holds one free-node vector for
+    the right-hand side step_rhs returns and one for the residual of the
+    verify, and the next call overwrites each. The load assembler reuses its
+    own temporaries, so a banded step allocates no vector, and a block of
+    loads allocates only the block itself (and the forcing's values).
     """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
@@ -215,6 +221,9 @@ class StepWorkspace:
         self.forcing = forcing
         self._loads = None
         self._loads_from = self._loads_end = 1   # the steps _loads holds
+        n_free = len(self.free)
+        self._rhs = np.empty(n_free)          # step_rhs's result
+        self._residual = np.empty(n_free)     # the verify's rhs - A x
         self._m_scale = abs(self.M_ff.data).max() if self.M_ff.nnz else 0.0
         self._k_scale = abs(self.K_ff.data).max() if self.K_ff.nnz else 0.0
 
@@ -254,8 +263,11 @@ class StepWorkspace:
 
     def step_rhs(self, theta, mu, ku, dF):
         """M u - theta K u + delta F, from M u and K u of the last level and
-        dF = delta F (None if unforced)."""
-        rhs = np.multiply(ku, -theta)
+        dF = delta F (None if unforced).
+
+        The result is the workspace's right-hand-side vector, valid until the
+        next call overwrites it."""
+        rhs = np.multiply(ku, -theta, out=self._rhs)
         rhs += mu
         if dF is not None:
             rhs += dF
@@ -292,7 +304,9 @@ class StepWorkspace:
 
         A direct solve gets one iterative-refinement pass if needed. The
         acceptance bound never goes below the backward-stable scale
-        ||A||_max ||x|| eps attainable in double precision.
+        ||A||_max ||x|| eps attainable in double precision; ||x|| is computed
+        only for a residual above solver_tol ||rhs||. The residual goes into
+        the workspace's residual vector, so rhs must not be that vector.
         """
         if out is None:
             out = tuple(np.empty_like(rhs) for _ in range(3))
@@ -303,12 +317,11 @@ class StepWorkspace:
         scale = self._m_scale + theta * self._k_scale
         for attempt in range(2):
             mu_x, ku_x = self.matvecs(x, out[1:])
-            r = np.multiply(ku_x, theta)
+            r = np.multiply(ku_x, theta, out=self._residual)
             r += mu_x
             np.subtract(rhs, r, out=r)
             res = dnrm2(r)
-            floor = _FLOOR_EPS * scale * dnrm2(x)
-            if res <= max(bound, floor):
+            if res <= bound or res <= _FLOOR_EPS * scale * dnrm2(x):
                 if x is not out[0]:
                     np.copyto(out[0], x)
                 return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -358,6 +359,44 @@ def test_example2_cutoff_as_a_block_equals_per_time_calls():
     for row, t in zip(block, times):
         np.testing.assert_array_equal(row, f(x, t))
     assert np.all(block[times >= 1.0] == 0.0)
+
+
+def _traced_call(load, f, times):
+    """load(f, times) under tracemalloc, and the peak bytes the call added."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    block = load(f, times)
+    return block, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_load_buffers_are_reused_and_never_alias_a_returned_block():
+    # example1's default mesh on the free rows: a block of 163 steps, a short
+    # one of 7 with another forcing, then the next 163 steps
+    space = _space_1d(100, 2)
+    free = space.free_node_indices
+    load = LoadAssembler(space, free)
+    f1, f2 = make_case("example1").f, make_case("example2").f
+    calls = [(f1, 1e-3 * np.arange(163) + 5e-4), (f2, 0.2 * np.arange(7)),
+             (f1, 1e-3 * np.arange(163, 326) + 5e-4)]
+    tracemalloc.start()
+    try:
+        traced = [_traced_call(load, f, times) for f, times in calls]
+    finally:
+        tracemalloc.stop()
+    blocks, peaks = zip(*traced)
+    kept = [block.copy() for block in blocks]
+    for (f, times), block in zip(calls, blocks):
+        assert block.shape == (len(times), len(free))
+        for row, t in zip(block, times):
+            np.testing.assert_array_equal(row, per_step_load(space, f, t, free))
+    # later calls leave every earlier block as it was returned
+    for block, copy in zip(blocks, kept):
+        np.testing.assert_array_equal(block, copy)
+    # the second call of 163 times allocates neither the weighted forcing
+    # values nor the element loads again
+    n_el = space.mesh.n_elements
+    temporaries = 163 * 8 * (load.n_points + n_el * (space.degree + 1))
+    assert peaks[0] - peaks[2] >= temporaries
 
 
 # --- interpolation ---

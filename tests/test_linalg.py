@@ -399,6 +399,29 @@ def test_banded_persistent_error_fails_verification(monkeypatch):
     assert len(calls) == 2   # refinement runs once, then the solve is refused
 
 
+def test_banded_solve_within_the_roundoff_floor_is_accepted(monkeypatch):
+    # solver_tol = 1e-30 is out of reach in double precision: the residual
+    # lies above tol ||rhs|| but within the floor 64 eps ||A||_max ||x||,
+    # with ||A||_max bounded by ||M||_max + theta ||K||_max, and the first
+    # solve is accepted without a refinement pass
+    space = _space(n=16, k=2)
+    delta, a = 1e-2, 1.0
+    theta = 0.5 * a * delta
+    b = _interior_rhs(space, np.random.default_rng(11))
+    rhs = delta * b
+    calls = _perturbed_banded_kernel(monkeypatch, 0.0, False)   # counts only
+    x, mx, kx = _workspace(space, delta, solver_tol=1e-30).solve_verified(
+        theta, rhs)
+    assert len(calls) == 1
+    free = space.free_node_indices
+    scale = (abs(assemble_mass(space).restrict(free).data).max()
+             + theta * abs(assemble_stiffness(space).restrict(free).data).max())
+    res = np.linalg.norm(rhs - (mx + theta * kx))
+    assert 1e-30 * np.linalg.norm(rhs) < res
+    assert res <= 64 * np.finfo(float).eps * scale * np.linalg.norm(x)
+    assert _rel_err(x, _dense_solve(space, b, delta, a)) <= 1e-10
+
+
 @settings(deadline=None)
 @given(k=st.sampled_from([1, 2, 3]), n=st.integers(2, 12),
        delta=st.floats(1e-4, 1.0), a=st.floats(1e-3, 1e3),

@@ -230,6 +230,34 @@ def test_point_symmetry_preserved_2d():
                          - traj.final.coefficients[mirrored])) <= 1e-10
 
 
+@settings(deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(2, 8),
+       gamma=st.floats(-0.5, 1.0), mode=st.integers(1, 3),
+       amplitude=st.floats(0.1, 2.0), forcing=st.floats(-2.0, 2.0),
+       n_steps=st.integers(1, 6), t_end=st.floats(0.01, 0.5))
+def test_sign_symmetry(k, n, gamma, mode, amplitude, forcing, n_steps, t_end):
+    # the scheme is odd in (u0, f): negation is exact in floating point and
+    # every operation of a step is odd or even in it, so -u0 and -f give
+    # exactly -U, with the same energies and coefficients
+    space = _space_1d(n, k)
+    grid = TimeGrid(t_end=t_end, n_steps=n_steps)
+    coeff = NonlocalCoefficient(gamma=gamma)
+
+    def u0(x):
+        return amplitude * np.sin(mode * np.pi * x)
+
+    def f(x, t):
+        return forcing * x * (1.0 - x) * np.cos(3.0 * t)
+
+    plus = run(space, u0, f, coeff, grid)
+    minus = run(space, lambda x: -u0(x), lambda x, t: -f(x, t), coeff, grid)
+    np.testing.assert_array_equal(minus.final.coefficients,
+                                  -plus.final.coefficients)
+    assert minus.energy_history == plus.energy_history
+    assert minus.coefficient_history == plus.coefficient_history
+    assert minus.frozen == plus.frozen
+
+
 def test_snapshots_match_nearest_grid_times():
     space = _space_1d(8, 1)
     grid = TimeGrid(t_end=1.0, n_steps=10)
