@@ -18,8 +18,9 @@ from .harness import (_CONFIG_KEYS, ConfigError, RunConfig, SweepError,
                       config_from_sources, emit_outputs, energy_study,
                       parse_config_file, run_solve, sweep_delta, sweep_h)
 from .linalg import NotSPDError, SolverConvergenceError
-from .manufactured import (CASE_IDS, AlphaSolveConfig, fixed_point_map,
-                           make_case, solve_alpha, verify_case)
+from .manufactured import (CASE_IDS, AlphaSolveConfig, AlphaSolveError,
+                           fixed_point_map, make_case, solve_alpha,
+                           verify_case)
 from .stepper import ABORT, WARN, GuardTripError, SteppingError
 
 EXIT_OK = 0
@@ -79,7 +80,8 @@ def _build_parser():
 
     p_alpha = sub.add_parser("alpha", help="solve the profile fixed point")
     p_alpha.add_argument("case", choices=CASE_IDS)
-    p_alpha.add_argument("--tolerance", type=float, default=1e-13)
+    p_alpha.add_argument("--tolerance", type=float,
+                         default=AlphaSolveConfig.tolerance)
 
     p_energy = sub.add_parser("energy", help="energy time series for all cases")
     _add_common(p_energy)
@@ -174,9 +176,12 @@ def _cmd_sweep(args, kind) -> int:
 
 def _cmd_alpha(args) -> int:
     G, bracket = fixed_point_map(args.case)
+    try:
+        config = AlphaSolveConfig(bracket=bracket, tolerance=args.tolerance)
+    except ValueError as exc:   # the bracket is the case's own
+        raise ConfigError(f"--tolerance: {exc}, got {args.tolerance}") from exc
     t0 = time.perf_counter()
-    alpha = solve_alpha(G, AlphaSolveConfig(bracket=bracket,
-                                            tolerance=args.tolerance))
+    alpha = solve_alpha(G, config)
     elapsed = time.perf_counter() - t0
     print(f"alpha({args.case}) = {alpha:.15f}")
     print(f"fixed-point residual: {abs(alpha - G(alpha)):.3e}")
@@ -249,7 +254,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SweepError, GuardTripError, SteppingError, NotSPDError,
-            SolverConvergenceError, ArithmeticError) as exc:
+            SolverConvergenceError, AlphaSolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BrokenPipeError:

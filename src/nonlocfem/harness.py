@@ -95,6 +95,9 @@ class RunConfig:
             value = getattr(cfg, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if not cfg.guard_ceiling > cfg.guard_floor:
+            raise ConfigError(f"guard_ceiling must exceed guard_floor, got "
+                              f"{cfg.guard_ceiling:g} <= {cfg.guard_floor:g}")
         if cfg.guard_policy not in (WARN, ABORT):
             raise ConfigError(f"guard_policy must be {WARN} or {ABORT}, "
                               f"got {cfg.guard_policy!r}")

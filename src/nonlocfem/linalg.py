@@ -15,8 +15,9 @@ residual it forms from the products it carries, and passes the diagonal
 from the stored diagonals of M and K, so a solve makes no matrix-vector
 product and no diagonal extraction before its first iteration. 2D
 trajectories agree with a zero start to the solver tolerance, not bit for
-bit. The stepper verifies every solution, the step-1 predictor included,
-against an independently recomputed residual.
+bit. CG stops on its recurrence residual; the stepper verifies every
+solution of either backend, the step-1 predictor included, against an
+independently recomputed residual, the only acceptance check of a solve.
 
 Every CG reduction goes through dot, and every inner product of the
 stepper through einsum, both single-threaded loops, on purpose:
@@ -72,12 +73,12 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
     matrix-vector product; the stepper forms it from products it carries.
     r0 is consumed: CG updates that float vector in place as its residual.
     diagonal, if given, is the diagonal of A, which is then not extracted.
-    Convergence means ||b - A x|| <= tol ||b||: every stop after an
-    iteration is confirmed on the recomputed residual, a start already
-    within the bound is accepted on r0. Every reduction is dot, so x and the
-    iteration count do not depend on the BLAS thread count. A NaN stops CG
-    at once: a non-finite ||b|| raises ValueError, a NaN diagonal entry or
-    curvature NotSPDError.
+    CG stops once its recurrence residual (r0 for the start) is within
+    tol ||b||, so it forms no b - A x after the start; that residual can
+    drift from the true one (Greenbaum 1997), and the caller verifies x.
+    Every reduction is dot, so x and the iteration count do not depend on
+    the BLAS thread count. A NaN stops CG at once: a non-finite ||b||
+    raises ValueError, a NaN diagonal entry or curvature NotSPDError.
     """
     n = len(b)
     bnorm = math.sqrt(dot(b, b))
@@ -114,15 +115,7 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
         x += alpha * p
         r -= alpha * Ap
         if math.sqrt(dot(r, r)) <= bound:
-            # recurrence says converged; accept only if the true residual agrees
-            r_true = b - A @ x
-            if math.sqrt(dot(r_true, r_true)) <= bound:
-                return x, it
-            r = r_true
-            z = inv_diag * r
-            p = z.copy()
-            rz = dot(r, z)
-            continue
+            return x, it
         z = inv_diag * r
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p

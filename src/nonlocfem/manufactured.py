@@ -41,7 +41,7 @@ class AlphaSolveConfig:
     """Bracketed search settings for the alpha fixed point."""
 
     bracket: tuple[float, float]
-    tolerance: float = 1e-13
+    tolerance: float = 1e-15
 
     def __post_init__(self):
         lo, hi = self.bracket

@@ -302,11 +302,13 @@ class StepWorkspace:
         contiguous vectors, the results are written there and out is
         returned.
 
-        A direct solve gets one iterative-refinement pass if needed. The
-        acceptance bound never goes below the backward-stable scale
+        This is the only acceptance check of a solve, on either backend. The
+        bound never goes below the backward-stable scale
         ||A||_max ||x|| eps attainable in double precision; ||x|| is computed
-        only for a residual above solver_tol ||rhs||. The residual goes into
-        the workspace's residual vector, so rhs must not be that vector.
+        only for a residual above solver_tol ||rhs||. A miss gets one
+        refinement pass (the same solve on the residual, CG from a zero
+        start), then SolverConvergenceError. The residual goes into the
+        workspace's residual vector, so rhs must not be that vector.
         """
         if out is None:
             out = tuple(np.empty_like(rhs) for _ in range(3))
@@ -325,10 +327,8 @@ class StepWorkspace:
                 if x is not out[0]:
                     np.copyto(out[0], x)
                 return out
-            if attempt == 0 and self.use_banded:
+            if attempt == 0:
                 x = x + self._solve_once(theta, r, r)
-            else:
-                break
         raise SolverConvergenceError(
             f"verified residual {res:.3e} above tolerance {bound:.3e}")
 

@@ -40,6 +40,8 @@ def test_span_hooks_and_probes_resolve_on_a_traced_run():
     assert tracer.counters["steps"] == 2
     assert tracer.counters["cg_iters"] > 0
     assert layers["stepper.solve_verified"][2] == 3   # plus the step-1 predictor
+    # CG's stops pass the verify as they are: no refinement pass runs
+    assert tracer.counters["refine"] == 0
     assert np.isfinite(report.final_error)
 
 

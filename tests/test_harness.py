@@ -49,6 +49,9 @@ def test_invalid_numerics_rejected():
         _quick_config(delta=-1.0).resolved()
     with pytest.raises(ConfigError):
         _quick_config(guard_policy="ignore").resolved()
+    for floor, ceiling in ((2.0, 1.0), (1.0, 1.0)):   # an empty guard window
+        with pytest.raises(ConfigError, match="guard_ceiling must exceed"):
+            _quick_config(guard_floor=floor, guard_ceiling=ceiling).resolved()
 
 
 def test_config_file_parsing(tmp_path):
@@ -339,11 +342,11 @@ def test_guard_log_complete_in_report():
 
 # --- CLI ---
 
-# example3's printed decimals are set by the solve tolerance; the exact root
-# is 1 / (2 pi^2) = 0.0506605918211689
+# at the default solve tolerance example3's printed decimals are those of
+# the exact root 1 / (2 pi^2) = 0.0506605918211689
 _ALPHA_DECIMALS = {"example1": "0.223688785954835",
                    "example2": "0.108016681670528",
-                   "example3": "0.050660591821089"}
+                   "example3": "0.050660591821169"}
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
@@ -386,6 +389,44 @@ def test_cli_config_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--solver-method", "direct-banded"])
     assert info.value.code == 2
+
+
+_GUARD_COMMANDS = {
+    "solve": ["--case", "example1", "--k", "1", "--n", "4", "--t-end", "0.1"],
+    "energy": ["--cases", "example1"],
+    "sweep-h": ["--case", "example1", "--k", "1", "--t-end", "0.1",
+                "--n-list", "4,8"],
+}
+
+
+@pytest.mark.parametrize("route", ["flags", "file"])
+@pytest.mark.parametrize("command", sorted(_GUARD_COMMANDS))
+def test_cli_inverted_guard_window_is_a_config_error(command, route,
+                                                     tmp_path, capsys):
+    # refused before any run, so nothing is written
+    out = tmp_path / "out"
+    if route == "flags":
+        guards = ["--guard-floor", "2", "--guard-ceiling", "1"]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text("guard_floor = 2\nguard_ceiling = 1\n")
+        guards = ["--config", str(path)]
+    code = main([command, *_GUARD_COMMANDS[command], *guards,
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "guard_ceiling must exceed guard_floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance, code", [
+    ("0", 2), ("-1", 2), ("nan", 2),
+    ("1e-20", 3),    # below what the search can reach in double precision
+])
+def test_cli_alpha_bad_tolerance_exit_code(tolerance, code, capsys):
+    # main returns a code instead of raising, so no traceback is printed
+    assert main(["alpha", "example3", "--tolerance", tolerance]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error" if code == 2 else "numerical failure")
 
 
 def test_cli_missing_config_file_exit_code(tmp_path, capsys):

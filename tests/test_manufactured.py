@@ -147,7 +147,7 @@ def test_w2d_lambda_range_enforced():
 def test_alpha_matches_reference_decimals(case_id):
     G, bracket = fixed_point_map(case_id)
     alpha = solve_alpha(G, AlphaSolveConfig(bracket=bracket))
-    tol = 1e-12 if case_id == "example3" else 1e-10
+    tol = 1e-15 if case_id == "example3" else 1e-10
     assert abs(alpha - REFERENCE_ALPHA[case_id]) <= tol
     assert abs(alpha - G(alpha)) <= 1e-12
 

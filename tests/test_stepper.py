@@ -222,12 +222,8 @@ def test_point_symmetry_preserved_2d():
     grid = TimeGrid(t_end=0.1, n_steps=10)
     traj = run(space, case.u0, case.f, NonlocalCoefficient(gamma=case.gamma),
                grid)
-    lattice = space.node_lattice
-    nk = lattice.max()
-    index_of = {tuple(p): i for i, p in enumerate(lattice)}
-    mirrored = np.array([index_of[(nk - p[0], nk - p[1])] for p in lattice])
-    assert np.max(np.abs(traj.final.coefficients
-                         - traj.final.coefficients[mirrored])) <= 1e-10
+    U = traj.final.coefficients
+    assert np.max(np.abs(U - U[_mirror_index(space)])) <= 1e-10
 
 
 @settings(deadline=None)
@@ -256,6 +252,72 @@ def test_sign_symmetry(k, n, gamma, mode, amplitude, forcing, n_steps, t_end):
     assert minus.energy_history == plus.energy_history
     assert minus.coefficient_history == plus.coefficient_history
     assert minus.frozen == plus.frozen
+
+
+def _mirror_index(space):
+    """The node at the image of each node under x -> 1 - x in every
+    coordinate: the midpoint mirror in 1D, the half-turn about the center in
+    2D. Both uniform meshes (the diagonally split square included) map onto
+    themselves."""
+    lattice = space.node_lattice.tolist()
+    nk = space.node_lattice.max()
+    index_of = {tuple(p): i for i, p in enumerate(lattice)}
+    return np.array([index_of[tuple(nk - c for c in p)] for p in lattice])
+
+
+def _assert_mirror_symmetric(space, u0, f, gamma, grid):
+    # the mirrored u0 and f give the mirrored field, up to the roundoff of
+    # summing in another order
+    dim = space.mesh.dim
+
+    def mirrored(g):
+        return lambda *args: g(*(1.0 - x for x in args[:dim]), *args[dim:])
+
+    coeff = NonlocalCoefficient(gamma=gamma)
+    plain = run(space, u0, f, coeff, grid).final.coefficients
+    image = run(space, mirrored(u0), None if f is None else mirrored(f),
+                coeff, grid).final.coefficients
+    assert (np.max(np.abs(image - plain[_mirror_index(space)]))
+            <= 1e-10 * np.max(np.abs(plain)))
+
+
+@settings(deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(2, 8),
+       gamma=st.floats(-0.5, 1.0), amplitude=st.floats(0.1, 2.0),
+       skew=st.floats(0.1, 1.0), forcing=st.none() | st.floats(-2.0, 2.0),
+       n_steps=st.integers(1, 6), t_end=st.floats(0.01, 0.5))
+def test_mirror_symmetry_1d(k, n, gamma, amplitude, skew, forcing, n_steps,
+                            t_end):
+    def u0(x):
+        return amplitude * np.sin(np.pi * x) + skew * np.sin(2 * np.pi * x)
+
+    def f(x, t):
+        return forcing * x ** 2 * (1.0 - x) * np.cos(3.0 * t)
+
+    _assert_mirror_symmetric(_space_1d(n, k), u0,
+                             None if forcing is None else f, gamma,
+                             TimeGrid(t_end=t_end, n_steps=n_steps))
+
+
+@settings(deadline=None, max_examples=40)
+@given(k=st.sampled_from([1, 2, 3]), n=st.integers(2, 4),
+       gamma=st.floats(-0.5, 1.0), amplitude=st.floats(0.1, 2.0),
+       skew=st.floats(0.1, 1.0), forcing=st.none() | st.floats(-2.0, 2.0),
+       n_steps=st.integers(1, 4), t_end=st.floats(0.01, 0.2))
+def test_half_turn_symmetry_2d(k, n, gamma, amplitude, skew, forcing,
+                               n_steps, t_end):
+    # the CG backend: a start, its residual and every CG iterate are
+    # permuted with the field, so the verified solves are too
+    def u0(x, y):
+        return (amplitude * np.sin(np.pi * x)
+                + skew * np.sin(2 * np.pi * x)) * np.sin(np.pi * y)
+
+    def f(x, y, t):
+        return forcing * x ** 2 * y * (1.0 - x) * (1.0 - y) * np.cos(3.0 * t)
+
+    _assert_mirror_symmetric(build_lagrange_space(uniform_square_mesh(n), k),
+                             u0, None if forcing is None else f, gamma,
+                             TimeGrid(t_end=t_end, n_steps=n_steps))
 
 
 def test_snapshots_match_nearest_grid_times():
@@ -617,9 +679,9 @@ class _CountingCSR(sp.csr_matrix):
         return super()._matmul_vector(other)
 
 
-def test_2d_solve_costs_cg_iterations_plus_three_matvecs(monkeypatch):
-    # CG's confirmation and the verify's M x and K x; the start residual
-    # comes from the carried products
+def test_2d_solve_costs_cg_iterations_plus_two_matvecs(monkeypatch):
+    # the verify's M x and K x only: the start residual comes from the
+    # carried products, and CG stops on its recurrence residual
     restrict = SparseSymMatrix.restrict
     monkeypatch.setattr(SparseSymMatrix, "restrict",
                         lambda self, idx: _CountingCSR(restrict(self, idx)))
@@ -637,4 +699,28 @@ def test_2d_solve_costs_cg_iterations_plus_three_matvecs(monkeypatch):
     assert len(iterations) == 11     # the step-1 predictor, then one per step
     assert all(its > 0 for its in iterations)
     # M u_0 and K u_0 once, then every solve
-    assert _CountingCSR.matvecs == 2 + sum(iterations) + 3 * len(iterations)
+    assert _CountingCSR.matvecs == 2 + sum(iterations) + 2 * len(iterations)
+
+
+@pytest.mark.parametrize("theta", [5e-3, 5.0, 5e3])
+def test_2d_solve_from_a_far_start_meets_the_bound(monkeypatch, theta):
+    # CG stops on its recurrence residual, which can drift from the true one
+    # after a start far from the solution; the verify recomputes the
+    # residual, and one refinement pass must bring it within the bound
+    space = build_lagrange_space(uniform_square_mesh(6), 2)
+    work = StepWorkspace(space, assemble_mass(space), assemble_stiffness(space),
+                         TimeGrid(t_end=1.0, n_steps=1))
+    A = work.M_ff + theta * work.K_ff
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal(A.shape[0])
+
+    def far_start(u, mu, ku, rhs, theta):
+        x0 = 1e3 * rng.standard_normal(len(rhs))
+        return x0, rhs - A @ x0
+    monkeypatch.setattr(stepper, "galerkin_start", far_start)
+    calls = _count_calls(monkeypatch, stepper, "cg_jacobi")
+    levels = np.zeros((2, len(rhs)))
+    x, _, _ = work.solve_verified(theta, rhs, (levels, levels, levels))
+    assert 1 <= len(calls) <= 2    # the solve, and at most one refinement
+    assert (np.linalg.norm(rhs - A @ x)
+            <= work.solver_tol * np.linalg.norm(rhs))
