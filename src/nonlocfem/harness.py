@@ -35,6 +35,13 @@ def _snapshot_times(raw) -> tuple:
     return tuple(float(v) for v in raw)
 
 
+def _snapshot_tag(t) -> str:
+    """The tag of a requested snapshot time: its file names
+    run_..._snapshot_<tag>.csv, and its grid time is the .meta.txt line
+    snapshot_<tag> = <t>."""
+    return f"t{t:g}"
+
+
 # every config key, in RunConfig field order, with the converter from its
 # file text or flag value
 _CONFIG_KEYS = {
@@ -107,10 +114,10 @@ class RunConfig:
                 raise ConfigError(f"snapshot time {t:g} lies outside "
                                   f"[0, t_end={cfg.t_end:g}]")
             # the tag names the snapshot file, so equal tags would overwrite
-            tag = f"{t:g}"
+            tag = _snapshot_tag(t)
             if tag in tags:
                 raise ConfigError(f"snapshot times {tags[tag]!r} and {t!r} "
-                                  f"share the file tag t{tag}")
+                                  f"share the file tag {tag}")
             tags[tag] = t
         return cfg
 
@@ -237,12 +244,14 @@ def run_solve(config: RunConfig) -> RunReport:
                guard_policy=config.guard_policy,
                snapshot_times=config.snapshots)
     final_error = l2_error(traj.final, case.u, grid.t_end)
+    metadata = _metadata(config, case.dim, grid)
+    metadata.update((f"snapshot_{_snapshot_tag(t_req)}", t)
+                    for t_req, (t, _) in traj.snapshots.items())
     return RunReport(config=config, h=space.mesh.h, final_error=final_error,
                      energy_history=traj.energy_history,
                      coefficient_history=traj.coefficient_history,
                      first_guard_trip=traj.first_guard_trip,
-                     snapshots=traj.snapshots,
-                     metadata=_metadata(config, case.dim, grid))
+                     snapshots=traj.snapshots, metadata=metadata)
 
 
 def _fit_slope(xs, errors) -> float | None:
@@ -528,7 +537,8 @@ def emit_outputs(results, out_dir: str) -> list[str]:
                     row = [_fmt(c) for c in coords[idx]]
                     row.append(_fmt(field_vec.coefficients[idx]))
                     lines.append(",".join(row))
-                emit(f"{base}_snapshot_t{t_req:g}.csv", "\n".join(lines) + "\n")
+                emit(f"{base}_snapshot_{_snapshot_tag(t_req)}.csv",
+                     "\n".join(lines) + "\n")
         else:
             raise TypeError(f"cannot emit {type(result).__name__}")
     return written

@@ -21,22 +21,30 @@ scalar then comes from one single-threaded einsum of the two u rows
 against their M u rows: the energy U_n.M U_n, the extrapolated norm
 2.25 E_n - 0.75 (u_n.M u_{n-1} + u_{n-1}.M u_n) + 0.25 E_{n-1} and the
 cross term of the two levels. Every solve gets the same rows as its start
-on both backends: CG starts from their Galerkin best fit, which
-galerkin_start forms by einsum, with its residual from the carried
-products instead of a matrix-vector product; the banded solve ignores
-them. No reduction runs on multithreaded BLAS, so a trajectory does not
-depend on the BLAS thread count (see linalg).
+on both backends: CG starts from their Galerkin best fit, the banded solve
+ignores them. galerkin_start forms that fit as an energy-orthonormal
+projection, with its residual from the carried products instead of a
+matrix-vector product: the levels are nearly parallel, so a Gram matrix
+built from their inner products is singular to roundoff and loses the
+second direction. No reduction runs on multithreaded BLAS, so a trajectory
+does not depend on the BLAS thread count (see linalg).
 
 At extinction the coefficient is undefined, and the trajectory is frozen
 at zero from that step on, matching the continuation of the exact extinct
 solutions. That happens at a zero field with a negative exponent, and
-also once a gamma < 0 trajectory rings: when theta dim pi^2 > 1 and the two
-levels have a negative M-inner product. Galerkin eigenvalues of the
-conforming spaces here bound the first Laplace eigenvalue dim pi^2 from
-above, so theta dim pi^2 > 1 makes the Crank-Nicolson factor
-(1 - theta lambda)/(1 + theta lambda) of every discrete mode negative: the
-step can no longer represent a decay, and for gamma < 0 a large theta
-means a vanishing norm.
+also once a gamma < 0 trajectory rings on an unforced step: when delta F
+is None or exactly zero on the free rows, theta dim pi^2 > 1 and the two
+levels have a negative M-inner product. Unforced, s = ||u||^2 obeys
+ds/dt = -2 a(u) ||grad u||^2 <= -2 lambda_1 s^(1 + gamma), so for
+gamma < 0 it reaches zero in finite time. Galerkin eigenvalues of the
+conforming spaces here bound the first Laplace eigenvalue
+lambda_1 = dim pi^2 from above, so theta dim pi^2 > 1 makes the
+Crank-Nicolson factor (1 - theta lambda)/(1 + theta lambda) of every
+discrete mode negative: the step can no longer represent a decay, and for
+gamma < 0 a large theta means a vanishing norm. A forcing that stays on
+can hold the norm up: the steady state u* = K^-1 F / a*, which the scheme
+keeps exactly, is positive, and a coarse step rings on the way to it, so a
+forced step is never frozen.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .coefficient import (DegenerateCoefficientError, GuardStatus,
                           NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
 from .linalg import (DIRECT_BANDED, SolverConvergenceError, band_matvec,
-                     cg_jacobi, method_for_dim, solve_banded_spd,
+                     cg_jacobi, dot, method_for_dim, solve_banded_spd,
                      to_banded_lower)
 from .mesh import LagrangeSpace
 
@@ -74,6 +82,14 @@ _FLOOR_EPS = 64.0 * np.finfo(float).eps
 # default mesh, whose 100 elements have 4 quadrature points each)
 _LOAD_BLOCK_STEPS = 256
 _LOAD_BLOCK_VALUES = 1 << 16
+
+# galerkin_start drops a level whose energy norm orthogonal to the levels
+# kept before it is at most _START_DROP of its own: that remainder is a
+# difference of nearly equal vectors, with a rounding error of a few eps of
+# the level in each entry, so below this share its direction is noise. A
+# squared norm below _START_LEAST has too few digits to normalize by.
+_START_DROP = 1e-13
+_START_LEAST = np.finfo(float).tiny
 
 
 class SteppingError(RuntimeError):
@@ -135,28 +151,44 @@ def galerkin_start(u, mu, ku, rhs, theta):
     residual: returns (x, rhs - (M + theta K) x).
 
     u holds earlier levels as rows, and mu and ku their products with M and
-    K, so the Galerkin system (2x2 for two levels) needs inner products only:
-    the Gram matrix G_ij = u_i.(M + theta K) u_j and the projections
-    p_i = u_i.rhs, from einsums on one thread whatever the BLAS thread count.
-    Eigenvalues below 1e-13 of the largest are dropped (a zero or repeated
-    level); with none positive the start is 0 and its residual rhs. The
-    residual comes from the same combination of the products as the start
-    from the levels, with no matrix-vector product.
+    K. The levels of a run are nearly parallel (on example3 at n = 48 the
+    last two differ by 6e-9 to 3e-7 in the energy norm), so their Gram matrix
+    u_i.(M + theta K) u_j, formed from inner products, is singular to
+    roundoff and loses the second direction. Instead the levels are made
+    orthonormal in the energy inner product (Fischer, CMAME 163, 1998): each
+    row, with A u_i = M u_i + theta K u_i from the carried products, is
+    orthogonalized twice against the rows already kept ("twice is enough",
+    Giraud, Langou & Rozloznik 2005), its A-product updated by the same
+    steps as itself, and normalized. A row whose remainder has an energy
+    norm of at most _START_DROP of its own is dropped (a zero or repeated
+    level); with none kept the start is 0 and its residual rhs. Then
+    x = sum_i (w_i.rhs) w_i and residual = rhs - sum_i (w_i.rhs) A w_i, so
+    the start needs no matrix-vector product, and every reduction is
+    linalg.dot, on one thread whatever the BLAS thread count.
     """
-    G = np.einsum("ij,kj->ik", u, mu)
-    G += theta * np.einsum("ij,kj->ik", u, ku)
-    p = np.einsum("ij,j->i", u, rhs)
     x, residual = np.zeros(len(rhs)), rhs.copy()
-    lam, V = np.linalg.eigh(G)
-    if not lam[-1] > 0.0:
-        return x, residual
-    keep = lam > 1e-13 * lam[-1]
-    V = V[:, keep]
-    c = V @ ((V.T @ p) / lam[keep])
-    for ci, u_i, mu_i, ku_i in zip(c, u, mu, ku):
-        x += ci * u_i
-        residual -= ci * mu_i
-        residual -= (ci * theta) * ku_i
+    basis = []        # (w, A w), orthonormal in the energy inner product
+    for u_i, mu_i, ku_i in zip(u, mu, ku):
+        w = u_i.copy()
+        aw = np.multiply(ku_i, theta)
+        aw += mu_i
+        own = dot(w, aw)
+        for _ in range(2):
+            for v, av in basis:
+                c = dot(av, w)
+                w -= c * v
+                aw -= c * av
+        norm_sq = dot(w, aw)
+        if not norm_sq > max(_START_DROP ** 2 * own, _START_LEAST):
+            continue
+        scale = 1.0 / math.sqrt(norm_sq)
+        w *= scale
+        aw *= scale
+        basis.append((w, aw))
+    for w, aw in basis:
+        c = dot(w, rhs)
+        x += c * w
+        residual -= c * aw
     return x, residual
 
 
@@ -365,9 +397,11 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     """Full trajectory: init, predictor-corrector, then multistep to t_end.
 
     f may be None for an unforced problem. Snapshot times are matched to the
-    nearest grid time. The loop carries the last two levels as rows of one
-    array (see the module docstring) on the free nodes; full-length fields
-    are built only for the snapshots and the final field.
+    nearest grid time, with a warning for one that is not on the grid, and
+    snapshots maps each requested time to (grid time, field). The loop
+    carries the last two levels as rows of one array (see the module
+    docstring) on the free nodes; full-length fields are built only for the
+    snapshots and the final field.
     """
     if guard_policy not in (WARN, ABORT):
         raise ValueError(f"unknown guard policy {guard_policy!r}")
@@ -385,7 +419,11 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
 
     snap_indices = {}
     for t_req in snapshot_times:
-        snap_indices.setdefault(grid.nearest_index(t_req), []).append(t_req)
+        index = grid.nearest_index(t_req)
+        if abs(grid.time(index) - t_req) > 1e-9 * delta:
+            logger.warning("snapshot time %g is not on the time grid; it is "
+                           "taken at t=%r", t_req, grid.time(index))
+        snap_indices.setdefault(index, []).append(t_req)
     snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
     # level i (0 or 1) is u = rows[i], M u = rows[2 + i], K u = rows[4 + i];
@@ -435,13 +473,18 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                 a, status = _coefficient(coeff, 2.25 * R[c][c]
                                          - 0.75 * (R[c][o] + R[o][c])
                                          + 0.25 * R[o][o])
+                # np.any(None) is False: an unforced step has no load or a
+                # zero one (the load is not held across steps, so a block's
+                # memory is freed before the next block is built)
                 if (coeff.gamma < 0.0 and status != GuardStatus.DEGENERATE
-                        and a * stiffness_per_a > 1.0 and R[c][o] < 0.0):
+                        and a * stiffness_per_a > 1.0 and R[c][o] < 0.0
+                        and not np.any(work.scaled_load(n))):
                     cosine = R[c][o] / math.sqrt(max(R[c][c] * R[o][o], 1e-300))
-                    logger.warning("extinction at t=%g: theta*dim*pi^2 = %.3g "
-                                   "> 1 and the M-cosine of the last two "
-                                   "levels is %.4f < 0; the field is frozen "
-                                   "at zero", t, a * stiffness_per_a, cosine)
+                    logger.warning("extinction at t=%g: an unforced step "
+                                   "with theta*dim*pi^2 = %.3g > 1 and an "
+                                   "M-cosine of the last two levels of %.4f "
+                                   "< 0; the field is frozen at zero", t,
+                                   a * stiffness_per_a, cosine)
                     a, status = math.inf, GuardStatus.DEGENERATE
             if status != GuardStatus.OK:
                 if guard_policy == ABORT:

@@ -111,6 +111,24 @@ def test_cli_refuses_bad_snapshot_times(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_snapshot_off_the_grid_is_reported(tmp_path, caplog):
+    # 0.00049 is nearest to t = 0 at delta = 1e-3: the field written is U_0,
+    # so the run warns and the metadata records the grid time of each tag
+    with caplog.at_level(logging.WARNING, logger="nonlocfem.stepper"):
+        code = main(["solve", "--case", "example1", "--k", "1", "--n", "8",
+                     "--delta", "1e-3", "--t-end", "0.01",
+                     "--out-dir", str(tmp_path),
+                     "--snapshots", "0.00049,0.005"])
+    assert code == 0
+    [record] = [r for r in caplog.records if "snapshot" in r.getMessage()]
+    assert "0.00049" in record.getMessage()
+    meta = (tmp_path / "run_example1_k1.meta.txt").read_text().splitlines()
+    assert "snapshot_t0.00049 = 0.0" in meta
+    [line] = [m for m in meta if m.startswith("snapshot_t0.005 = ")]
+    assert float(line.split(" = ")[1]) == pytest.approx(0.005, abs=1e-15)
+    assert (tmp_path / "run_example1_k1_snapshot_t0.00049.csv").exists()
+
+
 _README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -455,6 +455,22 @@ def test_galerkin_start_is_finite_for_degenerate_levels(system, kind):
         np.testing.assert_array_equal(residual, delta * b)
 
 
+def _levels_the_start_may_keep(u, A):
+    """Indices of the rows of u whose energy norm orthogonal to the rows
+    before them that may be kept exceeds half of galerkin_start's drop
+    share of their own, by Householder QR in energy coordinates, and whose
+    squared energy norm exceeds half the least normal float."""
+    L_T = np.linalg.cholesky(A).T
+    kept = []
+    for j, u_j in enumerate(u):
+        own_sq = u_j @ A @ u_j
+        R = np.linalg.qr(L_T @ u[kept + [j]].T, mode="r")
+        if (own_sq > 0.5 * stepper._START_LEAST and abs(R[-1, -1])
+                > 0.5 * stepper._START_DROP * math.sqrt(own_sq)):
+            kept.append(j)
+    return kept
+
+
 @settings(deadline=None)
 @given(_step_system())
 def test_galerkin_start_residual_is_the_residual_of_the_start(system):
@@ -462,33 +478,73 @@ def test_galerkin_start_residual_is_the_residual_of_the_start(system):
     theta, rhs = 0.5 * a * delta, delta * b
     levels = _levels(M, K, u1, u2)
     x0, r0 = galerkin_start(*levels, rhs, theta)
-    dense = rhs - (M + theta * K) @ x0
-    # r0 = rhs - sum_i c_i (M u_i + theta K u_i) and x0 = sum_i c_i u_i for
-    # the Galerkin coefficients c. Each product, scaling and sum rounds, so
-    # in every entry r0 and the dense residual of x0 differ by at most
-    # 2 (n + 8) eps (|rhs| + sum_i |c_i| W |u_i| + W |x0|), W = |M| + theta |K|.
+    A = M + theta * K
+    dense = rhs - A @ x0
+    # The kept levels u_K = Q R are made energy-orthonormal (Q^T A Q = I, R
+    # upper triangular, R^T R = G the Gram matrix u_K A u_K^T), and x0 and
+    # r0 are built from them term by term: q_j from u_j and the q before it
+    # with the coefficients of R^{-1}, x0 = Q c and r0 = rhs - (A Q) c with
+    # c = R^{-T} p, p_i = u_i.rhs. The A-products follow the same steps from
+    # M u_i + theta K u_i. Each product, scaling and sum rounds, so in every
+    # entry r0 and the dense residual of x0 differ by at most
+    # 2 (n + 8) eps (|rhs| + sum_i beta_i W |u_i| + W |x0|), with
+    # W = |M| + theta |K| and beta = |R|^{-1} |c| the terms' absolute sum
+    # per level (|R| with the off-diagonal entry negated; the second pass
+    # adds only roundoff).
     # With gradual underflow each operation may also add an absolute error
     # of up to eta, the least subnormal, which a later product scales by at
-    # most |c_i| (1 + theta), ||M|| |u|, ||K|| |u| or ||W|| (max row sums).
-    # c solves G c = p (G_ij = u_i.(M + theta K) u_j, p_i = u_i.rhs) on the
-    # eigenvalues of G above 1e-13 of the largest, so
-    # ||c||_1 <= sqrt(2) ||p||_1 / lam_low, with lam_low the least eigenvalue
-    # above half that cut-off (at most every eigenvalue kept).
+    # most beta_i (1 + theta), ||M|| |u|, ||K|| |u| or ||W|| (max row sums).
+    # For at most two levels |R|^{-1} has the singular values of R^{-1}, so
+    # ||beta||_1 <= sqrt(2) ||p||_1 / lam_low, lam_low the least eigenvalue
+    # of G: the bound of a solve of G c = p on every eigenvalue, which is
+    # what the start computes when both levels are kept. Which levels are
+    # kept is decided as galerkin_start does, with half its drop share (at
+    # most every level kept, which only raises the bound); lam_low is the
+    # least squared singular value of R, from a Householder QR of the kept
+    # levels in energy coordinates, since G itself is singular to roundoff
+    # when the levels are nearly parallel.
     u = levels[0]
     W = np.abs(M) + theta * np.abs(K)
-    lam = np.linalg.eigvalsh(u @ (M + theta * K) @ u.T)
-    c_bound = 0.0
-    if lam[-1] > 0.0:
-        lam_low = lam[lam > 0.5e-13 * lam[-1]][0]
-        c_bound = np.sqrt(2.0) * np.abs(u @ rhs).sum() / lam_low
-    scale = (np.abs(rhs) + c_bound * np.max(W @ np.abs(u.T), axis=1)
-             + W @ np.abs(x0))
+    kept = _levels_the_start_may_keep(u, A)
+    c_bound, level_scale = 0.0, 0.0
+    if kept:
+        R = np.linalg.qr(np.linalg.cholesky(A).T @ u[kept].T, mode="r")
+        lam_low = np.linalg.svd(R, compute_uv=False)[-1] ** 2
+        c_bound = np.sqrt(2.0) * np.abs(u[kept] @ rhs).sum() / lam_low
+        level_scale = np.max(W @ np.abs(u[kept].T), axis=1)
+    scale = np.abs(rhs) + c_bound * level_scale + W @ np.abs(x0)
     eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     norm_m, norm_k = (np.abs(X).sum(axis=1).max() for X in (M, K))
     underflow = eta * (1.0 + c_bound * (1.0 + theta) + norm_m + theta * norm_k
                        + (norm_m + norm_k) * np.abs(u).max())
     assert np.all(np.abs(r0 - dense)
                   <= 2 * (len(b) + 8) * (eps * scale + underflow))
+
+
+def test_galerkin_start_resolves_nearly_parallel_levels():
+    # levels 1e-7 apart in the energy norm, as the levels of example3 are,
+    # and a solution in their span (the linear extrapolation 2 u2 - u1): a
+    # Gram matrix of the levels is singular to roundoff, and a start that
+    # drops its small eigenvalue is 3e-8 off in the relative energy norm
+    space = build_lagrange_space(uniform_square_mesh(8), 2)
+    free = space.free_node_indices
+    M = assemble_mass(space).restrict(free)
+    K = assemble_stiffness(space).restrict(free)
+    theta = 5e-3
+    A = M + theta * K
+
+    def energy(v):
+        return math.sqrt(v @ (A @ v))
+
+    u1 = init(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    v = init(space, lambda x, y: x * y * (1 - x) * (1 - y) * np.exp(x))
+    u1, v = u1.coefficients[free], v.coefficients[free]
+    u2 = u1 + 1e-7 * (energy(u1) / energy(v)) * v
+    exact = 2.0 * u2 - u1
+    x0, r0 = galerkin_start(*_levels(M, K, u1, u2), A @ exact, theta)
+    assert energy(x0 - exact) <= 1e-8 * energy(exact)
+    assert np.linalg.norm(r0 - A @ (exact - x0)) <= 1e-12 * np.linalg.norm(
+        A @ exact)
 
 
 def test_cg_starts_warm_and_saves_iterations(monkeypatch):
@@ -506,6 +562,22 @@ def test_cg_starts_warm_and_saves_iterations(monkeypatch):
     warm = sum(iterations for *_, iterations in calls)
     cold = sum(cg_jacobi(A, b, tol)[1] for A, b, tol, _, _ in calls)
     assert warm < cold
+
+
+def test_example3_fine_mesh_cg_iterations(monkeypatch):
+    # the levels of example3 at n = 48 agree to 6e-9 to 3e-7 in the energy
+    # norm: its first 11 solves took 475 iterations from a start that kept
+    # one direction of the two levels, and take 368 from one that keeps both
+    iterations = []
+
+    def recording_cg(*args, **kwargs):
+        x, its = cg_jacobi(*args, **kwargs)
+        iterations.append(its)
+        return x, its
+    monkeypatch.setattr(stepper, "cg_jacobi", recording_cg)
+    run_solve(RunConfig(case="example3", k=3, n=48, delta=1e-2, t_end=0.1))
+    assert len(iterations) == 11
+    assert sum(iterations) <= 400
 
 
 # --- extinction at the defaults ---
@@ -548,6 +620,37 @@ def test_negative_exponent_run_kept_alive_never_freezes():
     assert not traj.frozen
     assert _degenerate_times(traj.coefficient_history) == []
     assert min(e for _, e in traj.energy_history) > 0.0
+
+
+def test_forced_negative_exponent_run_reaches_its_steady_state():
+    # gamma = -1/3 with a forcing that stays on: the scheme keeps the steady
+    # state u* = K^-1 F / a*, a* = (s*)^gamma, whose energy is
+    # s* = c_h^(1/(1 + 2 gamma)), c_h = (K^-1 F).M (K^-1 F). At delta = 0.01
+    # the field rings on the way there (theta dim pi^2 > 1, negative level
+    # cosines), which on a forced step is no extinction
+    space = _space_1d(32, 2)
+    gamma = -1.0 / 3.0
+
+    def f(x, t):
+        return 50.0 * np.sin(8.0 * np.pi * x) + 0.0 * t
+    traj = run(space, _sin_pi, f, NonlocalCoefficient(gamma=gamma),
+               TimeGrid(t_end=3.0, n_steps=300))
+    free = space.free_node_indices
+    M = assemble_mass(space).restrict(free).toarray()
+    K = assemble_stiffness(space).restrict(free).toarray()
+    z = np.linalg.solve(K, per_step_load(space, f, 0.0, free))
+    s_star = (z @ M @ z) ** (1.0 / (1.0 + 2.0 * gamma))
+    assert not traj.frozen
+    assert _degenerate_times(traj.coefficient_history) == []
+    assert abs(traj.energy_history[-1][1] / s_star - 1.0) <= 1e-3
+
+
+def test_coarse_example2_does_not_freeze_while_forced():
+    # k = 1, n = 4 rings before t = 1 while the forcing is on; the first
+    # unforced step (t = 1.001) freezes
+    report = run_solve(RunConfig(case="example2", k=1, n=4, delta=1e-3))
+    frozen = _degenerate_times(report.coefficient_history)
+    assert frozen and frozen[0] > 1.0
 
 
 def test_first_discrete_eigenvalue_bounds_dim_pi_squared():
