@@ -10,21 +10,20 @@ place for every solve. In 1D the stepper also multiplies by M and K on
 their lower bands (BLAS sbmv, band_matvec), and both band kernels can
 write into vectors the caller holds (the stepper's level rows). CG
 accepts a start vector, its residual and the diagonal of A: the stepper
-starts it from the Galerkin best fit of the last two levels, an
+starts it from the Galerkin best fit of its last levels, an
 energy-orthonormal projection whose residual it forms from the products
-it carries (see stepper.galerkin_start: the levels are nearly parallel,
-and a Gram matrix of their inner products loses the second one), and
-passes the diagonal from the stored diagonals of M and K, so a solve
-makes no matrix-vector product and no diagonal extraction before its
-first iteration. 2D trajectories agree with a zero start to the solver
+it carries (stepper.galerkin_start states the level count and the drop
+rule), and passes the diagonal from the stored diagonals of M and K, so a
+solve makes no matrix-vector product and no diagonal extraction before
+its first iteration. 2D trajectories agree with a zero start to the solver
 tolerance, not bit for bit. CG stops on its recurrence residual; the
 stepper verifies every solution of either backend, the step-1 predictor
 included, against an independently recomputed residual, the only
 acceptance check of a solve.
 
-Every reduction of CG and of the start goes through dot, and the
-stepper's per-step scalars through einsum, both single-threaded loops, on
-purpose:
+Every reduction of CG and of the start goes through dot or einsum, and
+the stepper's per-step scalars through einsum, both single-threaded
+loops, on purpose:
 NumPy's @ and norm hand vectors of more than 10 000 entries to OpenBLAS,
 which splits them across threads. On a 2-core host that made the 2D step
 slower, and the split changes the rounding, so results would depend on

@@ -11,23 +11,22 @@ refilled in place on a preallocated lower band and solved by one LAPACK
 pbsv call, and every product with M or K (the residual check, the next
 level's M u and K u) is BLAS sbmv on their lower bands. In 2D it is filled
 in place on the sparsity pattern M and K share, CG solves it from the
-Galerkin best fit of the last two levels, and the products are CSR. The
-loads are evaluated on the free rows, a block of steps per call.
+Galerkin best fit of the last few levels (galerkin_start says how many,
+how and which it drops), and the products are CSR. The loads are
+evaluated on the free rows, a block of steps per call.
 
-run carries u, M u and K u of the last two levels as rows of one array,
-and a new level overwrites the older one (pbsv and sbmv write into the rows
-themselves), so nothing is moved or reallocated per level. Every per-step
-scalar then comes from one single-threaded einsum of the two u rows
-against their M u rows: the energy U_n.M U_n, the extrapolated norm
+run carries u, M u and K u of the levels the workspace's solve uses as rows
+of one array, and a new level overwrites the oldest (pbsv and sbmv write
+into the rows themselves), so nothing is moved or reallocated per level.
+Every per-step scalar then comes from one single-threaded einsum of the u
+rows of the two newest levels against their M u rows: the energy
+U_n.M U_n, the extrapolated norm
 2.25 E_n - 0.75 (u_n.M u_{n-1} + u_{n-1}.M u_n) + 0.25 E_{n-1} and the
-cross term of the two levels. Every solve gets the same rows as its start
-on both backends: CG starts from their Galerkin best fit, the banded solve
-ignores them. galerkin_start forms that fit as an energy-orthonormal
-projection, with its residual from the carried products instead of a
-matrix-vector product: the levels are nearly parallel, so a Gram matrix
-built from their inner products is singular to roundoff and loses the
-second direction. No reduction runs on multithreaded BLAS, so a trajectory
-does not depend on the BLAS thread count (see linalg).
+cross term of the two levels. Every solve gets the rows of all levels,
+newest first, as its start on both backends: CG starts from their
+Galerkin best fit, the banded solve ignores them. No reduction runs on
+multithreaded BLAS, so a trajectory does not depend on the BLAS thread
+count (see linalg).
 
 At extinction the coefficient is undefined, and the trajectory is frozen
 at zero from that step on, matching the continuation of the exact extinct
@@ -83,13 +82,13 @@ _FLOOR_EPS = 64.0 * np.finfo(float).eps
 _LOAD_BLOCK_STEPS = 256
 _LOAD_BLOCK_VALUES = 1 << 16
 
-# galerkin_start drops a level whose energy norm orthogonal to the levels
-# kept before it is at most _START_DROP of its own: that remainder is a
-# difference of nearly equal vectors, with a rounding error of a few eps of
-# the level in each entry, so below this share its direction is noise. A
-# squared norm below _START_LEAST has too few digits to normalize by.
+# CG starts from the last _START_LEVELS levels (the banded solve ignores the
+# start, and its run carries two); galerkin_start states when it drops a
+# level, by _START_DROP, _START_LEAST and _START_SHARE
+_START_LEVELS = 4
 _START_DROP = 1e-13
 _START_LEAST = np.finfo(float).tiny
+_START_SHARE = 1e-2
 
 
 class SteppingError(RuntimeError):
@@ -145,50 +144,85 @@ class TrajectorySummary:
     frozen: bool
 
 
-def galerkin_start(u, mu, ku, rhs, theta):
-    """The point of the span of the rows of u closest to the solution of
+def galerkin_start(u, mu, ku, rhs, theta, tol):
+    """The point of the span of the levels closest to the solution of
     (M + theta K) x = rhs in the energy norm of that matrix, and its
     residual: returns (x, rhs - (M + theta K) x).
 
-    u holds earlier levels as rows, and mu and ku their products with M and
-    K. The levels of a run are nearly parallel (on example3 at n = 48 the
-    last two differ by 6e-9 to 3e-7 in the energy norm), so their Gram matrix
+    u holds earlier levels, newest first, and mu and ku their products with
+    M and K; a 2D run carries the last _START_LEVELS (see
+    StepWorkspace.start_levels). This is the one description of the start.
+    On example3 at n = 48 (101 solves) CG takes 1 439, 1 175, 891, 837 and
+    675 iterations from 2 to 6 levels, while the start costs about 0.35,
+    0.6, 0.9, 1.3 and 1.8 ms per solve: four levels give the shortest run.
+    The levels of a run are nearly parallel (on example3 at n = 48 the last
+    two differ by 6e-9 to 3e-7 in the energy norm), so their Gram matrix
     u_i.(M + theta K) u_j, formed from inner products, is singular to
-    roundoff and loses the second direction. Instead the levels are made
-    orthonormal in the energy inner product (Fischer, CMAME 163, 1998): each
-    row, with A u_i = M u_i + theta K u_i from the carried products, is
-    orthogonalized twice against the rows already kept ("twice is enough",
-    Giraud, Langou & Rozloznik 2005), its A-product updated by the same
-    steps as itself, and normalized. A row whose remainder has an energy
-    norm of at most _START_DROP of its own is dropped (a zero or repeated
-    level); with none kept the start is 0 and its residual rhs. Then
-    x = sum_i (w_i.rhs) w_i and residual = rhs - sum_i (w_i.rhs) A w_i, so
-    the start needs no matrix-vector product, and every reduction is
-    linalg.dot, on one thread whatever the BLAS thread count.
+    roundoff and loses every direction but the first. Instead the levels
+    are made orthogonal in the energy inner product (Fischer, CMAME 163,
+    1998): each level, with A u_i = M u_i + theta K u_i from the carried
+    products, is orthogonalized twice, one kept level after the other,
+    against the levels already kept ("twice is enough", Giraud, Langou &
+    Rozloznik 2005), its A-product updated by the same steps as itself.
+    (Classical Gram-Schmidt, which takes a pass's coefficients against all
+    kept levels at once, let the residual below drift from rhs - A x by
+    8e-13 ||rhs|| on example3 at n = 48 from six levels, and three solves
+    refined.) Then x = sum_i (w_i.rhs) w_i and residual =
+    rhs - sum_i (w_i.rhs) A w_i over the kept remainders w_i, normalized in
+    the energy norm, so the start needs no matrix-vector product, and every
+    reduction is linalg.dot or einsum, on one thread whatever the BLAS
+    thread count.
+
+    A level is dropped when its remainder w, orthogonal to the levels kept
+    before it, has an energy norm of at most _START_DROP of its own, or a
+    squared norm below _START_LEAST (too few digits to normalize by), or
+    when the rounding that its term adds to the residual could pass
+    _START_SHARE of the verify bound tol ||rhs||. w is a difference of
+    nearly equal vectors, so each entry of w and of A w carries a rounding
+    error of a few eps of the level's own size: below _START_DROP its
+    direction is noise (a zero or repeated level). Normalizing w multiplies
+    that error by sqrt(own / norm_sq), own and norm_sq the squared energy
+    norms of the level and of w. The term (w.rhs) A w of the residual, w
+    normalized, then moves by about eps sqrt(own / norm_sq) |w.rhs| ||A w||.
+    That is the level's term eps beta_i W |u_i| of the entrywise rounding
+    bound of the residual (W = |M| + theta |K|), with the level's weight
+    beta_i = |w.rhs| / sqrt(norm_sq) and sqrt(own) ||A w|| for the size of
+    W |u_i|. CG trusts this residual and stops on its recurrence, so a level
+    that moved it by a share of the bound would make the verify refine. With
+    no level kept the start is 0 and its residual rhs.
     """
-    x, residual = np.zeros(len(rhs)), rhs.copy()
-    basis = []        # (w, A w), orthonormal in the energy inner product
+    n = len(rhs)
+    w, aw = np.empty((len(u), n)), np.empty((len(u), n))  # kept, unnormalized
+    norm_sq, weight = [], []   # w_i.A w_i and (w_i.rhs) / (w_i.A w_i)
+    scratch = np.empty(n)
+    budget = (_START_SHARE * tol * math.sqrt(dot(rhs, rhs))
+              / np.finfo(float).eps)
     for u_i, mu_i, ku_i in zip(u, mu, ku):
-        w = u_i.copy()
-        aw = np.multiply(ku_i, theta)
-        aw += mu_i
-        own = dot(w, aw)
-        for _ in range(2):
-            for v, av in basis:
-                c = dot(av, w)
-                w -= c * v
-                aw -= c * av
-        norm_sq = dot(w, aw)
-        if not norm_sq > max(_START_DROP ** 2 * own, _START_LEAST):
+        k = len(norm_sq)
+        w_k, aw_k = w[k], aw[k]
+        np.multiply(ku_i, theta, out=aw_k)
+        aw_k += mu_i
+        own = dot(u_i, aw_k)
+        if not own > _START_LEAST:
             continue
-        scale = 1.0 / math.sqrt(norm_sq)
-        w *= scale
-        aw *= scale
-        basis.append((w, aw))
-    for w, aw in basis:
-        c = dot(w, rhs)
-        x += c * w
-        residual -= c * aw
+        np.copyto(w_k, u_i)
+        for _ in range(2 if k else 0):
+            for w_l, aw_l, norm_sq_l in zip(w, aw, norm_sq):
+                c = dot(aw_l, w_k) / norm_sq_l
+                w_k -= np.multiply(w_l, c, out=scratch)
+                aw_k -= np.multiply(aw_l, c, out=scratch)
+        remainder = dot(w_k, aw_k)
+        if not remainder > max(_START_DROP ** 2 * own, _START_LEAST):
+            continue
+        p = dot(w_k, rhs)
+        if (math.sqrt(own / remainder) * abs(p) / math.sqrt(remainder)
+                * math.sqrt(dot(aw_k, aw_k) / remainder) > budget):
+            continue
+        norm_sq.append(remainder)
+        weight.append(p / remainder)
+    x = np.einsum("i,ij->j", weight, w[:len(weight)])
+    residual = np.einsum("i,ij->j", weight, aw[:len(weight)], out=scratch)
+    np.subtract(rhs, residual, out=residual)
     return x, residual
 
 
@@ -197,7 +231,10 @@ class StepWorkspace:
 
     The mesh dimension picks the backend (see linalg.method_for_dim), and
     only the workspace branches on it; solver_tol is the relative residual
-    bound every solve is verified to.
+    bound every solve is verified to. start_levels is the number of levels
+    run carries for the start of a solve: _START_LEVELS for CG, and two for
+    the banded solve, which ignores the start (run's per-step scalars need
+    the two newest).
     M and K must share one sparsity pattern (they are scattered from the
     same element dofs), so the system matrix M + theta K is formed entry by
     entry, on their lower bands in 1D and on their CSR data in 2D. Either
@@ -239,6 +276,7 @@ class StepWorkspace:
                 and np.array_equal(self.M_ff.indices, self.K_ff.indices)):
             raise ValueError("M and K do not share one sparsity pattern")
         self.use_banded = method_for_dim(space.mesh.dim) == DIRECT_BANDED
+        self.start_levels = 2 if self.use_banded else _START_LEVELS
         if self.use_banded:
             self.Mb = to_banded_lower(self.M_ff)
             self.Kb = to_banded_lower(self.K_ff)
@@ -319,7 +357,7 @@ class StepWorkspace:
         diagonal += self._diag_m
         x0 = r0 = None
         if start:
-            x0, r0 = galerkin_start(*start, rhs, theta)
+            x0, r0 = galerkin_start(*start, rhs, theta, self.solver_tol)
         x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0=x0, r0=r0,
                          diagonal=diagonal)[0]
         return x
@@ -328,11 +366,11 @@ class StepWorkspace:
         """Solve (M + theta K) x = rhs and verify the residual against an
         independently recomputed matvec; returns (x, M x, K x).
 
-        start = (u, M u, K u) holds earlier levels and their products as
-        rows: CG starts from their Galerkin best fit (see galerkin_start),
-        the banded solve ignores them. With out = (x, M x, K x), three
-        contiguous vectors, the results are written there and out is
-        returned.
+        start = (u, M u, K u) holds earlier levels, newest first, and their
+        products: CG starts from their Galerkin best fit (galerkin_start
+        describes it), the banded solve ignores them. With
+        out = (x, M x, K x), three contiguous vectors, the results are
+        written there and out is returned.
 
         This is the only acceptance check of a solve, on either backend. The
         bound never goes below the backward-stable scale
@@ -399,9 +437,9 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     f may be None for an unforced problem. Snapshot times are matched to the
     nearest grid time, with a warning for one that is not on the grid, and
     snapshots maps each requested time to (grid time, field). The loop
-    carries the last two levels as rows of one array (see the module
-    docstring) on the free nodes; full-length fields are built only for the
-    snapshots and the final field.
+    carries the levels that the workspace's solve starts from as rows of one
+    array (see the module docstring) on the free nodes; full-length fields
+    are built only for the snapshots and the final field.
     """
     if guard_policy not in (WARN, ABORT):
         raise ValueError(f"unknown guard policy {guard_policy!r}")
@@ -426,60 +464,71 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
         snap_indices.setdefault(index, []).append(t_req)
     snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
-    # level i (0 or 1) is u = rows[i], M u = rows[2 + i], K u = rows[4 + i];
-    # start holds the u, M u and K u rows of both levels for every solve.
-    # R[i][j] below is u_i.M u_j, as Python floats.
-    rows = np.zeros((6, len(free)))
-    levels = tuple((rows[i], rows[2 + i], rows[4 + i]) for i in (0, 1))
-    start = rows[:2], rows[2:4], rows[4:]
-    us, mus = start[:2]
+    # level l is u = rows[l], M u = rows[L + l] and K u = rows[2 L + l] for
+    # the workspace's L levels, and a new level overwrites the oldest. When
+    # level c is the newest, starts[c] holds the u, M u and K u rows of every
+    # level, newest first, and newest[c] views the u and M u rows of c and
+    # of the level before it, in that order (rows 0 and L - 1 by a stride of
+    # L - 1, else rows c and c - 1 by a stride of -1); reduce(c) gives
+    # R[i][j] = u_i.M u_j of those two as Python floats, R[0][0] the energy
+    # of the newest.
+    L = work.start_levels
+    rows = np.zeros((3 * L, len(free)))
+    levels = [(rows[i], rows[L + i], rows[2 * L + i]) for i in range(L)]
+    starts = [tuple(zip(*(levels[(c - j) % L] for j in range(L))))
+              for c in range(L)]
+    newest = [(rows[:L][two], rows[L:2 * L][two])
+              for two in [slice(0, None, L - 1), slice(1, None, -1)]
+              + [slice(c, c - 2, -1) for c in range(2, L)]]
 
-    def reduce():
-        return np.einsum("ij,kj->ik", us, mus).tolist()
+    def reduce(c):
+        return np.einsum("ij,kj->ik", *newest[c]).tolist()
 
-    def solve(theta, c, dF):
-        # the next level from level c, written over the other level
+    def solve(theta, c, dF, start):
+        # the next level from level c, written over the oldest, the one
+        # after c; starts[start] is its start. Returns the new level.
         _, mu, ku = levels[c]
         rhs = work.step_rhs(theta, mu, ku, dF)
-        work.solve_verified(theta, rhs, start, levels[1 - c])
+        new = c + 1 if c + 1 < L else 0
+        work.solve_verified(theta, rhs, starts[start], levels[new])
+        return new
 
-    c = 0      # the newest level; 1 - c is the one before
+    c = 0      # the newest level
     rows[0] = U0.coefficients[free]
-    work.matvecs(rows[0], out=(rows[2], rows[4]))
-    R = reduce()
+    work.matvecs(rows[0], out=(rows[L], rows[2 * L]))
+    R = reduce(c)
     energy_history = [(0.0, R[0][0])]
     coefficient_history = []
     frozen = False
     stiffness_per_a = 0.5 * delta * space.mesh.dim * math.pi ** 2
     for n in range(1, grid.n_steps + 1):
         t = grid.time(n)
-        o = 1 - c
         try:
             if frozen:
                 a, status = math.inf, GuardStatus.DEGENERATE
             elif n == 1:
-                # predictor: a(U_0) frozen, solved into the empty level; the
-                # corrector's coefficient is taken at the predicted midpoint
-                a, status = _coefficient(coeff, R[c][c])
+                # predictor: a(U_0) frozen, solved into level 1; the
+                # corrector's coefficient is taken at the predicted midpoint,
+                # and its start has the predictor first
+                a, status = _coefficient(coeff, R[0][0])
                 if status != GuardStatus.DEGENERATE:
                     if status != GuardStatus.OK and guard_policy == ABORT:
                         raise GuardTripError(1, t, status, a)
                     theta = 0.5 * a * delta
-                    solve(theta, c, work.scaled_load(1))
-                    R = reduce()
+                    R = reduce(solve(theta, c, work.scaled_load(1), c))
                     a, status = _coefficient(
-                        coeff, 0.25 * (R[o][o] + R[o][c] + R[c][o] + R[c][c]))
+                        coeff, 0.25 * (R[0][0] + R[0][1] + R[1][0] + R[1][1]))
             else:
-                a, status = _coefficient(coeff, 2.25 * R[c][c]
-                                         - 0.75 * (R[c][o] + R[o][c])
-                                         + 0.25 * R[o][o])
+                a, status = _coefficient(coeff, 2.25 * R[0][0]
+                                         - 0.75 * (R[0][1] + R[1][0])
+                                         + 0.25 * R[1][1])
                 # np.any(None) is False: an unforced step has no load or a
                 # zero one (the load is not held across steps, so a block's
                 # memory is freed before the next block is built)
                 if (coeff.gamma < 0.0 and status != GuardStatus.DEGENERATE
-                        and a * stiffness_per_a > 1.0 and R[c][o] < 0.0
+                        and a * stiffness_per_a > 1.0 and R[0][1] < 0.0
                         and not np.any(work.scaled_load(n))):
-                    cosine = R[c][o] / math.sqrt(max(R[c][c] * R[o][o], 1e-300))
+                    cosine = R[0][1] / math.sqrt(max(R[0][0] * R[1][1], 1e-300))
                     logger.warning("extinction at t=%g: an unforced step "
                                    "with theta*dim*pi^2 = %.3g > 1 and an "
                                    "M-cosine of the last two levels of %.4f "
@@ -502,10 +551,10 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                 energy = 0.0
             else:
                 theta = 0.5 * a * delta
-                solve(theta, c, work.scaled_load(n))
-                c = o
-                R = reduce()
-                energy = R[c][c]
+                # the corrector overwrites the predictor, level 1
+                c = solve(theta, c, work.scaled_load(n), 1 if n == 1 else c)
+                R = reduce(c)
+                energy = R[0][0]
         except GuardTripError:
             raise
         except Exception as exc:

@@ -198,7 +198,7 @@ b = M @ u1 / delta - (0.5 * a) * (K @ u1)
 us = np.array([u1, u2])
 x0, r0 = galerkin_start(us, np.array([M @ u for u in us]),
                         np.array([K @ u for u in us]), delta * b,
-                        0.5 * a * delta)
+                        0.5 * a * delta, 1e-12)
 x, iterations = cg_jacobi(A, b, 1e-12, x0=x0)
 print(len(free), iterations, hashlib.sha256(x0.tobytes()).hexdigest(),
       hashlib.sha256(r0.tobytes()).hexdigest(),

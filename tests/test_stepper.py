@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from scipy.linalg import solve_triangular
 
 from oracles import l2_norm_sq, per_step_load
 
@@ -426,7 +428,7 @@ def test_galerkin_start_is_no_worse_than_extrapolations(system):
         return float(np.sqrt(max(v @ A @ v, 0.0)))
 
     start, _ = galerkin_start(*_levels(M, K, u1, u2), delta * b,
-                              0.5 * a * delta)
+                              0.5 * a * delta, stepper.DEFAULT_SOLVER_TOL)
     # roundoff of the 2x2 solve and of dropping a nearly dependent level
     slack = 1e-6 * (a_norm(exact) + a_norm(u1) + a_norm(u2))
     for candidate in (u1, 1.5 * u1 - 0.5 * u2, 2.0 * u1 - u2):
@@ -447,7 +449,8 @@ def test_galerkin_start_is_finite_for_degenerate_levels(system, kind):
     else:
         u1 = u2 = np.zeros_like(b)
     start, residual = galerkin_start(*_levels(M, K, u1, u2), delta * b,
-                                     0.5 * a * delta)
+                                     0.5 * a * delta,
+                                     stepper.DEFAULT_SOLVER_TOL)
     assert np.all(np.isfinite(start))
     if kind == "both zero":
         # zero levels give exactly the zero start and its residual rhs
@@ -455,29 +458,49 @@ def test_galerkin_start_is_finite_for_degenerate_levels(system, kind):
         np.testing.assert_array_equal(residual, delta * b)
 
 
-def _levels_the_start_may_keep(u, A):
-    """Indices of the rows of u whose energy norm orthogonal to the rows
-    before them that may be kept exceeds half of galerkin_start's drop
-    share of their own, by Householder QR in energy coordinates, and whose
-    squared energy norm exceeds half the least normal float."""
+@st.composite
+def _start_system(draw):
+    """Random SPD M and K, a > 0, delta, one to four levels, a right-hand
+    side and a solver tolerance. A level after the first is either drawn on
+    its own or the first one scaled and moved by a relative 10^-e, so that
+    nearly parallel levels, as a run carries them, are drawn too."""
+    M, K, a, delta, u1, v, b = draw(_step_system())
+    vectors = hnp.arrays(float, len(b), elements=st.floats(-10.0, 10.0))
+    us = [u1]
+    for _ in range(draw(st.integers(0, 3))):
+        gap = draw(st.sampled_from([None, 1e-2, 1e-7, 1e-12, 1e-15]))
+        us.append(v if gap is None
+                  else draw(st.floats(0.5, 2.0)) * u1 + gap * v)
+        v = draw(vectors)
+    tol = draw(st.sampled_from([stepper.DEFAULT_SOLVER_TOL, 1e-16, 1e-6]))
+    return M, K, a, delta, np.array(us), b, tol
+
+
+def _sets_the_start_may_keep(u, A):
+    """Every set of levels (indices of rows of u) that galerkin_start may
+    keep: each level in it has a squared energy norm above half the least
+    normal float, and an energy norm orthogonal to the levels of the set
+    before it above half of the start's drop share of its own (Householder
+    QR in energy coordinates), so no more levels than unknowns. The other
+    drop rule only removes levels, so it adds no set."""
     L_T = np.linalg.cholesky(A).T
-    kept = []
-    for j, u_j in enumerate(u):
-        own_sq = u_j @ A @ u_j
-        R = np.linalg.qr(L_T @ u[kept + [j]].T, mode="r")
-        if (own_sq > 0.5 * stepper._START_LEAST and abs(R[-1, -1])
-                > 0.5 * stepper._START_DROP * math.sqrt(own_sq)):
-            kept.append(j)
-    return kept
+    sets = []
+    for mask in itertools.product((False, True), repeat=len(u)):
+        kept = [j for j, keep in enumerate(mask) if keep]
+        if all(i < len(A) and u[j] @ A @ u[j] > 0.5 * stepper._START_LEAST
+               and abs(np.linalg.qr(L_T @ u[kept[:i + 1]].T, mode="r")[i, i])
+               > 0.5 * stepper._START_DROP * math.sqrt(u[j] @ A @ u[j])
+               for i, j in enumerate(kept)):
+            sets.append(kept)
+    return sets
 
 
 @settings(deadline=None)
-@given(_step_system())
+@given(_start_system())
 def test_galerkin_start_residual_is_the_residual_of_the_start(system):
-    M, K, a, delta, u1, u2, b = system
+    M, K, a, delta, u, b, tol = system
     theta, rhs = 0.5 * a * delta, delta * b
-    levels = _levels(M, K, u1, u2)
-    x0, r0 = galerkin_start(*levels, rhs, theta)
+    x0, r0 = galerkin_start(*_levels(M, K, *u), rhs, theta, tol)
     A = M + theta * K
     dense = rhs - A @ x0
     # The kept levels u_K = Q R are made energy-orthonormal (Q^T A Q = I, R
@@ -487,38 +510,44 @@ def test_galerkin_start_residual_is_the_residual_of_the_start(system):
     # c = R^{-T} p, p_i = u_i.rhs. The A-products follow the same steps from
     # M u_i + theta K u_i. Each product, scaling and sum rounds, so in every
     # entry r0 and the dense residual of x0 differ by at most
-    # 2 (n + 8) eps (|rhs| + sum_i beta_i W |u_i| + W |x0|), with
-    # W = |M| + theta |K| and beta = |R|^{-1} |c| the terms' absolute sum
-    # per level (|R| with the off-diagonal entry negated; the second pass
-    # adds only roundoff).
+    # 2 (n + 4 L) eps (|rhs| + sum_i beta_i W |u_i| + W |x0|) for L levels,
+    # with W = |M| + theta |K| and beta = <R>^{-1} |c| the terms' absolute
+    # sum per level (<R> is |R| with its off-diagonal entries negated, whose
+    # inverse bounds |R^{-1}| entry by entry; the second pass adds only
+    # roundoff). Each level adds at most four roundings per entry (its
+    # A-product, its two passes and its term), so two levels give the
+    # 2 (n + 8) of the start that took at most two.
     # With gradual underflow each operation may also add an absolute error
     # of up to eta, the least subnormal, which a later product scales by at
-    # most beta_i (1 + theta), ||M|| |u|, ||K|| |u| or ||W|| (max row sums).
-    # For at most two levels |R|^{-1} has the singular values of R^{-1}, so
+    # most ||beta||_1 (1 + theta), ||M|| |u|, ||K|| |u| or ||W|| (max row
+    # sums). Which levels are kept is decided as galerkin_start does, with
+    # half its drop share, so the bound is the largest over every set of
+    # levels the start may keep; beta comes from a Householder QR of the set
+    # in energy coordinates, since G itself is singular to roundoff when the
+    # levels are nearly parallel. For two kept levels
     # ||beta||_1 <= sqrt(2) ||p||_1 / lam_low, lam_low the least eigenvalue
-    # of G: the bound of a solve of G c = p on every eigenvalue, which is
-    # what the start computes when both levels are kept. Which levels are
-    # kept is decided as galerkin_start does, with half its drop share (at
-    # most every level kept, which only raises the bound); lam_low is the
-    # least squared singular value of R, from a Householder QR of the kept
-    # levels in energy coordinates, since G itself is singular to roundoff
-    # when the levels are nearly parallel.
-    u = levels[0]
+    # of G, so the bound is no looser than that one.
     W = np.abs(M) + theta * np.abs(K)
-    kept = _levels_the_start_may_keep(u, A)
-    c_bound, level_scale = 0.0, 0.0
-    if kept:
-        R = np.linalg.qr(np.linalg.cholesky(A).T @ u[kept].T, mode="r")
-        lam_low = np.linalg.svd(R, compute_uv=False)[-1] ** 2
-        c_bound = np.sqrt(2.0) * np.abs(u[kept] @ rhs).sum() / lam_low
-        level_scale = np.max(W @ np.abs(u[kept].T), axis=1)
-    scale = np.abs(rhs) + c_bound * level_scale + W @ np.abs(x0)
     eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     norm_m, norm_k = (np.abs(X).sum(axis=1).max() for X in (M, K))
-    underflow = eta * (1.0 + c_bound * (1.0 + theta) + norm_m + theta * norm_k
-                       + (norm_m + norm_k) * np.abs(u).max())
-    assert np.all(np.abs(r0 - dense)
-                  <= 2 * (len(b) + 8) * (eps * scale + underflow))
+    L_T = np.linalg.cholesky(A).T
+    bound = np.zeros(len(b))
+    for kept in _sets_the_start_may_keep(u, A):
+        level_term, beta_sum = np.zeros(len(b)), 0.0
+        if kept:
+            R = np.linalg.qr(L_T @ u[kept].T, mode="r")
+            c = solve_triangular(R.T, u[kept] @ rhs, lower=True)
+            comparison = -np.abs(R)
+            np.fill_diagonal(comparison, np.abs(np.diag(R)))
+            beta = solve_triangular(comparison, np.abs(c))
+            level_term = W @ (np.abs(u[kept]).T @ beta)
+            beta_sum = beta.sum()
+        scale = np.abs(rhs) + level_term + W @ np.abs(x0)
+        underflow = eta * (1.0 + beta_sum * (1.0 + theta) + norm_m
+                           + theta * norm_k
+                           + (norm_m + norm_k) * np.abs(u).max())
+        bound = np.maximum(bound, eps * scale + underflow)
+    assert np.all(np.abs(r0 - dense) <= 2 * (len(b) + 4 * len(u)) * bound)
 
 
 def test_galerkin_start_resolves_nearly_parallel_levels():
@@ -541,7 +570,8 @@ def test_galerkin_start_resolves_nearly_parallel_levels():
     u1, v = u1.coefficients[free], v.coefficients[free]
     u2 = u1 + 1e-7 * (energy(u1) / energy(v)) * v
     exact = 2.0 * u2 - u1
-    x0, r0 = galerkin_start(*_levels(M, K, u1, u2), A @ exact, theta)
+    x0, r0 = galerkin_start(*_levels(M, K, u1, u2), A @ exact, theta,
+                            stepper.DEFAULT_SOLVER_TOL)
     assert energy(x0 - exact) <= 1e-8 * energy(exact)
     assert np.linalg.norm(r0 - A @ (exact - x0)) <= 1e-12 * np.linalg.norm(
         A @ exact)
@@ -578,6 +608,68 @@ def test_example3_fine_mesh_cg_iterations(monkeypatch):
     run_solve(RunConfig(case="example3", k=3, n=48, delta=1e-2, t_end=0.1))
     assert len(iterations) == 11
     assert sum(iterations) <= 400
+
+
+def test_example3_start_residual_is_within_its_share_of_the_bound(
+        monkeypatch):
+    # example3 at n = 48 starts CG from up to four levels. On every solve the
+    # start's residual is within _START_SHARE of the verify bound of the
+    # dense rhs - A x0 (at most 5.9e-15 ||rhs||, against 1e-14), and no
+    # refinement runs. The corrector overwrites the predictor, so the run
+    # never carries two levels that repeat each other; the step-2 start is
+    # therefore also formed with the predictor as a level, whose energy
+    # norm orthogonal to the corrector is 1.1e-10 of its own: kept because
+    # that is above _START_DROP, its term moves the residual by
+    # 3.4e-13 ||rhs||, 34 times the share
+    case = make_case("example3")
+    space = build_lagrange_space(uniform_square_mesh(48), 3)
+    free = space.free_node_indices
+    M = assemble_mass(space).restrict(free)
+    K = assemble_stiffness(space).restrict(free)
+    share = stepper._START_SHARE * stepper.DEFAULT_SOLVER_TOL
+    gaps, predictor = [], []
+
+    def gap(x0, r0, rhs, theta):
+        dense = rhs - (M + theta * K) @ x0
+        return np.linalg.norm(r0 - dense) / np.linalg.norm(rhs)
+
+    def checked_start(u, mu, ku, rhs, theta, tol):
+        if len(gaps) == 1:
+            # the corrector's start, whose newest level is the predictor P_1
+            predictor.extend(rows[0].copy() for rows in (u, mu, ku))
+        if len(gaps) == 2:
+            # step 2's levels U_1 and U_0, with P_1 between them
+            levels = [np.array([rows[0], p, rows[1]])
+                      for rows, p in zip((u, mu, ku), predictor)]
+            gaps.append(gap(*original(*levels, rhs, theta, tol), rhs, theta))
+        x0, r0 = original(u, mu, ku, rhs, theta, tol)
+        gaps.append(gap(x0, r0, rhs, theta))
+        return x0, r0
+    original = stepper.galerkin_start
+    monkeypatch.setattr(stepper, "galerkin_start", checked_start)
+    cg_calls = _count_calls(monkeypatch, stepper, "cg_jacobi")
+    verified = _count_calls(monkeypatch, StepWorkspace, "solve_verified")
+    run(space, case.u0, case.f, NonlocalCoefficient(case.gamma),
+        TimeGrid(t_end=0.05, n_steps=5))
+    assert len(gaps) == 7     # six solves and the start with the predictor
+    assert max(gaps) <= share
+    assert len(cg_calls) == len(verified) == 6
+
+
+def test_example3_defaults_cg_iterations(monkeypatch):
+    # example3 at its defaults (k = 3, n = 16, 101 solves) took 710 CG
+    # iterations from the last two levels and takes 495 from the last four
+    iterations = []
+
+    def recording_cg(*args, **kwargs):
+        x, its = cg_jacobi(*args, **kwargs)
+        iterations.append(its)
+        return x, its
+    monkeypatch.setattr(stepper, "cg_jacobi", recording_cg)
+    verified = _count_calls(monkeypatch, StepWorkspace, "solve_verified")
+    run_solve(RunConfig(case="example3"))
+    assert len(iterations) == len(verified) == 101    # no refinement pass
+    assert sum(iterations) <= 560
 
 
 # --- extinction at the defaults ---
@@ -622,6 +714,16 @@ def test_negative_exponent_run_kept_alive_never_freezes():
     assert min(e for _, e in traj.energy_history) > 0.0
 
 
+def _steady_energy(space, f, gamma):
+    """s* = c_h^(1/(1 + 2 gamma)), c_h = (K^-1 F).M (K^-1 F), the energy of
+    the steady state u* = K^-1 F / a* that the scheme keeps exactly."""
+    free = space.free_node_indices
+    M = assemble_mass(space).restrict(free).toarray()
+    K = assemble_stiffness(space).restrict(free).toarray()
+    z = np.linalg.solve(K, per_step_load(space, f, 0.0, free))
+    return (z @ M @ z) ** (1.0 / (1.0 + 2.0 * gamma))
+
+
 def test_forced_negative_exponent_run_reaches_its_steady_state():
     # gamma = -1/3 with a forcing that stays on: the scheme keeps the steady
     # state u* = K^-1 F / a*, a* = (s*)^gamma, whose energy is
@@ -635,11 +737,7 @@ def test_forced_negative_exponent_run_reaches_its_steady_state():
         return 50.0 * np.sin(8.0 * np.pi * x) + 0.0 * t
     traj = run(space, _sin_pi, f, NonlocalCoefficient(gamma=gamma),
                TimeGrid(t_end=3.0, n_steps=300))
-    free = space.free_node_indices
-    M = assemble_mass(space).restrict(free).toarray()
-    K = assemble_stiffness(space).restrict(free).toarray()
-    z = np.linalg.solve(K, per_step_load(space, f, 0.0, free))
-    s_star = (z @ M @ z) ** (1.0 / (1.0 + 2.0 * gamma))
+    s_star = _steady_energy(space, f, gamma)
     assert not traj.frozen
     assert _degenerate_times(traj.coefficient_history) == []
     assert abs(traj.energy_history[-1][1] / s_star - 1.0) <= 1e-3
@@ -651,6 +749,53 @@ def test_coarse_example2_does_not_freeze_while_forced():
     report = run_solve(RunConfig(case="example2", k=1, n=4, delta=1e-3))
     frozen = _degenerate_times(report.coefficient_history)
     assert frozen and frozen[0] > 1.0
+
+
+def test_forced_sine_run_is_not_frozen_on_its_way_to_steady_state():
+    # gamma = -1/3, delta = 0.05 and f = u0 = sin(pi x): the step rings while
+    # forced, and the field ends at s* (1.352e-7 against 1.352e-7)
+    space = _space_1d(32, 2)
+    gamma = -1.0 / 3.0
+
+    def f(x, t):
+        return np.sin(np.pi * x) + 0.0 * t
+    traj = run(space, _sin_pi, f, NonlocalCoefficient(gamma=gamma),
+               TimeGrid(t_end=3.0, n_steps=60))
+    assert not traj.frozen
+    assert _degenerate_times(traj.coefficient_history) == []
+    s_star = _steady_energy(space, f, gamma)
+    assert abs(traj.energy_history[-1][1] / s_star - 1.0) <= 1e-3
+
+
+def test_forced_2d_run_is_not_frozen_and_starts_from_four_levels(
+        monkeypatch):
+    # the 2D run of the same kind: gamma = -1/3, delta = 0.05, n = 6, k = 2,
+    # f = 10 sin(pi x) sin(2 pi y). It stays alive (its energy ends at
+    # 1.285e-6, 1.21 s*, and never falls below 0.3 s*), and its CG solves,
+    # started from up to four levels, take 1 899 iterations (2 484 from two)
+    # with no refinement pass
+    space = build_lagrange_space(uniform_square_mesh(6), 2)
+    gamma = -1.0 / 3.0
+
+    def f(x, y, t):
+        return 10.0 * np.sin(np.pi * x) * np.sin(2.0 * np.pi * y) + 0.0 * t
+    iterations = []
+
+    def recording_cg(*args, **kwargs):
+        x, its = cg_jacobi(*args, **kwargs)
+        iterations.append(its)
+        return x, its
+    monkeypatch.setattr(stepper, "cg_jacobi", recording_cg)
+    verified = _count_calls(monkeypatch, StepWorkspace, "solve_verified")
+    traj = run(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), f,
+               NonlocalCoefficient(gamma=gamma),
+               TimeGrid(t_end=3.0, n_steps=60))
+    assert not traj.frozen
+    assert _degenerate_times(traj.coefficient_history) == []
+    s_star = _steady_energy(space, f, gamma)
+    assert min(e for _, e in traj.energy_history) > 0.25 * s_star
+    assert len(iterations) == len(verified) == 61
+    assert sum(iterations) <= 2000
 
 
 def test_first_discrete_eigenvalue_bounds_dim_pi_squared():
@@ -817,7 +962,7 @@ def test_2d_solve_from_a_far_start_meets_the_bound(monkeypatch, theta):
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(A.shape[0])
 
-    def far_start(u, mu, ku, rhs, theta):
+    def far_start(u, mu, ku, rhs, theta, tol):
         x0 = 1e3 * rng.standard_normal(len(rhs))
         return x0, rhs - A @ x0
     monkeypatch.setattr(stepper, "galerkin_start", far_start)
