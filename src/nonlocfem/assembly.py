@@ -191,9 +191,9 @@ class LoadAssembler:
     element load in one (n_t, n_el, n_q) @ (n_q, n_local) product and sums
     them into the rows by one np.bincount, each time's dofs offset by its
     index times (n_rows + 1). Every row is bit for bit the load of its time
-    alone. With rows given (node indices, e.g. the free nodes) the load has
-    only those rows, in their order; the other nodes go to one extra bin per
-    time that is dropped.
+    alone. The load has only the given rows (node indices, e.g. the free
+    nodes), in their order; the other nodes go to one extra bin per time
+    that is dropped.
 
     The temporaries of a call (the finiteness mask, the weighted forcing
     values and the element loads) are buffers of the assembler, allocated on
@@ -202,7 +202,7 @@ class LoadAssembler:
     array, and later calls leave it alone.
     """
 
-    def __init__(self, space: LagrangeSpace, rows=None):
+    def __init__(self, space: LagrangeSpace, rows):
         k = space.degree
         rule = reference_rule(space.mesh.dim, assembly_degree(k))
         basis = reference_basis(space.mesh.dim, k)
@@ -210,15 +210,11 @@ class LoadAssembler:
         _, _, det, _ = _geometry(space.mesh)
         self._wdet = det[:, None] * rule.weights[None, :]   # (ne, nq)
         points = _quad_points_physical(space.mesh, rule)
-        dofs = space.element_dofs.ravel()
-        self._n_rows = space.n_nodes
-        if rows is not None:
-            self._n_rows = len(rows)
-            row_of = np.full(space.n_nodes, self._n_rows)
-            row_of[rows] = np.arange(self._n_rows)
-            dofs = row_of[dofs]
-        self._dofs = dofs
-        self._block_dofs = dofs     # extended on the first call of more times
+        self._n_rows = len(rows)
+        row_of = np.full(space.n_nodes, self._n_rows)
+        row_of[rows] = np.arange(self._n_rows)
+        self._dofs = row_of[space.element_dofs.ravel()]
+        self._block_dofs = self._dofs   # grown by a call of more times
         self._columns = _columns(points.reshape(-1, points.shape[2]))
         self.n_points = self._wdet.size
         self._allocate_buffers(0)

@@ -108,10 +108,15 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _parse_list(raw, conv):
+    """The comma-separated values of a list flag; an empty list is a
+    ConfigError, so nothing runs and nothing is written."""
     try:
-        return [conv(part.strip()) for part in raw.split(",") if part.strip()]
+        values = [conv(part.strip()) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad list value: {exc}") from exc
+    if not values:
+        raise ConfigError(f"empty list {raw!r}")
+    return values
 
 
 def _print_guard_summary(report):

@@ -21,7 +21,8 @@ from .coefficient import DEFAULT_CEILING, DEFAULT_FLOOR, NonlocalCoefficient
 from .linalg import method_for_dim
 from .manufactured import CASE_IDS, make_case
 from .mesh import build_lagrange_space, uniform_interval_mesh, uniform_square_mesh
-from .stepper import ABORT, DEFAULT_SOLVER_TOL, WARN, TimeGrid, run
+from .stepper import (ABORT, DEFAULT_SOLVER_TOL, WARN, TimeGrid,
+                      TrajectorySummary, run)
 
 logger = logging.getLogger(__name__)
 
@@ -159,16 +160,13 @@ def config_from_sources(file_values: dict | None = None,
 
 
 @dataclass
-class RunReport:
-    """Outcome of one solve against a manufactured case."""
+class RunReport(TrajectorySummary):
+    """Outcome of one solve against a manufactured case: its trajectory,
+    the resolved config, the mesh size and the final L2 error."""
 
     config: RunConfig
     h: float
     final_error: float
-    energy_history: list
-    coefficient_history: list
-    first_guard_trip: tuple | None
-    snapshots: dict
     metadata: dict
 
 
@@ -247,11 +245,8 @@ def run_solve(config: RunConfig) -> RunReport:
     metadata = _metadata(config, case.dim, grid)
     metadata.update((f"snapshot_{_snapshot_tag(t_req)}", t)
                     for t_req, (t, _) in traj.snapshots.items())
-    return RunReport(config=config, h=space.mesh.h, final_error=final_error,
-                     energy_history=traj.energy_history,
-                     coefficient_history=traj.coefficient_history,
-                     first_guard_trip=traj.first_guard_trip,
-                     snapshots=traj.snapshots, metadata=metadata)
+    return RunReport(**vars(traj), config=config, h=space.mesh.h,
+                     final_error=final_error, metadata=metadata)
 
 
 def _fit_slope(xs, errors) -> float | None:
@@ -375,12 +370,6 @@ def energy_csv(study: EnergyStudy) -> str:
         log_e = "-inf" if energy <= 0.0 else _fmt(math.log(energy))
         lines.append(",".join([case, _fmt(t), _fmt(energy), log_e]))
     return "\n".join(lines) + "\n"
-
-
-def run_energy_csv(report: RunReport) -> str:
-    study = EnergyStudy(rows=[(report.config.case, t, e)
-                              for t, e in report.energy_history])
-    return energy_csv(study)
 
 
 def meta_text(metadata: dict) -> str:
@@ -521,7 +510,9 @@ def emit_outputs(results, out_dir: str) -> list[str]:
             written.append(svg)
         elif isinstance(result, RunReport):
             base = f"run_{result.config.case}_k{result.config.k}"
-            emit(base + ".csv", run_energy_csv(result))
+            emit(base + ".csv", energy_csv(EnergyStudy(
+                rows=[(result.config.case, t, e)
+                      for t, e in result.energy_history])))
             meta = dict(result.metadata)
             meta["final_error_l2"] = result.final_error
             if result.first_guard_trip is not None:

@@ -3,33 +3,17 @@
 Two methods: Jacobi-preconditioned conjugate gradients (2D) and a banded
 Cholesky factorization (1D node orderings, where the matrices have
 bandwidth k). The banded solve is one LAPACK pbsv call on a Fortran-order
-lower band, which the factorization overwrites. Both backends solve the
-same system M + (a delta/2) K: the stepper preallocates it (a band in 1D,
-CSR data on the sparsity pattern M and K share in 2D) and refills it in
-place for every solve. In 1D the stepper also multiplies by M and K on
-their lower bands (BLAS sbmv, band_matvec), and both band kernels can
-write into vectors the caller holds (the stepper's level rows). CG
-accepts a start vector, its residual and the diagonal of A: the stepper
-starts it from the Galerkin best fit of its last levels, an
-energy-orthonormal projection whose residual it forms from the products
-it carries (stepper.galerkin_start states the level count and the drop
-rule), and passes the diagonal from the stored diagonals of M and K, so a
-solve makes no matrix-vector product and no diagonal extraction before
-its first iteration. 2D trajectories agree with a zero start to the solver
-tolerance, not bit for bit. CG stops on its recurrence residual; the
-stepper verifies every solution of either backend, the step-1 predictor
-included, against an independently recomputed residual, the only
-acceptance check of a solve.
+lower band, which the factorization overwrites; band_matvec multiplies on
+such a band by BLAS sbmv, and both band kernels can write into vectors the
+caller holds. How the stepper fills, starts and verifies these solves is
+described in stepper.
 
-Every reduction of CG and of the start goes through dot or einsum, and
-the stepper's per-step scalars through einsum, both single-threaded
-loops, on purpose:
-NumPy's @ and norm hand vectors of more than 10 000 entries to OpenBLAS,
-which splits them across threads. On a 2-core host that made the 2D step
-slower, and the split changes the rounding, so results would depend on
-the BLAS thread count.
+Every reduction of CG goes through dot, a single-threaded einsum loop, on
+purpose: NumPy's @ and norm hand vectors of more than 10 000 entries to
+OpenBLAS, which splits them across threads. On a 2-core host that made the
+2D step slower, and the split changes the rounding, so results would
+depend on the BLAS thread count.
 """
-
 from __future__ import annotations
 
 import math
@@ -65,23 +49,21 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
-              max_iterations: int | None = None,
-              x0: np.ndarray | None = None, r0: np.ndarray | None = None,
-              diagonal: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Preconditioned CG on a reduced SPD system; returns (x, iterations).
+def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray,
+              r0: np.ndarray, diagonal: np.ndarray) -> tuple[np.ndarray, int]:
+    """Preconditioned CG on a reduced SPD system from the start x0; returns
+    (x, iterations).
 
-    x0 is the start vector (zero if None; not modified). r0, if given with
-    x0, is taken as its residual b - A x0, so the start costs no
-    matrix-vector product; the stepper forms it from products it carries.
-    r0 is consumed: CG updates that float vector in place as its residual.
-    diagonal, if given, is the diagonal of A, which is then not extracted.
-    CG stops once its recurrence residual (r0 for the start) is within
-    tol ||b||, so it forms no b - A x after the start; that residual can
-    drift from the true one (Greenbaum 1997), and the caller verifies x.
-    Every reduction is dot, so x and the iteration count do not depend on
-    the BLAS thread count. A NaN stops CG at once: a non-finite ||b||
-    raises ValueError, a NaN diagonal entry or curvature NotSPDError.
+    r0 is the residual b - A x0 of the start (the stepper forms it from
+    products it carries, so the start costs no matrix-vector product) and
+    diagonal the diagonal of A. x0 is not modified; r0 is consumed: CG
+    updates that float vector in place as its residual. CG stops once its
+    recurrence residual (r0 for the start) is within tol ||b||, so it forms
+    no b - A x; that residual can drift from the true one (Greenbaum 1997),
+    and the caller verifies x. The budget is 10 n iterations. Every
+    reduction is dot, so x and the iteration count do not depend on the
+    BLAS thread count. A NaN stops CG at once: a non-finite ||b|| raises
+    ValueError, a NaN diagonal entry or curvature NotSPDError.
     """
     n = len(b)
     bnorm = math.sqrt(dot(b, b))
@@ -90,21 +72,15 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float,
     if not math.isfinite(bnorm):
         raise ValueError(f"right-hand side norm is {bnorm} (a non-finite "
                          f"entry or an overflow)")
-    limit = 10 * n if max_iterations is None else max_iterations
+    limit = 10 * n
     bound = tol * bnorm
-    diag = A.diagonal() if diagonal is None else diagonal
-    if not np.all(diag > 0.0):
+    if not np.all(diagonal > 0.0):
         raise NotSPDError("matrix has a nonpositive or NaN diagonal entry")
-    inv_diag = 1.0 / diag
+    inv_diag = 1.0 / diagonal
 
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - A @ x if r0 is None else r0
-        if math.sqrt(dot(r, r)) <= bound:
-            return x, 0
+    x, r = np.array(x0, dtype=float), r0
+    if math.sqrt(dot(r, r)) <= bound:
+        return x, 0
     z = inv_diag * r
     p = z.copy()
     rz = dot(r, z)

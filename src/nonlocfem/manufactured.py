@@ -3,8 +3,8 @@
 The time factor solves l' = -l^(2*gamma+1); the profile solves
 w + alpha * Lap(w) = g with the scalar alpha fixed by the self-consistency
 equation alpha = (integral of w(., alpha)^2)^gamma. Each shipped case is
-one entry of _CASES, from which make_case derives w, l, u = w l and
-u0 = u(., 0) the same way for every case.
+one ManufacturedCase entry of _CASES; make_case resolves its alpha, and
+w, l, u = w l and u0 = u(., 0) follow from it the same way for every case.
 
 Alpha is re-solved at construction time (never hard-coded) by bracketed
 root finding on alpha - G(alpha); the known decimals are asserted in tests.
@@ -14,7 +14,7 @@ All closed forms return exactly 0 on the domain boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -53,24 +53,42 @@ class AlphaSolveConfig:
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """One explicit-solution configuration, with all constants resolved."""
+    """One explicit-solution configuration; alpha is nan until make_case
+    resolves it."""
 
     case_id: str
     dim: int
     gamma: float
-    alpha: float
-    w: Callable                 # spatial profile, vanishing on the boundary
-    l: Callable                 # time factor
-    g: Callable | None          # profile forcing in w + alpha*Lap(w) = g
-    u: Callable                 # u(x[, y], t) = w * l
-    f: Callable | None          # PDE forcing; None when identically zero
-    u0: Callable                # initial datum u(., 0)
-    t_max: float                # validity horizon (extinction time, or inf)
+    C: float                       # offset of the time factor l_of_t
+    bracket: tuple[float, float]   # alpha search bracket
+    profile: Callable              # profile(alpha, *x) before the boundary clamp
+    g: Callable | None             # profile forcing in w + alpha*Lap(w) = g
+    f: Callable | None             # PDE forcing; None when identically zero
+    t_max: float                   # validity horizon (extinction time, or inf)
     # resolution, step and horizon of the reference experiments
     default_t_end: float
     default_k: int
     default_n: int
     default_delta: float
+    fixed_point_profile: Callable | None = None  # G's integrand, if not profile
+    alpha: float = math.nan
+
+    def w(self, *x):
+        """Spatial profile, vanishing on the boundary."""
+        x = [np.asarray(xi, dtype=float) for xi in x]
+        return _clamp(self.profile(self.alpha, *x), x)
+
+    def l(self, t):
+        """Time factor."""
+        return l_of_t(self.gamma, self.C, t)
+
+    def u(self, *xt):
+        """u(x[, y], t) = w * l."""
+        return self.w(*xt[:-1]) * self.l(xt[-1])
+
+    def u0(self, *x):
+        """Initial datum u(., 0)."""
+        return self.u(*x, 0.0)
 
 
 def l_of_t(gamma: float, C: float, t):
@@ -139,25 +157,6 @@ def solve_alpha(G, config: AlphaSolveConfig) -> float:
         f"in {_ALPHA_MAX_ITERATIONS} iterations")
 
 
-@dataclass(frozen=True)
-class _CaseSpec:
-    """What defines one shipped case; make_case derives everything else."""
-
-    dim: int
-    gamma: float
-    C: float                       # offset of the time factor l_of_t
-    bracket: tuple[float, float]   # alpha search bracket
-    profile: Callable              # profile(alpha, *x) before the boundary clamp
-    g: Callable | None
-    f: Callable | None
-    t_max: float
-    default_t_end: float
-    default_k: int
-    default_n: int
-    default_delta: float
-    fixed_point_profile: Callable | None = None  # G's integrand, if not profile
-
-
 def _ex1_profile(alpha, x):
     sa = math.sqrt(alpha)
     C1 = (1.0 - 2.0 * alpha + 2.0 * alpha * math.cos(1.0 / sa)) / math.sin(1.0 / sa)
@@ -194,14 +193,15 @@ def _ex3_profile(alpha, x, y, omega_y=math.pi):
     return _EX3_AMPLITUDE * np.sin(math.pi * x) * np.sin(omega_y * y)
 
 
-_CASES = {
-    "example1": _CaseSpec(
-        dim=1, gamma=0.5, C=-1.0, bracket=(0.1, 0.3), profile=_ex1_profile,
+_CASES = {case.case_id: case for case in (
+    ManufacturedCase(
+        "example1", dim=1, gamma=0.5, C=-1.0, bracket=(0.1, 0.3),
+        profile=_ex1_profile,
         g=lambda x: -np.asarray(x, dtype=float) ** 2, f=_ex1_forcing,
         t_max=math.inf, default_t_end=10.0,
         default_k=2, default_n=100, default_delta=1e-3),
-    "example2": _CaseSpec(
-        dim=1, gamma=-1.0 / 3.0, C=1.0, bracket=(0.1, 0.12),
+    ManufacturedCase(
+        "example2", dim=1, gamma=-1.0 / 3.0, C=1.0, bracket=(0.1, 0.12),
         profile=_ex2_profile,
         g=lambda x: -_EX2_G_SCALE * np.exp(np.asarray(x, dtype=float)),
         f=_ex2_forcing, t_max=1.0, default_t_end=2.0,
@@ -209,14 +209,14 @@ _CASES = {
     # G takes the y-frequency sqrt(1/alpha - pi^2) from the separation
     # constant, which is pi only at the exact root; the bracket is tight
     # because G crosses the diagonal more than once
-    "example3": _CaseSpec(
-        dim=2, gamma=2.0, C=-0.25, bracket=(0.045, 0.055),
+    ManufacturedCase(
+        "example3", dim=2, gamma=2.0, C=-0.25, bracket=(0.045, 0.055),
         profile=_ex3_profile, g=None, f=None,
         t_max=math.inf, default_t_end=1.0,
         default_k=3, default_n=16, default_delta=1e-2,
         fixed_point_profile=lambda a, x, y: _ex3_profile(
             a, x, y, math.sqrt((1.0 - math.pi ** 2 * a) / a))),
-}
+)}
 
 CASE_IDS = tuple(_CASES)
 
@@ -236,13 +236,13 @@ def fixed_point_map(case_id: str):
     by tensor Gauss-Legendre quadrature, and its search bracket."""
     if case_id not in _CASES:
         raise ValueError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
-    spec = _CASES[case_id]
-    integrand = spec.fixed_point_profile or spec.profile
-    X, W = _tensor_rule(spec.dim)
+    case = _CASES[case_id]
+    integrand = case.fixed_point_profile or case.profile
+    X, W = _tensor_rule(case.dim)
 
     def G(a):
-        return float(np.sum(W * integrand(a, *X) ** 2)) ** spec.gamma
-    return G, spec.bracket
+        return float(np.sum(W * integrand(a, *X) ** 2)) ** case.gamma
+    return G, case.bracket
 
 
 def _clamp(values, x):
@@ -258,24 +258,7 @@ def make_case(case_id: str) -> ManufacturedCase:
     """Assemble a shipped case with alpha re-solved from its fixed point."""
     G, bracket = fixed_point_map(case_id)
     alpha = solve_alpha(G, AlphaSolveConfig(bracket=bracket))
-    spec = _CASES[case_id]
-
-    def w(*x):
-        x = [np.asarray(xi, dtype=float) for xi in x]
-        return _clamp(spec.profile(alpha, *x), x)
-
-    def l(t):
-        return l_of_t(spec.gamma, spec.C, t)
-
-    def u(*xt):
-        return w(*xt[:-1]) * l(xt[-1])
-
-    def u0(*x):
-        return u(*x, 0.0)
-
-    return ManufacturedCase(case_id, spec.dim, spec.gamma, alpha, w, l, spec.g,
-                            u, spec.f, u0, spec.t_max, spec.default_t_end,
-                            spec.default_k, spec.default_n, spec.default_delta)
+    return replace(_CASES[case_id], alpha=alpha)
 
 
 @dataclass(frozen=True)

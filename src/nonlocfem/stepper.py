@@ -3,17 +3,26 @@
 The first step is a predictor-corrector pair: a solve with the coefficient
 frozen at a(U_0) followed by exactly one corrected solve with the
 coefficient at the predicted midpoint. Every later step evaluates the
-coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}. Every
-solve, the predictor included, is one linear SPD system
-(M + theta K) x = M u - theta K u + delta F with theta = a delta/2, checked
-against its residual by StepWorkspace.solve_verified. In 1D that matrix is
-refilled in place on a preallocated lower band and solved by one LAPACK
-pbsv call, and every product with M or K (the residual check, the next
-level's M u and K u) is BLAS sbmv on their lower bands. In 2D it is filled
-in place on the sparsity pattern M and K share, CG solves it from the
-Galerkin best fit of the last few levels (galerkin_start says how many,
-how and which it drops), and the products are CSR. The loads are
-evaluated on the free rows, a block of steps per call.
+coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}.
+
+Every solve, the predictor included, is one linear SPD system
+(M + theta K) x = M u - theta K u + delta F with theta = a delta/2, and a
+StepWorkspace holds what the solves of one run need. The mesh dimension
+picks the backend (linalg.method_for_dim), and only the workspace branches
+on it. M and K share one sparsity pattern, so the system matrix is
+allocated once and refilled in place, entry by entry, for every solve. In
+1D it is a lower band solved by one LAPACK pbsv call, and every product
+with M or K (the verify, the next level's M u and K u) is BLAS sbmv on
+their lower bands. In 2D it is CSR data, CG solves it from the Galerkin
+best fit of the last few levels (galerkin_start says how many, how and
+which it drops) with the Jacobi diagonal theta diag K + diag M from two
+stored diagonals, and the products are CSR. Every solution is verified
+against its residual, recomputed from independent products with M and K;
+that verify is the only acceptance check of a solve, and a miss gets one
+refinement pass before the solve is refused. The loads are evaluated on
+the free rows, a block of steps per call, and the right-hand side and the
+verify's residual are vectors the workspace reuses, so a banded step
+allocates no vector.
 
 run carries u, M u and K u of the levels the workspace's solve uses as rows
 of one array, and a new level overwrites the oldest (pbsv and sbmv write
@@ -133,15 +142,23 @@ class TimeGrid:
 
 @dataclass
 class TrajectorySummary:
-    """Outcome of a full run."""
+    """Outcome of a full run: the final field, (t, energy) and
+    (t, coefficient, guard status) of every step, the snapshots and whether
+    the trajectory was frozen at extinction."""
 
-    grid: TimeGrid
     final: FieldVector
     energy_history: list
     coefficient_history: list
     snapshots: dict
-    first_guard_trip: tuple | None
     frozen: bool
+
+    @property
+    def first_guard_trip(self) -> tuple | None:
+        """(step, t, status) of the first step whose guard status is not
+        ok, or None."""
+        return next(((n, t, status) for n, (t, _, status)
+                     in enumerate(self.coefficient_history, 1)
+                     if status != GuardStatus.OK), None)
 
 
 def galerkin_start(u, mu, ku, rhs, theta, tol):
@@ -227,39 +244,22 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
 
 
 class StepWorkspace:
-    """Reduced matrices, banded forms and the loads of one run.
+    """The system matrix, the products, the loads and the reused vectors of
+    one run's solves (the module docstring describes them).
 
-    The mesh dimension picks the backend (see linalg.method_for_dim), and
-    only the workspace branches on it; solver_tol is the relative residual
-    bound every solve is verified to. start_levels is the number of levels
-    run carries for the start of a solve: _START_LEVELS for CG, and two for
-    the banded solve, which ignores the start (run's per-step scalars need
-    the two newest).
-    M and K must share one sparsity pattern (they are scattered from the
-    same element dofs), so the system matrix M + theta K is formed entry by
-    entry, on their lower bands in 1D and on their CSR data in 2D. Either
-    way it is allocated once and refilled in place for every solve; in 2D
-    the Jacobi diagonal of CG is theta diag K + diag M from the two
-    diagonals stored here, bit for bit the diagonal of the refilled matrix.
+    solver_tol is the relative residual bound every solve is verified to.
+    start_levels is the number of levels run carries for the start of a
+    solve: _START_LEVELS for CG, and two for the banded solve, which ignores
+    the start (run's per-step scalars need the two newest). M and K must
+    share one sparsity pattern (they are scattered from the same element
+    dofs); otherwise the build raises ValueError.
 
-    In 1D the products with M and K (matvecs) run on the lower bands, so
-    the residual check would share a band-conversion error with the solve.
-    The build therefore checks the bands once against the CSR matrices on
-    a fixed vector v: every entry of band(v) - csr(v) must lie within
-    4 (2b + 1) eps (|A| |v|) for bandwidth b, four times the most that two
-    roundings of a (2b + 1)-term row sum can differ; otherwise it raises
-    ValueError.
-
-    The loads live on the free rows. scaled_load computes them for a block
-    of up to _LOAD_BLOCK_STEPS steps at once, when the stepping first needs
-    one of them (see LoadAssembler), with at most _LOAD_BLOCK_VALUES
-    forcing values per block.
-
-    Besides the system matrix, the workspace holds one free-node vector for
-    the right-hand side step_rhs returns and one for the residual of the
-    verify, and the next call overwrites each. The load assembler reuses its
-    own temporaries, so a banded step allocates no vector, and a block of
-    loads allocates only the block itself (and the forcing's values).
+    The 1D verify multiplies on the same bands the solve uses, so it would
+    share a band-conversion error with the solve. The build therefore checks
+    the bands once against the CSR matrices on a fixed vector v: every
+    entry of band(v) - csr(v) must lie within 4 (2b + 1) eps (|A| |v|) for
+    bandwidth b, four times the most that two roundings of a (2b + 1)-term
+    row sum can differ; otherwise it raises ValueError.
     """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
@@ -318,18 +318,15 @@ class StepWorkspace:
             self._loads_from, self._loads_end = n, n + len(steps)
         return self._loads[n - self._loads_from]
 
-    def matvecs(self, x, out=(None, None)):
-        """(M x, K x) on the free nodes: sbmv on the bands in 1D, CSR in 2D.
-
-        With out = (mx, kx), two contiguous vectors, the products are also
-        written there (by sbmv itself in 1D)."""
+    def matvecs(self, x, out):
+        """M x and K x on the free nodes, written into out = (mx, kx), two
+        contiguous vectors, and returned: sbmv on the bands in 1D (writing
+        into out itself), CSR in 2D."""
         if self.use_banded:
             return (band_matvec(self.Mb, x, out[0]),
                     band_matvec(self.Kb, x, out[1]))
-        products = self.M_ff @ x, self.K_ff @ x
-        if out[0] is not None:
-            out[0][:], out[1][:] = products
-        return products
+        out[0][:], out[1][:] = self.M_ff @ x, self.K_ff @ x
+        return out
 
     def step_rhs(self, theta, mu, ku, dF):
         """M u - theta K u + delta F, from M u and K u of the last level and
@@ -343,7 +340,7 @@ class StepWorkspace:
             rhs += dF
         return rhs
 
-    def _solve_once(self, theta, rhs, x, start=()):
+    def _solve_once(self, theta, rhs, x, start):
         # refilled on every solve, with no matrix-sized temporary: the banded
         # factorization overwrites its band, and pbsv the copy of rhs in x
         if self.use_banded:
@@ -355,33 +352,25 @@ class StepWorkspace:
         self.A.data += self.M_ff.data
         diagonal = np.multiply(self._diag_k, theta)
         diagonal += self._diag_m
-        x0 = r0 = None
-        if start:
-            x0, r0 = galerkin_start(*start, rhs, theta, self.solver_tol)
-        x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0=x0, r0=r0,
-                         diagonal=diagonal)[0]
+        x0, r0 = galerkin_start(*start, rhs, theta, self.solver_tol)
+        x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0, r0, diagonal)[0]
         return x
 
-    def solve_verified(self, theta, rhs, start=(), out=None):
-        """Solve (M + theta K) x = rhs and verify the residual against an
-        independently recomputed matvec; returns (x, M x, K x).
+    def solve_verified(self, theta, rhs, start, out):
+        """Solve (M + theta K) x = rhs, verify the residual against an
+        independently recomputed matvec, and write x, M x and K x into
+        out, three contiguous vectors; returns out.
 
         start = (u, M u, K u) holds earlier levels, newest first, and their
-        products: CG starts from their Galerkin best fit (galerkin_start
-        describes it), the banded solve ignores them. With
-        out = (x, M x, K x), three contiguous vectors, the results are
-        written there and out is returned.
-
-        This is the only acceptance check of a solve, on either backend. The
-        bound never goes below the backward-stable scale
-        ||A||_max ||x|| eps attainable in double precision; ||x|| is computed
-        only for a residual above solver_tol ||rhs||. A miss gets one
-        refinement pass (the same solve on the residual, CG from a zero
-        start), then SolverConvergenceError. The residual goes into the
-        workspace's residual vector, so rhs must not be that vector.
+        products: CG starts from their Galerkin best fit (galerkin_start),
+        the banded solve ignores them. The bound never goes below the
+        backward-stable scale ||A||_max ||x|| eps attainable in double
+        precision; ||x|| is computed only for a residual above
+        solver_tol ||rhs||. A miss gets one refinement pass (the same solve
+        on the residual, started from no levels, so CG starts at zero), then
+        SolverConvergenceError. The residual goes into the workspace's
+        residual vector, so rhs must not be that vector.
         """
-        if out is None:
-            out = tuple(np.empty_like(rhs) for _ in range(3))
         if len(rhs) == 0:
             return out
         x = self._solve_once(theta, rhs, out[0], start)
@@ -398,7 +387,7 @@ class StepWorkspace:
                     np.copyto(out[0], x)
                 return out
             if attempt == 0:
-                x = x + self._solve_once(theta, r, r)
+                x = x + self._solve_once(theta, r, r, ((), (), ()))
         raise SolverConvergenceError(
             f"verified residual {res:.3e} above tolerance {bound:.3e}")
 
@@ -436,10 +425,8 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
 
     f may be None for an unforced problem. Snapshot times are matched to the
     nearest grid time, with a warning for one that is not on the grid, and
-    snapshots maps each requested time to (grid time, field). The loop
-    carries the levels that the workspace's solve starts from as rows of one
-    array (see the module docstring) on the free nodes; full-length fields
-    are built only for the snapshots and the final field.
+    snapshots maps each requested time to (grid time, field). Full-length
+    fields are built only for the snapshots and the final field.
     """
     if guard_policy not in (WARN, ABORT):
         raise ValueError(f"unknown guard policy {guard_policy!r}")
@@ -495,7 +482,7 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
 
     c = 0      # the newest level
     rows[0] = U0.coefficients[free]
-    work.matvecs(rows[0], out=(rows[L], rows[2 * L]))
+    work.matvecs(rows[0], (rows[L], rows[2 * L]))
     R = reduce(c)
     energy_history = [(0.0, R[0][0])]
     coefficient_history = []
@@ -565,12 +552,8 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
             for t_req in snap_indices[n]:
                 snapshots[t_req] = (t, U)
 
-    first_trip = next(((n, t, status) for n, (t, _, status)
-                       in enumerate(coefficient_history, 1)
-                       if status != GuardStatus.OK), None)
-    return TrajectorySummary(grid=grid, final=embed(rows[c]),
+    return TrajectorySummary(final=embed(rows[c]),
                              energy_history=energy_history,
                              coefficient_history=coefficient_history,
-                             snapshots=snapshots, first_guard_trip=first_trip,
-                             frozen=frozen)
+                             snapshots=snapshots, frozen=frozen)
 

@@ -3,7 +3,9 @@
 Each function here computes a quantity by a route independent of the one a
 run takes (per-element quadrature, closed-form integrals, variation of
 constants), or a diagnostic that no run needs. None of them is reached from
-a solve, so they live with the tests instead of in the package.
+a solve, so they live with the tests instead of in the package. The last
+section holds adapters: a package call with the inputs that a run supplies
+(a start residual, output vectors, the rows of a load) filled in.
 """
 
 import math
@@ -11,12 +13,13 @@ import math
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from nonlocfem.assembly import (FieldVector, NonFiniteFieldError,
-                                SparseSymMatrix, _geometry,
+from nonlocfem.assembly import (FieldVector, LoadAssembler,
+                                NonFiniteFieldError, SparseSymMatrix, _geometry,
                                 _quad_points_physical, assemble_stiffness,
                                 assembly_degree)
 from nonlocfem.basis import reference_basis
 from nonlocfem.coefficient import NonlocalCoefficient, evaluate_from_norm_sq
+from nonlocfem.linalg import cg_jacobi
 from nonlocfem.mesh import LagrangeSpace
 from nonlocfem.quadrature import (MAX_TRIANGLE_DEGREE, gauss_legendre_interval,
                                   reference_rule)
@@ -261,3 +264,32 @@ def w_profile_2d(A2: float, B2: float, lam: float, alpha: float, x, y):
     wx = math.sqrt(lam / alpha)
     wy = math.sqrt((1.0 - lam) / alpha)
     return A2 * np.sin(wx * np.asarray(x)) * B2 * np.sin(wy * np.asarray(y))
+
+
+# --- adapters: package calls with what a run supplies filled in ---
+
+def cg(A, b, tol, x0=None):
+    """cg_jacobi from x0 (zero if None), with the start's residual b - A x0
+    (a copy of b for the zero start) and the diagonal of A formed here."""
+    if x0 is None:
+        x0, r0 = np.zeros(len(b)), np.array(b, dtype=float)
+    else:
+        r0 = b - A @ x0
+    return cg_jacobi(A, b, tol, x0, r0, A.diagonal())
+
+
+def solve_verified(work, theta, rhs, start=((), (), ())):
+    """work.solve_verified into new vectors, from the given levels (none by
+    default, so CG starts at zero); returns (x, M x, K x)."""
+    return work.solve_verified(theta, rhs, start,
+                               tuple(np.empty_like(rhs) for _ in range(3)))
+
+
+def matvecs(work, x):
+    """work.matvecs into new vectors; returns (M x, K x)."""
+    return work.matvecs(x, (np.empty_like(x), np.empty_like(x)))
+
+
+def full_load(space: LagrangeSpace) -> LoadAssembler:
+    """A load assembler of every node of the space, in node order."""
+    return LoadAssembler(space, np.arange(space.n_nodes))

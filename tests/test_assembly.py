@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from oracles import (SingularSystemError, element_mass_matrix,
-                     element_stiffness_matrix, l2_norm_sq, per_step_load,
-                     ritz_project)
+                     element_stiffness_matrix, full_load, l2_norm_sq,
+                     per_step_load, ritz_project)
 from scipy.integrate import quad
 
 from nonlocfem.assembly import (FieldVector, LoadAssembler, NonFiniteFieldError,
@@ -69,7 +69,7 @@ def test_mass_row_sums_are_basis_integrals():
     M = assemble_mass(space)
     ones = np.ones(space.n_nodes)
     row_sums = M.matrix @ ones
-    integrals = LoadAssembler(space)(lambda x, t: np.ones_like(x), [0.0])[0]
+    integrals = full_load(space)(lambda x, t: np.ones_like(x), [0.0])[0]
     np.testing.assert_allclose(row_sums, integrals, atol=1e-14)
 
 
@@ -201,7 +201,7 @@ def test_triangle_stiffness_matches_element_quadrature(xs, k):
 
 def test_load_zero_forcing():
     space = _space_1d(6, 2)
-    F = LoadAssembler(space)(lambda x, t: np.zeros_like(x), [0.0])[0]
+    F = full_load(space)(lambda x, t: np.zeros_like(x), [0.0])[0]
     assert np.all(F == 0.0)
 
 
@@ -209,7 +209,7 @@ def test_load_constant_forcing_hat_integrals():
     n = 8
     space = _space_1d(n, 1)
     h = 1.0 / n
-    F = LoadAssembler(space)(lambda x, t: np.ones_like(x), [0.0])[0]
+    F = full_load(space)(lambda x, t: np.ones_like(x), [0.0])[0]
     expect = np.full(n + 1, h)
     expect[0] = expect[-1] = h / 2
     np.testing.assert_allclose(F, expect, rtol=1e-13)
@@ -219,7 +219,7 @@ def test_load_against_adaptive_quadrature_oracle():
     # f = x^2/(t+1)^2 at t = 0, entries integral(f * phi_i) via scipy.quad
     n, k = 4, 2
     space = _space_1d(n, k)
-    F = LoadAssembler(space)(lambda x, t: x ** 2 / (t + 1.0) ** 2, [0.0])[0]
+    F = full_load(space)(lambda x, t: x ** 2 / (t + 1.0) ** 2, [0.0])[0]
 
     U = FieldVector(np.zeros(space.n_nodes), space)
     for i in range(space.n_nodes):
@@ -248,7 +248,7 @@ def test_load_constant_scalar_forcing_is_broadcast():
             (_space_1d(6, 2), [lambda x, t: np.ones_like(x), lambda x, t: 1.0,
                                lambda x, t: np.ones(len(x), dtype=int)]),
             (square, [lambda x, y, t: np.ones_like(x), lambda x, y, t: 1.0])]:
-        expect, *others = [LoadAssembler(space)(f, [0.5])[0]
+        expect, *others = [full_load(space)(f, [0.5])[0]
                            for f in forcings]
         for F in others:
             np.testing.assert_array_equal(F, expect)
@@ -260,13 +260,13 @@ def test_load_forcing_of_wrong_length_rejected():
                   lambda x, t: np.ones((len(x), 2)),
                   lambda x, t: np.ones(len(x) - 1)):
         with pytest.raises(ValueError):
-            LoadAssembler(space)(wrong, [0.0])
+            full_load(space)(wrong, [0.0])
 
 
 def test_load_nonfinite_forcing_rejected():
     space = _space_1d(4, 1)
     with pytest.raises(NonFiniteFieldError):
-        LoadAssembler(space)(lambda x, t: np.full_like(x, np.inf), [0.0])
+        full_load(space)(lambda x, t: np.full_like(x, np.inf), [0.0])
 
 
 def test_load_on_free_rows_is_the_full_load_restricted():
@@ -279,8 +279,7 @@ def test_load_on_free_rows_is_the_full_load_restricted():
         f = forcings[space.mesh.dim]
         F = LoadAssembler(space, free)(f, [0.3])[0]
         assert F.shape == (len(free),)
-        np.testing.assert_array_equal(F,
-                                      LoadAssembler(space)(f, [0.3])[0][free])
+        np.testing.assert_array_equal(F, full_load(space)(f, [0.3])[0][free])
 
 
 def test_load_on_free_rows_scalar_and_nonfinite_forcing():
@@ -291,7 +290,7 @@ def test_load_on_free_rows_scalar_and_nonfinite_forcing():
              lambda x, y, t: 1.0, lambda x, y, t: np.full_like(x, np.nan))]:
         free = space.free_node_indices
         load = LoadAssembler(space, free)
-        expect = LoadAssembler(space)(one, [0.5])[0][free]
+        expect = full_load(space)(one, [0.5])[0][free]
         np.testing.assert_array_equal(load(one, [0.5])[0], expect)
         with pytest.raises(NonFiniteFieldError):
             load(inf, [0.0])
@@ -309,7 +308,7 @@ def test_forcing_gets_point_rows_and_a_time_column():
         seen.append((x.shape, y.shape, np.shape(t)))
         return x + y * t
     space = build_lagrange_space(uniform_square_mesh(3), 2)
-    load = LoadAssembler(space)
+    load = full_load(space)
     F = load(f, _BLOCK_TIMES)
     assert seen == [((load.n_points,), (load.n_points,), (4, 1))]
     assert F.shape == (4, space.n_nodes)
@@ -319,7 +318,7 @@ def test_forcing_gets_point_rows_and_a_time_column():
 
 def test_scalar_and_time_independent_forcing_broadcast_over_the_block():
     space = _space_1d(6, 2)
-    load = LoadAssembler(space)
+    load = full_load(space)
     ones = load(lambda x, t: 1.0, _BLOCK_TIMES)
     assert ones.shape == (4, space.n_nodes)
     for row in ones:
@@ -338,14 +337,14 @@ def test_forcing_of_the_wrong_shape_for_the_block_rejected():
                   lambda x, t: np.ones((len(x), 4)),
                   lambda x, t: np.ones((4, len(x), 1))):
         with pytest.raises(ValueError):
-            LoadAssembler(space)(wrong, _BLOCK_TIMES)
+            full_load(space)(wrong, _BLOCK_TIMES)
 
 
 def test_nonfinite_forcing_names_a_time_of_the_block():
     space = _space_1d(4, 1)
     with pytest.raises(NonFiniteFieldError, match=r"at t=0\.3$"):
-        LoadAssembler(space)(lambda x, t: np.where(t > 0.25, np.inf, x),
-                             _BLOCK_TIMES)
+        full_load(space)(lambda x, t: np.where(t > 0.25, np.inf, x),
+                         _BLOCK_TIMES)
 
 
 def test_example2_cutoff_as_a_block_equals_per_time_calls():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import logging
 import math
 import os
@@ -241,6 +242,59 @@ def test_cli_sweep_bad_ladder_value_is_a_config_error(command, ladder,
     assert code == 2
     assert "must be positive, got 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-h", "--case", "example1", "--n-list", ","],
+    ["sweep-dt", "--case", "example1", "--delta-list", ""],
+    ["energy", "--cases", ","],
+], ids=["sweep-h", "sweep-dt", "energy"])
+def test_cli_empty_list_is_a_config_error(argv, tmp_path, capsys):
+    # a ladder or case list with no value would run nothing and write a
+    # table with only its header
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert "empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of every file that solve writes for small 1D runs. 1D outputs are
+# bit-identical across refactors of the solver (2D ones agree only to the
+# solver tolerance when the CG start changes, so none is pinned); a change
+# that alters these bytes must update the pin and say why.
+_PINNED_1D_OUTPUTS = {
+    "example1": {
+        "run_example1_k2.csv":
+            "be85c25b3be08fe77d59cee4e49aac16b29ee36fab100ff5d1466ab8c234a0b6",
+        "run_example1_k2.meta.txt":
+            "0ffeb1608bafc9b0de4d6ff602d48e7b1fdefa90dabed4bc9fb7734b7a529289",
+        "run_example1_k2_snapshot_t0.5.csv":
+            "f78facacde1330f4bff690be65a9bd376e472ea4c6d2282908ac42363b68cbcf",
+        "run_example1_k2_snapshot_t1.5.csv":
+            "e80b4249cb868b2eaa41b95368191f5f1d5d81dd947ca7053b061904e25177b6",
+    },
+    "example2": {
+        "run_example2_k2.csv":
+            "ed75c6caf28de424d1bd4987350ee424e602aee08bfc5581e4bcff57a8edb4ea",
+        "run_example2_k2.meta.txt":
+            "79d82854cb848004b597818565419da27ad7c137b9f7388d0cf3a2a16726dd42",
+        "run_example2_k2_snapshot_t0.5.csv":
+            "bcee22253a5d8fb791410317eee366e0250380ab23188146186f67ca7662ede1",
+        "run_example2_k2_snapshot_t1.5.csv":
+            "6326fff722c1a608acfd2d84f534ca8ab0bef806e5377d79378e19cb9080c7c3",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_1D_OUTPUTS))
+def test_1d_solve_outputs_are_pinned(case, tmp_path, capsys):
+    # n = 8, delta = 0.01 at the case's k and t_end; example2 freezes at
+    # t = 1.01, so its .meta.txt has a first guard trip
+    assert main(["solve", "--case", case, "--n", "8", "--delta", "0.01",
+                 "--snapshots", "0.5,1.5", "--out-dir", str(tmp_path)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == _PINNED_1D_OUTPUTS[case]
 
 
 def test_zero_error_rows_have_undefined_rates():
