@@ -51,20 +51,64 @@ class FieldVector:
 
 
 class SparseSymMatrix:
-    """Symmetric sparse matrix assembled over the nodes of a space."""
+    """Symmetric sparse matrix assembled over the nodes of a space.
+
+    The build checks symmetry to SYMMETRY_RTOL of the largest entry. When
+    the transpose has the same pattern, as every assembled matrix does, the
+    defect is taken entry by entry against the transpose's data; any other
+    pattern is checked by |A - A^T| as a sparse difference.
+    """
 
     def __init__(self, matrix: sp.csr_matrix):
         matrix = matrix.tocsr()
-        scale = abs(matrix).max() if matrix.nnz else 0.0
-        defect = abs(matrix - matrix.T).max() if matrix.nnz else 0.0
+        scale = defect = 0.0
+        if matrix.nnz:
+            # a canonical matrix (sorted, no duplicates) has a canonical
+            # transpose, so equal index arrays mean a symmetric pattern
+            transpose = matrix.T.tocsr() if matrix.has_canonical_format else None
+            if (transpose is not None
+                    and np.array_equal(matrix.indptr, transpose.indptr)
+                    and np.array_equal(matrix.indices, transpose.indices)):
+                scale = max(matrix.data.max(), -matrix.data.min())
+                diff = np.subtract(matrix.data, transpose.data,
+                                   out=transpose.data)
+                defect = np.abs(diff, out=diff).max()
+            else:
+                scale = abs(matrix).max()
+                defect = abs(matrix - matrix.T).max()
         if defect > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(f"matrix is not symmetric: defect {defect:.3e} "
                              f"vs scale {scale:.3e}")
         self.matrix = matrix
 
     def restrict(self, indices) -> sp.csr_matrix:
-        """Submatrix on the given node indices (row/column elimination)."""
-        return self.matrix[indices][:, indices].tocsr()
+        """Submatrix on the given node indices (row/column elimination),
+        which must be sorted and unique (ValueError otherwise).
+
+        One masked pass over the CSR arrays: an entry is kept when both its
+        row and its column map to a kept node, in the order it is stored.
+        """
+        indices = np.asarray(indices)
+        A = self.matrix
+        n = A.shape[0]
+        if (indices.ndim != 1 or indices.dtype.kind not in "iu"
+                or np.any(indices[1:] <= indices[:-1])
+                or len(indices) and not (0 <= indices[0] and indices[-1] < n)):
+            raise ValueError("restriction indices must be sorted, unique "
+                             "node indices")
+        row_of = np.full(n, -1, dtype=A.indices.dtype)
+        row_of[indices] = np.arange(len(indices), dtype=A.indices.dtype)
+        columns = row_of.take(A.indices)     # new column per entry, -1 if dropped
+        keep = columns >= 0
+        # a kept row loses only its entries in dropped columns, which are few
+        lost = np.searchsorted(A.indptr, np.flatnonzero(~keep), side="right") - 1
+        lengths = np.diff(A.indptr)
+        indptr = np.zeros(len(indices) + 1, dtype=A.indptr.dtype)
+        np.cumsum((lengths - np.bincount(lost, minlength=n))[indices],
+                  out=indptr[1:])
+        keep &= np.repeat(row_of >= 0, lengths)
+        return sp.csr_matrix((A.data[keep], columns[keep], indptr),
+                             shape=(len(indices), len(indices)))
 
 
 def assembly_degree(k: int) -> int:
@@ -109,12 +153,15 @@ def _quad_points_physical(mesh, rule):
 
 
 def _scatter_symmetric(space, element_matrices):
-    dofs = space.element_dofs
-    rows = np.broadcast_to(dofs[:, :, None], element_matrices.shape)
-    cols = np.broadcast_to(dofs[:, None, :], element_matrices.shape)
+    """Sum the element matrices into one CSR matrix over the space's nodes:
+    entry (i, j) of element e goes to (dofs[e, i], dofs[e, j]). The index
+    arrays are built once in the index dtype SciPy keeps."""
     n = space.n_nodes
-    mat = sp.coo_matrix((element_matrices.ravel(),
-                         (rows.ravel(), cols.ravel())), shape=(n, n))
+    dofs = space.element_dofs.astype(sp.get_index_dtype(maxval=n))
+    n_local = dofs.shape[1]
+    rows = np.repeat(dofs, n_local, axis=1).ravel()
+    cols = np.tile(dofs, (1, n_local)).ravel()
+    mat = sp.coo_matrix((element_matrices.ravel(), (rows, cols)), shape=(n, n))
     return SparseSymMatrix(mat.tocsr())
 
 

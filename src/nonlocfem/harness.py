@@ -269,6 +269,8 @@ def _pairwise_rates(errors):
 
 
 def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
+    if not values:
+        raise ConfigError(f"empty {kind} ladder: a sweep needs at least one row")
     config = config.resolved()
     dim = make_case(config.case).dim
     # every row is resolved before any runs, so a bad ladder value is a
@@ -327,7 +329,11 @@ def sweep_delta(config: RunConfig, delta_values) -> SweepResult:
 
 
 def energy_study(configs) -> EnergyStudy:
-    """Per-step energy time series for several cases in one table."""
+    """Per-step energy time series for several cases in one table; no
+    configs raises ConfigError."""
+    configs = list(configs)
+    if not configs:
+        raise ConfigError("empty energy study: it needs at least one case")
     rows = []
     meta: dict = {}
     for config in configs:

@@ -175,13 +175,16 @@ def build_lagrange_space(mesh: SimplicialMesh, k: int) -> LagrangeSpace:
         x = cx[:, None, None] * k + np.stack([i + j, i])
         y = cy[:, None, None] * k + np.stack([j, i + j])
         keys = (y * (nk + 1) + x).ravel()
-        # node ids follow the first occurrence of each lattice point
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        element_dofs = rank[inverse].reshape(mesh.n_elements, len(local))
-        lattice = np.column_stack([uniq[order] % (nk + 1), uniq[order] // (nk + 1)])
+        # node ids follow the first occurrence of each lattice point: a table
+        # over the lattice holds the first position of every key
+        position = np.arange(len(keys))
+        first = np.full((nk + 1) ** 2, len(keys), dtype=np.int64)
+        np.minimum.at(first, keys, position)
+        node_keys = keys[first[keys] == position]
+        node_of = np.empty_like(first)
+        node_of[node_keys] = np.arange(len(node_keys))
+        element_dofs = node_of[keys].reshape(mesh.n_elements, len(local))
+        lattice = np.column_stack([node_keys % (nk + 1), node_keys // (nk + 1)])
         nodes = lattice / nk
         boundary = ((lattice[:, 0] == 0) | (lattice[:, 0] == nk)
                     | (lattice[:, 1] == 0) | (lattice[:, 1] == nk))

@@ -193,8 +193,8 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
     A level is dropped when its remainder w, orthogonal to the levels kept
     before it, has an energy norm of at most _START_DROP of its own, or a
     squared norm below _START_LEAST (too few digits to normalize by), or
-    when the rounding that its term adds to the residual could pass
-    _START_SHARE of the verify bound tol ||rhs||. w is a difference of
+    when an estimate of the rounding that its term adds to the residual
+    exceeds _START_SHARE of the verify bound tol ||rhs||. w is a difference of
     nearly equal vectors, so each entry of w and of A w carries a rounding
     error of a few eps of the level's own size: below _START_DROP its
     direction is noise (a zero or repeated level). Normalizing w multiplies
@@ -205,8 +205,17 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
     bound of the residual (W = |M| + theta |K|), with the level's weight
     beta_i = |w.rhs| / sqrt(norm_sq) and sqrt(own) ||A w|| for the size of
     W |u_i|. CG trusts this residual and stops on its recurrence, so a level
-    that moved it by a share of the bound would make the verify refine. With
-    no level kept the start is 0 and its residual rhs.
+    that moved it by a share of the bound would make the verify refine.
+
+    The estimate is not a bound on that gap: it leaves out the rounding of
+    the carried products M u and K u (CSR row sums of up to 37 terms at
+    k = 3). On example3 at n = 48 the gap between this residual and a dense
+    rhs - A x that the newest level leaves is 15 to 17 times its estimate,
+    and the largest gap, 5.9e-15 ||rhs||, is within a factor 2 of the share.
+    On a forced 2D run (n = 6, k = 2, gamma = -1/3, delta = 0.05) a ringing
+    step makes ||rhs|| small against |M| |u| + theta |K| |u|, and the gap
+    reaches 1.7 times the share, with the rule or without it. Neither run
+    refined. With no level kept the start is 0 and its residual rhs.
     """
     n = len(rhs)
     w, aw = np.empty((len(u), n)), np.empty((len(u), n))  # kept, unnormalized
@@ -294,8 +303,9 @@ class StepWorkspace:
         n_free = len(self.free)
         self._rhs = np.empty(n_free)          # step_rhs's result
         self._residual = np.empty(n_free)     # the verify's rhs - A x
-        self._m_scale = abs(self.M_ff.data).max() if self.M_ff.nnz else 0.0
-        self._k_scale = abs(self.K_ff.data).max() if self.K_ff.nnz else 0.0
+        self._m_scale, self._k_scale = (
+            max(A.data.max(), -A.data.min()) if A.nnz else 0.0
+            for A in (self.M_ff, self.K_ff))
 
     def scaled_load(self, n):
         """delta F of step n (1-based) on the free rows, or None if unforced.

@@ -11,6 +11,7 @@ section holds adapters: a package call with the inputs that a run supplies
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nonlocfem.assembly import (FieldVector, LoadAssembler,
@@ -264,6 +265,29 @@ def w_profile_2d(A2: float, B2: float, lam: float, alpha: float, x, y):
     wx = math.sqrt(lam / alpha)
     wy = math.sqrt((1.0 - lam) / alpha)
     return A2 * np.sin(wx * np.asarray(x)) * B2 * np.sin(wy * np.asarray(y))
+
+
+# --- sparse references: the SciPy expressions the assembly used to run ---
+
+def scatter_reference(space: LagrangeSpace, element_matrices) -> sp.csr_matrix:
+    """Element matrices summed by COO -> CSR from int64 broadcasts of the
+    element dofs, entry (i, j) of element e at (dofs[e, i], dofs[e, j])."""
+    dofs = space.element_dofs
+    rows = np.broadcast_to(dofs[:, :, None], element_matrices.shape)
+    cols = np.broadcast_to(dofs[:, None, :], element_matrices.shape)
+    n = space.n_nodes
+    return sp.coo_matrix((element_matrices.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def restrict_reference(matrix, indices) -> sp.csr_matrix:
+    """Rows, then columns, by SciPy fancy indexing."""
+    return matrix[indices][:, indices].tocsr()
+
+
+def symmetry_defect_reference(matrix) -> tuple[float, float]:
+    """(|A - A^T|_max, |A|_max) as sparse arithmetic."""
+    return abs(matrix - matrix.T).max(), abs(matrix).max()
 
 
 # --- adapters: package calls with what a run supplies filled in ---

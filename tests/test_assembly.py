@@ -4,15 +4,19 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from oracles import (SingularSystemError, element_mass_matrix,
                      element_stiffness_matrix, full_load, l2_norm_sq,
-                     per_step_load, ritz_project)
+                     per_step_load, restrict_reference, ritz_project,
+                     scatter_reference, symmetry_defect_reference)
 from scipy.integrate import quad
 
-from nonlocfem.assembly import (FieldVector, LoadAssembler, NonFiniteFieldError,
-                                SparseSymMatrix, assemble_mass,
-                                assemble_stiffness, interpolate, l2_error)
+from nonlocfem import assembly
+from nonlocfem.assembly import (SYMMETRY_RTOL, FieldVector, LoadAssembler,
+                                NonFiniteFieldError, SparseSymMatrix,
+                                assemble_mass, assemble_stiffness, interpolate,
+                                l2_error)
 from nonlocfem.basis import reference_basis
 from nonlocfem.manufactured import make_case
 from nonlocfem.mesh import (LagrangeSpace, SimplicialMesh, build_lagrange_space,
@@ -97,6 +101,87 @@ def test_symmetry_violation_rejected():
     bad = sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(ValueError):
         SparseSymMatrix(bad)
+
+
+def test_symmetry_violation_of_the_pattern_rejected():
+    # (0, 1) is stored and (1, 0) is not, so the transpose has another
+    # pattern; an explicit zero in the same place is no defect
+    def two_by_two(upper):
+        return sp.csr_matrix((np.array([1.0, upper, 1.0]), np.array([0, 1, 1]),
+                              np.array([0, 2, 3])), shape=(2, 2))
+    with pytest.raises(ValueError, match="not symmetric"):
+        SparseSymMatrix(two_by_two(2.0))
+    # a cyclic shift: every row and column holds one entry, so the
+    # transpose has the same indptr and other indices
+    with pytest.raises(ValueError, match="not symmetric"):
+        SparseSymMatrix(sp.csr_matrix(np.roll(np.eye(3), 1, axis=1)))
+    zero = two_by_two(0.0)
+    assert SparseSymMatrix(zero).matrix is zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.floats(1e-16, 1e-12),
+       drop=st.booleans())
+def test_symmetry_check_agrees_with_the_sparse_reference(seed, size, drop):
+    # random symmetric values on an assembled pattern, one entry moved by
+    # about the tolerance and, with drop, one entry taken out of the pattern
+    rng = np.random.default_rng(seed)
+    A = assemble_mass(build_lagrange_space(uniform_square_mesh(2), 2)).matrix
+    A = sp.csr_matrix((rng.standard_normal(A.nnz), A.indices, A.indptr),
+                      shape=A.shape)
+    A = (A + A.T).tocsr()
+    A.data[rng.integers(A.nnz)] += size * abs(A.data).max()
+    if drop:
+        A.data[rng.integers(A.nnz)] = 0.0
+        A.eliminate_zeros()
+    defect, scale = symmetry_defect_reference(A)
+    if defect > SYMMETRY_RTOL * max(scale, 1e-300):
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseSymMatrix(A)
+    else:
+        SparseSymMatrix(A)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_assembly_and_restriction_match_the_sparse_references(monkeypatch,
+                                                              dim, k):
+    # M, K and their restrictions to the free nodes have the CSR arrays of
+    # the SciPy expressions in tests/oracles.py, bit for bit
+    scattered = []
+    scatter = assembly._scatter_symmetric
+
+    def recording(space, element_matrices):
+        scattered.append(element_matrices)
+        return scatter(space, element_matrices)
+    monkeypatch.setattr(assembly, "_scatter_symmetric", recording)
+    for n in (1, 2, 3, 5):
+        space = (_space_1d(n, k) if dim == 1
+                 else build_lagrange_space(uniform_square_mesh(n), k))
+        free = space.free_node_indices
+        for assemble in (assemble_mass, assemble_stiffness):
+            A = assemble(space)
+            reference = scatter_reference(space, scattered.pop())
+            pairs = ((A.matrix, reference),
+                     (A.restrict(free), restrict_reference(reference, free)))
+            for got, want in pairs:
+                for part in ("indptr", "indices", "data"):
+                    assert _same_bits(getattr(got, part), getattr(want, part)), \
+                        (assemble.__name__, n, part)
+
+
+@pytest.mark.parametrize("indices", [[3, 1], [1, 1, 2], [0, 2, 2], [-1, 2],
+                                     [0, 9], [0.0, 1.0], [[0, 1]]],
+                         ids=["unsorted", "repeated", "repeated-last",
+                              "negative", "out-of-range", "float", "2d"])
+def test_restrict_rejects_indices_that_are_not_sorted_and_unique(indices):
+    M = assemble_mass(build_lagrange_space(uniform_square_mesh(2), 1))
+    with pytest.raises(ValueError, match="sorted, unique"):
+        M.restrict(np.array(indices))
 
 
 def test_sparsity_pattern_matches_node_adjacency():

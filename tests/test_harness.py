@@ -258,6 +258,19 @@ def test_cli_empty_list_is_a_config_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("study", [
+    lambda: sweep_h(RunConfig(case="example1", k=1), []),
+    lambda: sweep_delta(RunConfig(case="example1", k=1), []),
+    lambda: energy_study([]),
+    lambda: energy_study(iter(())),
+], ids=["sweep_h", "sweep_delta", "energy_study", "energy_study-iterator"])
+def test_empty_study_is_a_config_error(study):
+    # the library refuses what the CLI refuses: with no row it would hand
+    # emit_outputs a table with only its header
+    with pytest.raises(ConfigError, match="empty"):
+        study()
+
+
 # sha256 of every file that solve writes for small 1D runs. 1D outputs are
 # bit-identical across refactors of the solver (2D ones agree only to the
 # solver tolerance when the CG start changes, so none is pinned); a change

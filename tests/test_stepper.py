@@ -1010,6 +1010,36 @@ def test_2d_solve_costs_cg_iterations_plus_two_matvecs(monkeypatch):
     assert _CountingCSR.matvecs == 2 + sum(iterations) + 2 * len(iterations)
 
 
+def test_2d_setup_makes_no_sparse_arithmetic_copies(monkeypatch):
+    # assembly, the symmetry check, the restriction and the workspace build
+    # work on the CSR arrays: no sparse difference, sparse abs or fancy
+    # indexing, each of which copies a whole matrix
+    calls = {"__sub__": 0, "__abs__": 0, "__getitem__": 0}
+
+    def fancy(key):
+        keys = key if isinstance(key, tuple) else (key,)
+        return any(isinstance(k, (np.ndarray, list)) for k in keys)
+
+    def counting(name, method):
+        def wrapper(self, *args):
+            if name != "__getitem__" or fancy(args[0]):
+                calls[name] += 1
+            return method(self, *args)
+        return wrapper
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        for name in calls:
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    case = make_case("example3")
+    space = build_lagrange_space(uniform_square_mesh(4), 3)
+    M, K = assemble_mass(space), assemble_stiffness(space)
+    StepWorkspace(space, M, K, TimeGrid(t_end=0.1, n_steps=2), forcing=case.f)
+    assert calls == {"__sub__": 0, "__abs__": 0, "__getitem__": 0}
+    # the counters see each kind of call
+    M.matrix[[0, 1]] - abs(M.matrix[[0, 1]])
+    assert calls == {"__sub__": 1, "__abs__": 1, "__getitem__": 2}
+
+
 @pytest.mark.parametrize("theta", [5e-3, 5.0, 5e3])
 def test_2d_solve_from_a_far_start_meets_the_bound(monkeypatch, theta):
     # CG stops on its recurrence residual, which can drift from the true one
