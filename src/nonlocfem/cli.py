@@ -12,11 +12,13 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 
-from .harness import (_CONFIG_KEYS, ConfigError, RunConfig, SweepError,
-                      config_from_sources, emit_outputs, energy_study,
-                      parse_config_file, run_solve, sweep_delta, sweep_h)
+from .harness import (_CONFIG_KEYS, _SWEEP_KINDS, ConfigError, RunConfig,
+                      SweepError, config_from_sources, emit_outputs,
+                      energy_study, parse_config_file, run_solve, sweep_delta,
+                      sweep_h)
 from .linalg import NotSPDError, SolverConvergenceError
 from .manufactured import (CASE_IDS, AlphaSolveConfig, AlphaSolveError,
                            fixed_point_map, make_case, solve_alpha,
@@ -46,11 +48,10 @@ def _add_case(parser, swept=None):
     _add_common(parser)
     parser.add_argument("--case", choices=CASE_IDS)
     parser.add_argument("--k", type=int, help="polynomial degree (1, 2 or 3)")
-    if swept != "n":
-        parser.add_argument("--n", type=int,
-                            help="elements (1D) or cells per side (2D)")
-    if swept != "delta":
-        parser.add_argument("--delta", type=float, help="time step")
+    for key, conv, text in (("n", int, "elements (1D) or cells per side (2D)"),
+                            ("delta", float, "time step")):
+        if key != swept:
+            parser.add_argument(f"--{key}", type=conv, help=text)
     parser.add_argument("--t-end", dest="t_end", type=float)
 
 
@@ -64,32 +65,40 @@ def _build_parser():
     p_solve = sub.add_parser("solve", help="run one case and report the error")
     _add_case(p_solve)
     p_solve.add_argument("--snapshots", help="comma-separated snapshot times")
+    p_solve.set_defaults(handler=_cmd_solve)
 
     # no prefix matching, or --n would be taken for --n-list
     p_sh = sub.add_parser("sweep-h", help="mesh-refinement convergence study",
                           allow_abbrev=False)
     _add_case(p_sh, swept="n")
-    p_sh.add_argument("--n-list", dest="n_list", required=True,
+    p_sh.add_argument("--n-list", dest="ladder", metavar="N_LIST",
+                      required=True,
                       help="comma-separated mesh resolutions, e.g. 8,16,32,64")
+    p_sh.set_defaults(handler=_cmd_sweep, kind="h", sweep=sweep_h)
 
     p_sd = sub.add_parser("sweep-dt", help="time-step convergence study",
                           allow_abbrev=False)
     _add_case(p_sd, swept="delta")
-    p_sd.add_argument("--delta-list", dest="delta_list", required=True,
+    p_sd.add_argument("--delta-list", dest="ladder", metavar="DELTA_LIST",
+                      required=True,
                       help="comma-separated time steps, e.g. 0.1,0.05,0.025")
+    p_sd.set_defaults(handler=_cmd_sweep, kind="delta", sweep=sweep_delta)
 
     p_alpha = sub.add_parser("alpha", help="solve the profile fixed point")
     p_alpha.add_argument("case", choices=CASE_IDS)
     p_alpha.add_argument("--tolerance", type=float,
                          default=AlphaSolveConfig.tolerance)
+    p_alpha.set_defaults(handler=_cmd_alpha)
 
     p_energy = sub.add_parser("energy", help="energy time series for all cases")
     _add_common(p_energy)
     p_energy.add_argument("--cases", default=",".join(CASE_IDS),
                           help="comma-separated case ids")
+    p_energy.set_defaults(handler=_cmd_energy)
 
     p_verify = sub.add_parser("verify", help="residual report for one case")
     p_verify.add_argument("case", choices=CASE_IDS)
+    p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -120,13 +129,10 @@ def _parse_list(raw, conv):
 
 
 def _print_guard_summary(report):
-    statuses = {}
-    for _, _, status in report.coefficient_history:
-        statuses[status] = statuses.get(status, 0) + 1
-    summary = ", ".join(f"{status.value}: {count}"
-                        for status, count in sorted(statuses.items(),
-                                                    key=lambda kv: kv[0].value))
-    print(f"guard log: {summary}")
+    counts = Counter(status.value
+                     for _, _, status in report.coefficient_history)
+    print("guard log: " + ", ".join(f"{status}: {n}"
+                                    for status, n in sorted(counts.items())))
     if report.first_guard_trip is not None:
         step, t, status = report.first_guard_trip
         print(f"first guard trip: {status.value} at step {step}, t = {t:.6g}")
@@ -148,25 +154,21 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, kind) -> int:
+def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
+    _, conv, axis, _, _ = _SWEEP_KINDS[args.kind]
     failure = None
     try:
-        if kind == "h":
-            result = sweep_h(config, _parse_list(args.n_list, int))
-        else:
-            result = sweep_delta(config, _parse_list(args.delta_list, float))
+        result = args.sweep(config, _parse_list(args.ladder, conv))
     except SweepError as exc:
         # keep the rows that did run; report the failure after writing them
         result = exc.partial
         failure = exc
     paths = emit_outputs([result], config.resolved().out_dir)
-    label = "h" if kind == "h" else "delta"
     for row in result.rows:
-        x = row.h if kind == "h" else row.delta
         err = "failed" if row.error_l2 is None else f"{row.error_l2:.6e}"
         rate = "" if row.pairwise_rate is None else f"  rate {row.pairwise_rate:.3f}"
-        print(f"{label}={x:.6g}  error {err}{rate}")
+        print(f"{axis}={getattr(row, axis):.6g}  error {err}{rate}")
     if result.fitted_slope is None:
         print("fitted slope: undefined (needs at least two nonzero errors)")
     else:
@@ -242,19 +244,7 @@ def _stdout_to_devnull():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep-h":
-            return _cmd_sweep(args, "h")
-        if args.command == "sweep-dt":
-            return _cmd_sweep(args, "delta")
-        if args.command == "alpha":
-            return _cmd_alpha(args)
-        if args.command == "energy":
-            return _cmd_energy(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -52,6 +52,13 @@ _CONFIG_KEYS = {
 }
 
 
+# each sweep kind: the RunConfig key its ladder sets and that key's
+# converter, the SweepRow field on its x axis, its file tag, and the key it
+# keeps fixed
+_SWEEP_KINDS = {"h": ("n", int, "h", "h", "delta"),
+                "delta": ("delta", float, "delta", "dt", "n")}
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
@@ -184,7 +191,7 @@ class SweepRow:
 @dataclass
 class SweepResult:
     case: str
-    kind: str            # "h" or "delta"
+    kind: str            # a key of _SWEEP_KINDS
     k: int
     rows: list
     fitted_slope: float | None
@@ -271,30 +278,27 @@ def _pairwise_rates(errors):
 def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
     if not values:
         raise ConfigError(f"empty {kind} ladder: a sweep needs at least one row")
+    key, conv, axis, _, fixed = _SWEEP_KINDS[kind]
     config = config.resolved()
     dim = make_case(config.case).dim
     # every row is resolved before any runs, so a bad ladder value is a
     # ConfigError; each row's h and delta come from the mesh and time grid
     # that run_solve builds, whether or not its run succeeds
-    row_cfgs = [(replace(config, n=int(value)) if kind == "h"
-                 else replace(config, delta=float(value))).resolved()
+    row_cfgs = [replace(config, **{key: conv(value)}).resolved()
                 for value in values]
     rows = []
-    errors = []
-    xs = []
     failures = []
-    for value, row_cfg in zip(values, row_cfgs):
+    for row_cfg in row_cfgs:
         h, delta = _build_mesh(row_cfg, dim).h, _time_grid(row_cfg).delta
         try:
             err: float | None = run_solve(row_cfg).final_error
             note = ""
         except Exception as exc:  # keep remaining rows; re-raise at the end
             err, note = None, f"failed: {exc}"
-            failures.append((value, exc))
+            failures.append(exc)
         rows.append(SweepRow(k=config.k, h=h, delta=delta, t_end=config.t_end,
                              error_l2=err, pairwise_rate=None, note=note))
-        errors.append(err)
-        xs.append(h if kind == "h" else delta)
+    errors = [row.error_l2 for row in rows]
     for row, rate in zip(rows, _pairwise_rates(errors)):
         row.pairwise_rate = rate
     meta = {
@@ -303,18 +307,18 @@ def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
         "t_end": config.t_end,
         "sweep": kind,
         "ladder": list(values),
-        "fixed_n" if kind == "delta" else "fixed_delta":
-            config.n if kind == "delta" else config.delta,
+        f"fixed_{fixed}": getattr(config, fixed),
         "assembly_quadrature_degree": assembly_degree(config.k),
         "error_quadrature_degree": error_degree(dim, config.k),
         "solver_method": method_for_dim(dim),
         "solver_tol": config.solver_tol,
     }
+    slope = _fit_slope([getattr(row, axis) for row in rows], errors)
     result = SweepResult(case=config.case, kind=kind, k=config.k, rows=rows,
-                         fitted_slope=_fit_slope(xs, errors), metadata=meta)
+                         fitted_slope=slope, metadata=meta)
     if failures:
         raise SweepError(f"{len(failures)} of {len(values)} sweep rows failed "
-                         f"(first: {failures[0][1]})", result)
+                         f"(first: {failures[0]})", result)
     return result
 
 
@@ -330,10 +334,14 @@ def sweep_delta(config: RunConfig, delta_values) -> SweepResult:
 
 def energy_study(configs) -> EnergyStudy:
     """Per-step energy time series for several cases in one table; no
-    configs raises ConfigError."""
+    configs, or a case that appears twice, raises ConfigError."""
     configs = list(configs)
     if not configs:
         raise ConfigError("empty energy study: it needs at least one case")
+    cases = [config.case for config in configs]
+    if len(set(cases)) < len(cases):
+        # the metadata and the chart keep one entry per case
+        raise ConfigError(f"energy study repeats a case: {', '.join(cases)}")
     rows = []
     meta: dict = {}
     for config in configs:
@@ -370,9 +378,10 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def energy_csv(study: EnergyStudy) -> str:
+def energy_csv(rows) -> str:
+    """The energy table of (case, t, energy) rows."""
     lines = [ENERGY_HEADER]
-    for case, t, energy in study.rows:
+    for case, t, energy in rows:
         log_e = "-inf" if energy <= 0.0 else _fmt(math.log(energy))
         lines.append(",".join([case, _fmt(t), _fmt(energy), log_e]))
     return "\n".join(lines) + "\n"
@@ -386,16 +395,19 @@ def meta_text(metadata: dict) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def write_svg_chart(path: str, title: str, xlabel: str, ylabel: str, series):
+def svg_chart(title: str, xlabel: str, ylabel: str, series) -> str:
     """Self-contained SVG line chart; both axes carry log10-transformed data.
 
-    series: list of (label, xs, ys) with xs/ys already log10-scaled.
+    series: list of (label, points) with the (x, y) points already
+    log10-scaled; points that are not finite are left out.
     Deterministic output: fixed canvas, palette, and float formatting.
     """
     width, height = 640, 480
     ml, mr, mt, mb = 72, 24, 36, 56
-    finite = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-              if math.isfinite(x) and math.isfinite(y)]
+    series = [(label, [(x, y) for x, y in points
+                       if math.isfinite(x) and math.isfinite(y)])
+              for label, points in series]
+    finite = [p for _, points in series for p in points]
     if finite:
         x0 = min(x for x, _ in finite)
         x1 = max(x for x, _ in finite)
@@ -445,10 +457,9 @@ def write_svg_chart(path: str, title: str, xlabel: str, ylabel: str, series):
                      f'y2="{y:.2f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 8}" y="{y + 4:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{tick}</text>')
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, points) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = [(px(x), py(y)) for x, y in zip(xs, ys)
-               if math.isfinite(x) and math.isfinite(y)]
+        pts = [(px(x), py(y)) for x, y in points]
         if pts:
             d = "M " + " L ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
             parts.append(f'<path d="{d}" fill="none" stroke="{color}" '
@@ -463,79 +474,75 @@ def write_svg_chart(path: str, title: str, xlabel: str, ylabel: str, series):
         parts.append(f'<text x="{width - mr - 104}" y="{ly}" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
+
+
+def _sweep_files(result: SweepResult) -> list:
+    _, _, axis, tag, _ = _SWEEP_KINDS[result.kind]
+    base = f"sweep_{tag}_{result.case}_k{result.k}"
+    meta = dict(result.metadata)
+    if result.fitted_slope is not None:
+        meta["fitted_slope"] = result.fitted_slope
+    points = [(math.log10(getattr(row, axis)), math.log10(row.error_l2))
+              for row in result.rows
+              if row.error_l2 is not None and row.error_l2 > 0.0]
+    chart = svg_chart(f"{result.case} {tag}-sweep, k={result.k}",
+                      f"log10({axis})", "log10(L2 error)",
+                      [(f"k={result.k}", points)])
+    return [(base + ".csv", sweep_csv(result)),
+            (base + ".meta.txt", meta_text(meta)), (base + ".svg", chart)]
+
+
+def _energy_files(study: EnergyStudy) -> list:
+    files = [("energy_study.csv", energy_csv(study.rows))]
+    if study.metadata:
+        files.append(("energy_study.meta.txt", meta_text(study.metadata)))
+    series = [(case, [(t, math.log10(e) if e > 0 else math.nan)
+                      for c, t, e in study.rows if c == case])
+              for case in sorted({case for case, _, _ in study.rows})]
+    files.append(("energy_study.svg", svg_chart(
+        "energy vs time", "t", "log10(energy)", series)))
+    return files
+
+
+def _snapshot_csv(field_vec) -> str:
+    """x,u (or x,y,u) rows of a field, its nodes in lexicographic order."""
+    coords = field_vec.space.nodes
+    lines = ["x,u" if coords.shape[1] == 1 else "x,y,u"]
+    for idx in np.lexsort(coords.T[::-1]):
+        lines.append(",".join([*map(_fmt, coords[idx]),
+                               _fmt(field_vec.coefficients[idx])]))
+    return "\n".join(lines) + "\n"
+
+
+def _run_files(report: RunReport) -> list:
+    case = report.config.case
+    base = f"run_{case}_k{report.config.k}"
+    meta = dict(report.metadata, final_error_l2=report.final_error)
+    if report.first_guard_trip is not None:
+        step, t, status = report.first_guard_trip
+        meta["first_guard_trip"] = f"step {step} t={t:.6g} {status.value}"
+    return [(base + ".csv",
+             energy_csv((case, t, e) for t, e in report.energy_history)),
+            (base + ".meta.txt", meta_text(meta)),
+            *((f"{base}_snapshot_{_snapshot_tag(t_req)}.csv", _snapshot_csv(u))
+              for t_req, (_, u) in sorted(report.snapshots.items()))]
+
+
+# the (file name, text) pairs written for each result type
+_FILES = {SweepResult: _sweep_files, EnergyStudy: _energy_files,
+          RunReport: _run_files}
 
 
 def emit_outputs(results, out_dir: str) -> list[str]:
     """Write CSV, SVG, and metadata files for each result; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    def emit(name, text):
-        path = os.path.join(out_dir, name)
-        _write_text(path, text)
-        written.append(path)
-        return path
-
     for result in results:
-        if isinstance(result, SweepResult):
-            tag = "h" if result.kind == "h" else "dt"
-            base = f"sweep_{tag}_{result.case}_k{result.k}"
-            emit(base + ".csv", sweep_csv(result))
-            meta = dict(result.metadata)
-            if result.fitted_slope is not None:
-                meta["fitted_slope"] = result.fitted_slope
-            emit(base + ".meta.txt", meta_text(meta))
-            xs, ys = [], []
-            for row in result.rows:
-                x = row.h if result.kind == "h" else row.delta
-                if row.error_l2 is not None and row.error_l2 > 0.0:
-                    xs.append(math.log10(x))
-                    ys.append(math.log10(row.error_l2))
-            xlab = "log10(h)" if result.kind == "h" else "log10(delta)"
-            svg = os.path.join(out_dir, base + ".svg")
-            write_svg_chart(svg, f"{result.case} {tag}-sweep, k={result.k}",
-                            xlab, "log10(L2 error)",
-                            [(f"k={result.k}", xs, ys)])
-            written.append(svg)
-        elif isinstance(result, EnergyStudy):
-            base = "energy_study"
-            emit(base + ".csv", energy_csv(result))
-            if result.metadata:
-                emit(base + ".meta.txt",
-                     meta_text({k: v for k, v in sorted(result.metadata.items())}))
-            series = []
-            cases = sorted({case for case, _, _ in result.rows})
-            for case in cases:
-                xs = [t for c, t, e in result.rows if c == case]
-                ys = [math.log10(e) if e > 0 else math.nan
-                      for c, t, e in result.rows if c == case]
-                series.append((case, xs, ys))
-            svg = os.path.join(out_dir, base + ".svg")
-            write_svg_chart(svg, "energy vs time", "t", "log10(energy)", series)
-            written.append(svg)
-        elif isinstance(result, RunReport):
-            base = f"run_{result.config.case}_k{result.config.k}"
-            emit(base + ".csv", energy_csv(EnergyStudy(
-                rows=[(result.config.case, t, e)
-                      for t, e in result.energy_history])))
-            meta = dict(result.metadata)
-            meta["final_error_l2"] = result.final_error
-            if result.first_guard_trip is not None:
-                step, t, status = result.first_guard_trip
-                meta["first_guard_trip"] = f"step {step} t={t:.6g} {status.value}"
-            emit(base + ".meta.txt", meta_text(meta))
-            for t_req, (t_grid, field_vec) in sorted(result.snapshots.items()):
-                coords = field_vec.space.nodes
-                lines = ["x,u" if coords.shape[1] == 1 else "x,y,u"]
-                order = np.lexsort(tuple(coords[:, d]
-                                         for d in range(coords.shape[1] - 1, -1, -1)))
-                for idx in order:
-                    row = [_fmt(c) for c in coords[idx]]
-                    row.append(_fmt(field_vec.coefficients[idx]))
-                    lines.append(",".join(row))
-                emit(f"{base}_snapshot_{_snapshot_tag(t_req)}.csv",
-                     "\n".join(lines) + "\n")
-        else:
+        if type(result) not in _FILES:
             raise TypeError(f"cannot emit {type(result).__name__}")
+        for name, text in _FILES[type(result)](result):
+            path = os.path.join(out_dir, name)
+            _write_text(path, text)
+            written.append(path)
     return written

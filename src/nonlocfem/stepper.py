@@ -24,8 +24,8 @@ the free rows, a block of steps per call, and the right-hand side and the
 verify's residual are vectors the workspace reuses, so a banded step
 allocates no vector.
 
-run carries u, M u and K u of the levels the workspace's solve uses as rows
-of one array, and a new level overwrites the oldest (pbsv and sbmv write
+run carries u, M u and K u of the last _START_LEVELS levels as rows of
+one array, and a new level overwrites the oldest (pbsv and sbmv write
 into the rows themselves), so nothing is moved or reallocated per level.
 Every per-step scalar then comes from one single-threaded einsum of the u
 rows of the two newest levels against their M u rows: the energy
@@ -91,8 +91,8 @@ _FLOOR_EPS = 64.0 * np.finfo(float).eps
 _LOAD_BLOCK_STEPS = 256
 _LOAD_BLOCK_VALUES = 1 << 16
 
-# CG starts from the last _START_LEVELS levels (the banded solve ignores the
-# start, and its run carries two); galerkin_start states when it drops a
+# run carries the last _START_LEVELS levels, and CG starts from them (the
+# banded solve ignores the start); galerkin_start states when it drops a
 # level, by _START_DROP, _START_LEAST and _START_SHARE
 _START_LEVELS = 4
 _START_DROP = 1e-13
@@ -167,13 +167,11 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
     residual: returns (x, rhs - (M + theta K) x).
 
     u holds earlier levels, newest first, and mu and ku their products with
-    M and K; a 2D run carries the last _START_LEVELS (see
-    StepWorkspace.start_levels). This is the one description of the start.
-    On example3 at n = 48 (101 solves) CG takes 1 439, 1 175, 891, 837 and
-    675 iterations from 2 to 6 levels, while the start costs about 0.35,
-    0.6, 0.9, 1.3 and 1.8 ms per solve: four levels give the shortest run.
-    The levels of a run are nearly parallel (on example3 at n = 48 the last
-    two differ by 6e-9 to 3e-7 in the energy norm), so their Gram matrix
+    M and K; a run carries the last _START_LEVELS, the count that gave the
+    shortest example3 run (ROADMAP "Ruled out" has the measurements). This
+    is the one description of the start. The levels of a run are nearly
+    parallel (on example3 at n = 48 the last two differ by 6e-9 to 3e-7 in
+    the energy norm), so their Gram matrix
     u_i.(M + theta K) u_j, formed from inner products, is singular to
     roundoff and loses every direction but the first. Instead the levels
     are made orthogonal in the energy inner product (Fischer, CMAME 163,
@@ -182,9 +180,8 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
     against the levels already kept ("twice is enough", Giraud, Langou &
     Rozloznik 2005), its A-product updated by the same steps as itself.
     (Classical Gram-Schmidt, which takes a pass's coefficients against all
-    kept levels at once, let the residual below drift from rhs - A x by
-    8e-13 ||rhs|| on example3 at n = 48 from six levels, and three solves
-    refined.) Then x = sum_i (w_i.rhs) w_i and residual =
+    kept levels at once, lets the residual below drift from rhs - A x from
+    five levels on.) Then x = sum_i (w_i.rhs) w_i and residual =
     rhs - sum_i (w_i.rhs) A w_i over the kept remainders w_i, normalized in
     the energy norm, so the start needs no matrix-vector product, and every
     reduction is linalg.dot or einsum, on one thread whatever the BLAS
@@ -209,13 +206,10 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
 
     The estimate is not a bound on that gap: it leaves out the rounding of
     the carried products M u and K u (CSR row sums of up to 37 terms at
-    k = 3). On example3 at n = 48 the gap between this residual and a dense
-    rhs - A x that the newest level leaves is 15 to 17 times its estimate,
-    and the largest gap, 5.9e-15 ||rhs||, is within a factor 2 of the share.
-    On a forced 2D run (n = 6, k = 2, gamma = -1/3, delta = 0.05) a ringing
-    step makes ||rhs|| small against |M| |u| + theta |K| |u|, and the gap
-    reaches 1.7 times the share, with the rule or without it. Neither run
-    refined. With no level kept the start is 0 and its residual rhs.
+    k = 3), and a ringing step makes ||rhs|| small against
+    |M| |u| + theta |K| |u|, so the gap can exceed the share; ROADMAP
+    "Ruled out" has the measured gaps, in runs that never refined. With no
+    level kept the start is 0 and its residual rhs.
     """
     n = len(rhs)
     w, aw = np.empty((len(u), n)), np.empty((len(u), n))  # kept, unnormalized
@@ -257,11 +251,10 @@ class StepWorkspace:
     one run's solves (the module docstring describes them).
 
     solver_tol is the relative residual bound every solve is verified to.
-    start_levels is the number of levels run carries for the start of a
-    solve: _START_LEVELS for CG, and two for the banded solve, which ignores
-    the start (run's per-step scalars need the two newest). M and K must
-    share one sparsity pattern (they are scattered from the same element
-    dofs); otherwise the build raises ValueError.
+    M and K must share one sparsity pattern (they are scattered from the
+    same element dofs); otherwise the build raises ValueError. K and the 2D
+    system matrix are then built on M's index arrays, so the run holds one
+    copy of the pattern.
 
     The 1D verify multiplies on the same bands the solve uses, so it would
     share a band-conversion error with the solve. The build therefore checks
@@ -280,12 +273,12 @@ class StepWorkspace:
         self.solver_tol = solver_tol
         self.free = space.free_node_indices
         self.M_ff = M.restrict(self.free)
-        self.K_ff = K.restrict(self.free)
-        if not (np.array_equal(self.M_ff.indptr, self.K_ff.indptr)
-                and np.array_equal(self.M_ff.indices, self.K_ff.indices)):
+        K_ff = K.restrict(self.free)
+        if not (np.array_equal(self.M_ff.indptr, K_ff.indptr)
+                and np.array_equal(self.M_ff.indices, K_ff.indices)):
             raise ValueError("M and K do not share one sparsity pattern")
+        self.K_ff = self._on_pattern(K_ff.data)
         self.use_banded = method_for_dim(space.mesh.dim) == DIRECT_BANDED
-        self.start_levels = 2 if self.use_banded else _START_LEVELS
         if self.use_banded:
             self.Mb = to_banded_lower(self.M_ff)
             self.Kb = to_banded_lower(self.K_ff)
@@ -293,7 +286,7 @@ class StepWorkspace:
             _check_band(self.Kb, self.K_ff, "K")
             self.ab = np.empty_like(self.Mb)
         else:
-            self.A = self.M_ff.copy()
+            self.A = self._on_pattern(np.empty_like(self.M_ff.data))
             self._diag_m = self.M_ff.diagonal()
             self._diag_k = self.K_ff.diagonal()
         self.load = None if forcing is None else LoadAssembler(space, self.free)
@@ -306,6 +299,12 @@ class StepWorkspace:
         self._m_scale, self._k_scale = (
             max(A.data.max(), -A.data.min()) if A.nnz else 0.0
             for A in (self.M_ff, self.K_ff))
+
+    def _on_pattern(self, data):
+        """A matrix of M_ff's class with these values on M_ff's index
+        arrays, which it shares, not copies."""
+        M = self.M_ff
+        return type(M)((data, M.indices, M.indptr), shape=M.shape)
 
     def scaled_load(self, n):
         """delta F of step n (1-based) on the free rows, or None if unforced.
@@ -462,14 +461,14 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
     # level l is u = rows[l], M u = rows[L + l] and K u = rows[2 L + l] for
-    # the workspace's L levels, and a new level overwrites the oldest. When
+    # the L carried levels, and a new level overwrites the oldest. When
     # level c is the newest, starts[c] holds the u, M u and K u rows of every
     # level, newest first, and newest[c] views the u and M u rows of c and
     # of the level before it, in that order (rows 0 and L - 1 by a stride of
     # L - 1, else rows c and c - 1 by a stride of -1); reduce(c) gives
     # R[i][j] = u_i.M u_j of those two as Python floats, R[0][0] the energy
     # of the newest.
-    L = work.start_levels
+    L = _START_LEVELS
     rows = np.zeros((3 * L, len(free)))
     levels = [(rows[i], rows[L + i], rows[2 * L + i]) for i in range(L)]
     starts = [tuple(zip(*(levels[(c - j) % L] for j in range(L))))

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import nonlocfem
+from nonlocfem.harness import _SWEEP_KINDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nonlocfem"
 
@@ -84,3 +85,19 @@ def test_only_the_workspace_reads_the_backend():
     readers = {module: count for module, tree in _modules().items()
                if (count := loads_outside_workspace(tree))}
     assert readers == {}, f"use_banded read outside StepWorkspace: {readers}"
+
+
+def test_only_the_harness_names_a_sweep_kind():
+    # each sweep kind's ladder key, axis, file tag and fixed key come from
+    # harness._SWEEP_KINDS; a comparison with a kind elsewhere would branch
+    # on the kind a second time
+    def compares_with_a_kind(tree):
+        return sum(isinstance(node, ast.Compare) and any(
+            isinstance(operand, ast.Constant) and operand.value in _SWEEP_KINDS
+            for operand in [node.left, *node.comparators])
+            for node in ast.walk(tree))
+
+    readers = {module: count for module, tree in _modules().items()
+               if module != "harness"
+               and (count := compares_with_a_kind(tree))}
+    assert readers == {}, f"sweep kind compared outside harness: {readers}"

@@ -271,6 +271,28 @@ def test_empty_study_is_a_config_error(study):
         study()
 
 
+def test_energy_study_refuses_a_repeated_case(monkeypatch):
+    # the study keys its metadata and chart series by case, so a repeated
+    # case would write its rows twice and draw one line that doubles back;
+    # it is refused before any run
+    runs = []
+    monkeypatch.setattr(harness, "run_solve", runs.append)
+    with pytest.raises(ConfigError, match="repeats a case"):
+        energy_study([_quick_config(case="example2"), _quick_config(),
+                      _quick_config(case="example2")])
+    assert runs == []
+
+
+def test_cli_energy_refuses_a_repeated_case(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["energy", "--cases", "example2,example2",
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "repeats a case: example2, example2" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # sha256 of every file that solve writes for small 1D runs. 1D outputs are
 # bit-identical across refactors of the solver (2D ones agree only to the
 # solver tolerance when the CG start changes, so none is pinned); a change
@@ -299,15 +321,59 @@ _PINNED_1D_OUTPUTS = {
 }
 
 
+def _digests(out_dir):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out_dir.iterdir()}
+
+
 @pytest.mark.parametrize("case", sorted(_PINNED_1D_OUTPUTS))
 def test_1d_solve_outputs_are_pinned(case, tmp_path, capsys):
     # n = 8, delta = 0.01 at the case's k and t_end; example2 freezes at
     # t = 1.01, so its .meta.txt has a first guard trip
     assert main(["solve", "--case", case, "--n", "8", "--delta", "0.01",
                  "--snapshots", "0.5,1.5", "--out-dir", str(tmp_path)]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in tmp_path.iterdir()}
-    assert digests == _PINNED_1D_OUTPUTS[case]
+    assert _digests(tmp_path) == _PINNED_1D_OUTPUTS[case]
+
+
+# sha256 of every file that the sweeps and the energy study write for 1D
+# runs (the energy study at the cases' defaults, example2 first, so its
+# rows come before example1's and its chart series after), under the same
+# rule as _PINNED_1D_OUTPUTS
+_PINNED_1D_STUDIES = {
+    ("sweep-h", "--case", "example1", "--k", "1", "--n-list", "4,8",
+     "--delta", "0.02", "--t-end", "0.2"): {
+        "sweep_h_example1_k1.csv":
+            "40f6b43745ef8c82b34015981b50b2641e113843480e9678e5c7c91b8b59bd08",
+        "sweep_h_example1_k1.meta.txt":
+            "6eea360005c325514b55572f53a702fcb2013f959e413b57c68faec02d5232ea",
+        "sweep_h_example1_k1.svg":
+            "d20d3927c059fb4b709a1d9dcbdbaa7890f11739612b95fcfd476a0f4a9b8737",
+    },
+    ("sweep-dt", "--case", "example1", "--k", "2", "--n", "16",
+     "--delta-list", "0.04,0.02", "--t-end", "0.2"): {
+        "sweep_dt_example1_k2.csv":
+            "95f605ca9c4a7285f00e4192f6b31f74e7b3ef62b073571038df8b6dfeee7edc",
+        "sweep_dt_example1_k2.meta.txt":
+            "1d34df5e31f4994d4e1debd7a9fc7c1b1c4405e4e6bc07e777d15c20ad02ed2e",
+        "sweep_dt_example1_k2.svg":
+            "98b19556dd6f08c9c3b4a45ae1a220cb31de02aacaa4571416195587ea471700",
+    },
+    ("energy", "--cases", "example2,example1"): {
+        "energy_study.csv":
+            "7e60b255a867e1352c5410bbf461163bab1854ad72e8f5a1461e2e52fa79de9f",
+        "energy_study.meta.txt":
+            "b5419ba901ec6a8e32d01f8e18744e719ceeb6c0ff32ca41ea086b6ba0c5fcff",
+        "energy_study.svg":
+            "5ee884bd1d93b7b4e81d1aed5abb7ddc8ead372ef8282d8d871a0bf84d63a3bb",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_1D_STUDIES),
+                         ids=lambda argv: argv[0])
+def test_1d_study_outputs_are_pinned(argv, tmp_path, capsys):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == _PINNED_1D_STUDIES[argv]
 
 
 def test_zero_error_rows_have_undefined_rates():
@@ -373,7 +439,7 @@ def test_empty_sweep_gives_header_only():
 
 def test_energy_csv_extinct_sentinel():
     study = EnergyStudy(rows=[("example2", 0.0, 2.5), ("example2", 1.5, 0.0)])
-    lines = energy_csv(study).strip().split("\n")
+    lines = energy_csv(study.rows).strip().split("\n")
     assert lines[0] == ENERGY_HEADER
     assert lines[1].endswith(f",{format(math.log(2.5), '.17g')}")
     assert lines[2].split(",")[3] == "-inf"
@@ -381,7 +447,7 @@ def test_energy_csv_extinct_sentinel():
 
 def test_float_format_17_significant_digits():
     study = EnergyStudy(rows=[("example1", 1.0 / 3.0, 2.0 / 3.0)])
-    line = energy_csv(study).strip().split("\n")[1]
+    line = energy_csv(study.rows).strip().split("\n")[1]
     parts = line.split(",")
     assert parts[1] == "0.33333333333333331"
     assert parts[2] == "0.66666666666666663"

@@ -1040,6 +1040,20 @@ def test_2d_setup_makes_no_sparse_arithmetic_copies(monkeypatch):
     assert calls == {"__sub__": 1, "__abs__": 1, "__getitem__": 2}
 
 
+def test_the_2d_workspace_holds_one_copy_of_the_pattern():
+    # K and the system matrix are built on M's index arrays after the
+    # pattern check, and the products on the shared arrays are unchanged
+    space = build_lagrange_space(uniform_square_mesh(4), 3)
+    M, K = assemble_mass(space), assemble_stiffness(space)
+    work = StepWorkspace(space, M, K, TimeGrid(t_end=0.1, n_steps=2))
+    for A in (work.K_ff, work.A):
+        assert np.shares_memory(A.indices, work.M_ff.indices)
+        assert np.shares_memory(A.indptr, work.M_ff.indptr)
+    x = np.sin(1.0 + np.arange(work.M_ff.shape[0]))
+    free = space.free_node_indices
+    assert np.array_equal(work.K_ff @ x, K.restrict(free) @ x)
+
+
 @pytest.mark.parametrize("theta", [5e-3, 5.0, 5e3])
 def test_2d_solve_from_a_far_start_meets_the_bound(monkeypatch, theta):
     # CG stops on its recurrence residual, which can drift from the true one
