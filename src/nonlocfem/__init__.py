@@ -7,16 +7,15 @@ from .assembly import (FieldVector, SparseSymMatrix, assemble_mass,
 from .coefficient import GuardStatus, NonlocalCoefficient, check_guards
 from .harness import (RunConfig, SweepResult, emit_outputs, energy_study,
                       run_solve, sweep_delta, sweep_h)
-from .manufactured import (CASE_IDS, AlphaSolveConfig, ManufacturedCase,
-                           fixed_point_map, l_of_t, make_case, solve_alpha,
-                           verify_case)
+from .manufactured import (CASE_IDS, ManufacturedCase, fixed_point_map,
+                           l_of_t, make_case, solve_alpha, verify_case)
 from .mesh import (LagrangeSpace, SimplicialMesh, build_lagrange_space,
                    uniform_interval_mesh, uniform_square_mesh)
 from .quadrature import QuadratureRule, reference_rule
 from .stepper import TimeGrid, TrajectorySummary, init, run
 
 __all__ = [
-    "AlphaSolveConfig", "CASE_IDS", "FieldVector", "GuardStatus",
+    "CASE_IDS", "FieldVector", "GuardStatus",
     "LagrangeSpace", "ManufacturedCase", "NonlocalCoefficient",
     "QuadratureRule", "RunConfig", "SimplicialMesh",
     "SparseSymMatrix", "SweepResult", "TimeGrid",

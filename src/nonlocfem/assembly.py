@@ -125,31 +125,22 @@ def error_degree(dim: int, k: int) -> int:
 
 
 def _geometry(mesh: SimplicialMesh):
-    """Affine transform data per element: J, |det J|, J^{-T}."""
+    """Affine transform data per element: vertex 0, J, |det J|, J^{-T}.
+
+    Column j of J is the edge from vertex 0 to vertex j + 1. The inverse is
+    1/J in 1D and the adjugate divided by det J in 2D.
+    """
     verts = mesh.element_vertices()
+    J = np.ascontiguousarray(np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2))
     if mesh.dim == 1:
-        J = (verts[:, 1, 0] - verts[:, 0, 0]).reshape(-1, 1, 1)
         det = J[:, 0, 0]
-        JinvT = (1.0 / det).reshape(-1, 1, 1)
+        JinvT = 1.0 / J
     else:
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        J = np.stack([e1, e2], axis=-1)
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        Jinv = np.empty_like(J)
-        Jinv[:, 0, 0] = e2[:, 1]
-        Jinv[:, 0, 1] = -e2[:, 0]
-        Jinv[:, 1, 0] = -e1[:, 1]
-        Jinv[:, 1, 1] = e1[:, 0]
-        Jinv /= det[:, None, None]
-        JinvT = np.transpose(Jinv, (0, 2, 1))
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]
+        adj = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]],
+                       axis=-1).reshape(-1, 2, 2)
+        JinvT = np.swapaxes(adj / det[:, None, None], 1, 2)
     return verts[:, 0], J, np.abs(det), JinvT
-
-
-def _quad_points_physical(mesh, rule):
-    """Quadrature point coordinates per element, shape (n_el, n_q, dim)."""
-    v0, J, _, _ = _geometry(mesh)
-    return v0[:, None, :] + np.einsum("eij,qj->eqi", J, rule.points)
 
 
 def _scatter_symmetric(space, element_matrices):
@@ -227,53 +218,64 @@ def _evaluate_field(fn, columns, t=None):
     return np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
 
 
+def _element_quadrature(space: LagrangeSpace, degree: int):
+    """The rule of the given degree on every element: basis values at its
+    points (n_local, n_q), weights times |det J| (n_el, n_q) and the point
+    coordinates, one array per axis (see _columns), element by element."""
+    dim = space.mesh.dim
+    rule = reference_rule(dim, degree)
+    v0, J, det, _ = _geometry(space.mesh)
+    points = v0[:, None, :] + np.einsum("eij,qj->eqi", J, rule.points)
+    return (reference_basis(dim, space.degree).eval(rule.points),
+            det[:, None] * rule.weights[None, :],
+            _columns(points.reshape(-1, dim)))
+
+
 class LoadAssembler:
     """Load-vector assembler bound to one space and quadrature rule, which
     computes the loads of many times in one call.
 
-    Precomputes the quadrature weights times |det J| per element, the basis
-    values at the quadrature points and the quadrature point coordinates,
-    one array per axis. A call evaluates the forcing once for all its times
-    (the point coordinates as rows, the times as a column), forms every
-    element load in one (n_t, n_el, n_q) @ (n_q, n_local) product and sums
-    them into the rows by one np.bincount, each time's dofs offset by its
-    index times (n_rows + 1). Every row is bit for bit the load of its time
-    alone. The load has only the given rows (node indices, e.g. the free
-    nodes), in their order; the other nodes go to one extra bin per time
-    that is dropped.
+    Precomputes the element quadrature table of the assembly rule (basis
+    values, weights times |det J| per element and the point coordinates,
+    one array per axis; see _element_quadrature). A call evaluates the
+    forcing once for all its times (the point coordinates as rows, the times
+    as a column), forms every element load in one (n_t, n_el, n_q) @
+    (n_q, n_local) product and sums them into the rows by one np.bincount,
+    each time's dofs offset by its index times (n_rows + 1). Every row is
+    bit for bit the load of its time alone. The load has only the given rows
+    (node indices, e.g. the free nodes), in their order; the other nodes go
+    to one extra bin per time that is dropped.
 
     The temporaries of a call (the finiteness mask, the weighted forcing
-    values and the element loads) are buffers of the assembler, allocated on
-    the first call and grown only when a call brings more times, so a run
-    of equal blocks allocates them once. The returned block is always a new
-    array, and later calls leave it alone.
+    values, the element loads and the bin index of every element load) are
+    buffers of the assembler, allocated on the first call and grown only
+    when a call brings more times, so a run of equal blocks allocates them
+    once. The returned block is always a new array, and later calls leave
+    it alone.
     """
 
     def __init__(self, space: LagrangeSpace, rows):
-        k = space.degree
-        rule = reference_rule(space.mesh.dim, assembly_degree(k))
-        basis = reference_basis(space.mesh.dim, k)
-        self._vals_t = np.ascontiguousarray(basis.eval(rule.points).T)  # (nq, nl)
-        _, _, det, _ = _geometry(space.mesh)
-        self._wdet = det[:, None] * rule.weights[None, :]   # (ne, nq)
-        points = _quad_points_physical(space.mesh, rule)
+        vals, self._wdet, self._columns = _element_quadrature(
+            space, assembly_degree(space.degree))
+        self._vals_t = np.ascontiguousarray(vals.T)   # (nq, nl)
         self._n_rows = len(rows)
         row_of = np.full(space.n_nodes, self._n_rows)
         row_of[rows] = np.arange(self._n_rows)
         self._dofs = row_of[space.element_dofs.ravel()]
-        self._block_dofs = self._dofs   # grown by a call of more times
-        self._columns = _columns(points.reshape(-1, points.shape[2]))
         self.n_points = self._wdet.size
         self._allocate_buffers(0)
 
     def _allocate_buffers(self, n_t):
-        """The finiteness mask, weighted values and element loads of n_t
-        times; the old buffers are freed before the new ones are made."""
-        self._finite = self._weighted = self._elem = None
+        """The finiteness mask, weighted values, element loads and bin
+        indices of n_t times; the old buffers are freed before the new ones
+        are made."""
+        self._finite = self._weighted = self._elem = self._block_dofs = None
         n_el, n_q = self._wdet.shape
         self._finite = np.empty((n_t, self.n_points), dtype=bool)
         self._weighted = np.empty((n_t, n_el, n_q))
         self._elem = np.empty((n_t, n_el, self._vals_t.shape[1]))
+        self._block_dofs = ((self._n_rows + 1) * np.arange(n_t)[:, None]
+                            + self._dofs).ravel()
 
     def __call__(self, f, times) -> np.ndarray:
         """Loads at the given times, shape (len(times), n_rows).
@@ -298,12 +300,8 @@ class LoadAssembler:
         del fvals   # blocks are large: release the forcing values early
         elem = np.matmul(weighted, self._vals_t, out=self._elem[:n_t])
         width = self._n_rows + 1
-        size = n_t * len(self._dofs)
-        if len(self._block_dofs) < size:
-            self._block_dofs = (width * np.arange(n_t)[:, None]
-                                + self._dofs).ravel()
-        loads = np.bincount(self._block_dofs[:size], weights=elem.ravel(),
-                            minlength=n_t * width)
+        loads = np.bincount(self._block_dofs[:n_t * len(self._dofs)],
+                            weights=elem.ravel(), minlength=n_t * width)
         return loads.reshape(n_t, width)[:, :self._n_rows]
 
 
@@ -320,16 +318,10 @@ def interpolate(space: LagrangeSpace, u) -> FieldVector:
 def l2_error(U: FieldVector, u_exact, t=None) -> float:
     """L2 norm of U - u_exact(., t), integrated on the error quadrature rule."""
     space = U.space
-    dim = space.mesh.dim
-    rule = reference_rule(dim, error_degree(dim, space.degree))
-    basis = reference_basis(dim, space.degree)
-    vals = basis.eval(rule.points)
-    _, _, det, _ = _geometry(space.mesh)
-    pts = _quad_points_physical(space.mesh, rule)
-    exact = _evaluate_field(u_exact, _columns(pts.reshape(-1, dim)), t)
+    vals, wdet, columns = _element_quadrature(
+        space, error_degree(space.mesh.dim, space.degree))
+    exact = _evaluate_field(u_exact, columns, t)
     if not np.all(np.isfinite(exact)):
         raise NonFiniteFieldError("exact solution returned a non-finite value")
-    exact = exact.reshape(pts.shape[0], pts.shape[1])
     Uq = np.einsum("ei,iq->eq", U.coefficients[space.element_dofs], vals)
-    wdet = det[:, None] * rule.weights[None, :]
-    return float(np.sqrt(np.sum(wdet * (Uq - exact) ** 2)))
+    return float(np.sqrt(np.sum(wdet * (Uq - exact.reshape(wdet.shape)) ** 2)))

@@ -15,25 +15,15 @@ import numpy as np
 from .mesh import reference_node_multi_indices
 
 
-def _eval_monomials(exponents, points):
-    """Monomial values at points, shape (n_monomials, n_points)."""
-    pts = np.atleast_2d(points)
-    out = np.ones((len(exponents), len(pts)))
-    for m, exps in enumerate(exponents):
-        for d, e in enumerate(exps):
-            if e:
-                out[m] *= pts[:, d] ** e
-    return out
-
-
-def _eval_monomial_derivs(exponents, points, axis):
+def _eval_monomials(exponents, points, axis=None):
+    """Monomial values at points, or with an axis their derivatives along
+    it, shape (n_monomials, n_points)."""
     pts = np.atleast_2d(points)
     out = np.zeros((len(exponents), len(pts)))
     for m, exps in enumerate(exponents):
-        e_ax = exps[axis]
-        if e_ax == 0:
+        if axis is not None and exps[axis] == 0:
             continue
-        term = np.full(len(pts), float(e_ax))
+        term = np.full(len(pts), 1.0 if axis is None else float(exps[axis]))
         for d, e in enumerate(exps):
             p = e - 1 if d == axis else e
             if p:
@@ -76,7 +66,7 @@ class ReferenceBasis:
         pts = np.atleast_2d(points)
         out = np.empty((self.n_local, len(pts), self.dim))
         for axis in range(self.dim):
-            dmono = _eval_monomial_derivs(self._exponents, pts, axis)
+            dmono = _eval_monomials(self._exponents, pts, axis)
             out[:, :, axis] = self._coeffs.T @ dmono
         return out
 

@@ -20,7 +20,7 @@ from .harness import (_CONFIG_KEYS, _SWEEP_KINDS, ConfigError, RunConfig,
                       energy_study, parse_config_file, run_solve, sweep_delta,
                       sweep_h)
 from .linalg import NotSPDError, SolverConvergenceError
-from .manufactured import (CASE_IDS, AlphaSolveConfig, AlphaSolveError,
+from .manufactured import (ALPHA_TOLERANCE, CASE_IDS, AlphaSolveError,
                            fixed_point_map, make_case, solve_alpha,
                            verify_case)
 from .stepper import ABORT, WARN, GuardTripError, SteppingError
@@ -86,8 +86,7 @@ def _build_parser():
 
     p_alpha = sub.add_parser("alpha", help="solve the profile fixed point")
     p_alpha.add_argument("case", choices=CASE_IDS)
-    p_alpha.add_argument("--tolerance", type=float,
-                         default=AlphaSolveConfig.tolerance)
+    p_alpha.add_argument("--tolerance", type=float, default=ALPHA_TOLERANCE)
     p_alpha.set_defaults(handler=_cmd_alpha)
 
     p_energy = sub.add_parser("energy", help="energy time series for all cases")
@@ -182,13 +181,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    if not args.tolerance > 0:
+        raise ConfigError("--tolerance: tolerance must be positive, "
+                          f"got {args.tolerance}")
     G, bracket = fixed_point_map(args.case)
-    try:
-        config = AlphaSolveConfig(bracket=bracket, tolerance=args.tolerance)
-    except ValueError as exc:   # the bracket is the case's own
-        raise ConfigError(f"--tolerance: {exc}, got {args.tolerance}") from exc
     t0 = time.perf_counter()
-    alpha = solve_alpha(G, config)
+    alpha = solve_alpha(G, bracket, args.tolerance)
     elapsed = time.perf_counter() - t0
     print(f"alpha({args.case}) = {alpha:.15f}")
     print(f"fixed-point residual: {abs(alpha - G(alpha)):.3e}")
@@ -200,12 +198,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_energy(args) -> int:
     cases = _parse_list(args.cases, str)
     base = _config_from_args(args)
-    configs = []
-    for case in cases:
-        if case not in CASE_IDS:
-            raise ConfigError(f"unknown case {case!r}")
-        configs.append(replace(base, case=case))
-    study = energy_study(configs)
+    study = energy_study([replace(base, case=case) for case in cases])
     paths = emit_outputs([study], base.out_dir)
     for case in cases:
         energies = [e for c, _, e in study.rows if c == case]

@@ -334,7 +334,8 @@ def sweep_delta(config: RunConfig, delta_values) -> SweepResult:
 
 def energy_study(configs) -> EnergyStudy:
     """Per-step energy time series for several cases in one table; no
-    configs, or a case that appears twice, raises ConfigError."""
+    configs, a case that appears twice or any invalid config raises
+    ConfigError before any case runs."""
     configs = list(configs)
     if not configs:
         raise ConfigError("empty energy study: it needs at least one case")
@@ -342,6 +343,7 @@ def energy_study(configs) -> EnergyStudy:
     if len(set(cases)) < len(cases):
         # the metadata and the chart keep one entry per case
         raise ConfigError(f"energy study repeats a case: {', '.join(cases)}")
+    configs = [config.resolved() for config in configs]
     rows = []
     meta: dict = {}
     for config in configs:

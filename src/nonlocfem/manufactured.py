@@ -23,9 +23,10 @@ import numpy as np
 from .quadrature import gauss_legendre_interval
 
 # Gauss-Legendre points per direction for the self-consistency integrals,
-# and the iteration budget of the alpha root search
+# and the iteration budget and default tolerance of the alpha root search
 _QUAD_POINTS = 64
 _ALPHA_MAX_ITERATIONS = 200
+ALPHA_TOLERANCE = 1e-15
 
 
 class RootBracketError(ValueError):
@@ -34,21 +35,6 @@ class RootBracketError(ValueError):
 
 class AlphaSolveError(RuntimeError):
     """The fixed-point iteration budget was exhausted."""
-
-
-@dataclass(frozen=True)
-class AlphaSolveConfig:
-    """Bracketed search settings for the alpha fixed point."""
-
-    bracket: tuple[float, float]
-    tolerance: float = 1e-15
-
-    def __post_init__(self):
-        lo, hi = self.bracket
-        if not 0.0 < lo < hi:
-            raise ValueError(f"bracket must satisfy 0 < lo < hi, got {self.bracket}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,15 +98,20 @@ def l_of_t(gamma: float, C: float, t):
     return out if out.ndim else float(out)
 
 
-def solve_alpha(G, config: AlphaSolveConfig) -> float:
+def solve_alpha(G, bracket, tolerance=ALPHA_TOLERANCE) -> float:
     """Root of alpha - G(alpha) on the bracket, by bisection with secant steps.
 
     Guaranteed to keep a sign-changing bracket; a secant candidate is used
     whenever it falls strictly inside the current bracket, with a bisection
     fallback when progress stalls. Returns alpha with
-    |alpha - G(alpha)| <= config.tolerance.
+    |alpha - G(alpha)| <= tolerance. A bracket without 0 < lo < hi or a
+    tolerance that is not positive raises ValueError.
     """
-    lo, hi = config.bracket
+    lo, hi = bracket
+    if not 0.0 < lo < hi:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
     f_lo = lo - G(lo)
     f_hi = hi - G(hi)
     if f_lo == 0.0:
@@ -144,7 +135,7 @@ def solve_alpha(G, config: AlphaSolveConfig) -> float:
                     and abs(last_side) < 2):
                 mid = secant
         f_mid = mid - G(mid)
-        if abs(f_mid) <= config.tolerance:
+        if abs(f_mid) <= tolerance:
             return mid
         if np.sign(f_mid) == np.sign(f_lo):
             lo, f_lo = mid, f_mid
@@ -153,7 +144,7 @@ def solve_alpha(G, config: AlphaSolveConfig) -> float:
             hi, f_hi = mid, f_mid
             last_side = min(-1, last_side - 1)
     raise AlphaSolveError(
-        f"no convergence to |alpha - G(alpha)| <= {config.tolerance:g} "
+        f"no convergence to |alpha - G(alpha)| <= {tolerance:g} "
         f"in {_ALPHA_MAX_ITERATIONS} iterations")
 
 
@@ -257,7 +248,7 @@ def _clamp(values, x):
 def make_case(case_id: str) -> ManufacturedCase:
     """Assemble a shipped case with alpha re-solved from its fixed point."""
     G, bracket = fixed_point_map(case_id)
-    alpha = solve_alpha(G, AlphaSolveConfig(bracket=bracket))
+    alpha = solve_alpha(G, bracket)
     return replace(_CASES[case_id], alpha=alpha)
 
 

@@ -146,50 +146,39 @@ def reference_node_multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
 def build_lagrange_space(mesh: SimplicialMesh, k: int) -> LagrangeSpace:
     """Lay out the degree-k Lagrange nodes over a uniform mesh.
 
-    Nodes shared between elements are merged exactly via their integer
-    position on the fine lattice of spacing (element size)/k.
+    Every (element, local node) gets its position on the fine lattice of
+    spacing (element size)/k, and nodes are numbered in order of first
+    appearance, element by element, the same way in both dimensions, so
+    nodes shared between elements are merged exactly.
     Raises ValueError when k < 1.
     """
     if k < 1:
         raise ValueError(f"invalid degree: need k >= 1, got {k}")
-    n = mesh.divisions
-    local = reference_node_multi_indices(mesh.dim, k)
-
-    if mesh.dim == 1:
-        a, b = mesh.interval
-        nk = n * k
-        # element e covers fine-lattice positions [e*k, e*k + k]
-        element_dofs = np.array([[e * k + i for (i,) in local]
-                                 for e in range(mesh.n_elements)], dtype=np.int64)
-        lattice = np.arange(nk + 1, dtype=np.int64).reshape(-1, 1)
-        nodes = (a + (b - a) * lattice[:, 0] / nk).reshape(-1, 1)
-        boundary = np.zeros(nk + 1, dtype=bool)
-        boundary[0] = boundary[-1] = True
-    else:
-        nk = n * k
-        # lattice position (x, y) of every (element, local node) in element
-        # order: lower triangle (v00, v10, v11) has edge1 -> +x and edge2 ->
-        # diagonal, upper triangle (v00, v11, v01) edge1 -> diagonal, edge2 -> +y
-        i, j = np.array(local, dtype=np.int64).T
-        cy, cx = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        x = cx[:, None, None] * k + np.stack([i + j, i])
-        y = cy[:, None, None] * k + np.stack([j, i + j])
-        keys = (y * (nk + 1) + x).ravel()
-        # node ids follow the first occurrence of each lattice point: a table
-        # over the lattice holds the first position of every key
-        position = np.arange(len(keys))
-        first = np.full((nk + 1) ** 2, len(keys), dtype=np.int64)
-        np.minimum.at(first, keys, position)
-        node_keys = keys[first[keys] == position]
-        node_of = np.empty_like(first)
-        node_of[node_keys] = np.arange(len(node_keys))
-        element_dofs = node_of[keys].reshape(mesh.n_elements, len(local))
-        lattice = np.column_stack([node_keys % (nk + 1), node_keys // (nk + 1)])
-        nodes = lattice / nk
-        boundary = ((lattice[:, 0] == 0) | (lattice[:, 0] == nk)
-                    | (lattice[:, 1] == 0) | (lattice[:, 1] == nk))
-
-    free = np.flatnonzero(~boundary)
-    return LagrangeSpace(mesh=mesh, degree=k, nodes=np.asarray(nodes, dtype=float),
+    n, dim = mesh.divisions, mesh.dim
+    nk = n * k
+    fine = (nk + 1,) * dim
+    local = np.array(reference_node_multi_indices(dim, k), dtype=np.int64)
+    # local node m of a simplex lies at sum_i w_i c_i on the fine lattice,
+    # c_i the grid points of its vertices (numbered row by row on the
+    # (n+1)^dim grid) and w = (k - |m|, m_1, ..., m_dim); a lattice point's
+    # key, its row-by-row index, is linear in the point, so the node's key
+    # is sum_i w_i key(c_i)
+    grid = np.unravel_index(np.arange(len(mesh.vertices)), (n + 1,) * dim)
+    weights = np.column_stack([k - local.sum(axis=1), local])
+    keys = (np.ravel_multi_index(grid, fine)[mesh.simplexes] @ weights.T).ravel()
+    # node ids follow the first occurrence of each lattice point: a table
+    # over the lattice holds the first position of every key
+    position = np.arange(len(keys))
+    first = np.full((nk + 1) ** dim, len(keys), dtype=np.int64)
+    np.minimum.at(first, keys, position)
+    node_keys = keys[first[keys] == position]
+    node_of = np.empty_like(first)
+    node_of[node_keys] = np.arange(len(node_keys))
+    element_dofs = node_of[keys].reshape(mesh.n_elements, len(local))
+    lattice = np.column_stack(np.unravel_index(node_keys, fine)[::-1])
+    a, b = mesh.interval or (0.0, 1.0)
+    boundary = ((lattice == 0) | (lattice == nk)).any(axis=1)
+    return LagrangeSpace(mesh=mesh, degree=k, nodes=a + (b - a) * lattice / nk,
                          node_lattice=lattice, element_dofs=element_dofs,
-                         boundary_node_flags=boundary, free_node_indices=free)
+                         boundary_node_flags=boundary,
+                         free_node_indices=np.flatnonzero(~boundary))

@@ -16,8 +16,7 @@ import scipy.sparse.linalg as spla
 
 from nonlocfem.assembly import (FieldVector, LoadAssembler,
                                 NonFiniteFieldError, SparseSymMatrix, _geometry,
-                                _quad_points_physical, assemble_stiffness,
-                                assembly_degree)
+                                assemble_stiffness, assembly_degree)
 from nonlocfem.basis import reference_basis
 from nonlocfem.coefficient import NonlocalCoefficient, evaluate_from_norm_sq
 from nonlocfem.linalg import cg_jacobi
@@ -117,6 +116,12 @@ def element_stiffness_matrix(vertices, k: int) -> np.ndarray:
     return det * np.einsum("iqd,jqd,q->ij", pg, pg, rule.weights)
 
 
+def quad_points_physical(mesh, rule):
+    """Quadrature point coordinates per element, shape (n_el, n_q, dim)."""
+    v0, J, _, _ = _geometry(mesh)
+    return v0[:, None, :] + np.einsum("eij,qj->eqi", J, rule.points)
+
+
 # --- the load of one time ---
 
 def per_step_load(space: LagrangeSpace, f, t, rows=None) -> np.ndarray:
@@ -129,7 +134,7 @@ def per_step_load(space: LagrangeSpace, f, t, rows=None) -> np.ndarray:
     vals_t = np.ascontiguousarray(reference_basis(dim, k).eval(rule.points).T)
     _, _, det, _ = _geometry(space.mesh)
     wdet = det[:, None] * rule.weights[None, :]
-    points = _quad_points_physical(space.mesh, rule).reshape(-1, dim)
+    points = quad_points_physical(space.mesh, rule).reshape(-1, dim)
     n_rows, dofs = space.n_nodes, space.element_dofs.ravel()
     if rows is not None:
         n_rows = len(rows)
@@ -170,7 +175,7 @@ def ritz_project(space: LagrangeSpace, grad_u, quad_refinement: int = 0) -> Fiel
     grads = basis.eval_grad(rule.points)
     _, _, det, JinvT = _geometry(space.mesh)
     pg = np.einsum("edc,iqc->eiqd", JinvT, grads)
-    pts = _quad_points_physical(space.mesh, rule)
+    pts = quad_points_physical(space.mesh, rule)
     flat = pts.reshape(-1, dim)
     raw = grad_u(*(flat[:, d] for d in range(dim)))
     comps = [raw] if dim == 1 else list(raw)

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from oracles import (SingularSystemError, element_mass_matrix,
                      element_stiffness_matrix, full_load, l2_norm_sq,
-                     per_step_load, restrict_reference, ritz_project,
-                     scatter_reference, symmetry_defect_reference)
+                     per_step_load, quad_points_physical, restrict_reference,
+                     ritz_project, scatter_reference,
+                     symmetry_defect_reference)
 from scipy.integrate import quad
 
 from nonlocfem import assembly
@@ -568,7 +569,7 @@ def test_ritz_galerkin_orthogonality():
 
 
 def _ritz_rhs(space):
-    from nonlocfem.assembly import _geometry, _quad_points_physical
+    from nonlocfem.assembly import _geometry
     from nonlocfem.basis import reference_basis
     from nonlocfem.quadrature import reference_rule
     rule = reference_rule(1, 2 * space.degree + 2)
@@ -576,7 +577,7 @@ def _ritz_rhs(space):
     grads = basis.eval_grad(rule.points)
     _, _, det, JinvT = _geometry(space.mesh)
     pg = np.einsum("edc,iqc->eiqd", JinvT, grads)
-    pts = _quad_points_physical(space.mesh, rule)
+    pts = quad_points_physical(space.mesh, rule)
     gu = np.pi * np.cos(np.pi * pts[:, :, 0])
     wdet = det[:, None] * rule.weights[None, :]
     rhs_elem = np.einsum("eiqd,eq,eq->ei", pg, gu, wdet)

@@ -293,10 +293,32 @@ def test_cli_energy_refuses_a_repeated_case(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_energy_study_resolves_every_config_before_any_run(monkeypatch):
+    # like the sweeps, the study meets a bad config before it solves the
+    # cases listed ahead of it
+    runs = []
+    monkeypatch.setattr(harness, "run_solve", runs.append)
+    with pytest.raises(ConfigError, match="polynomial degree"):
+        energy_study([RunConfig(case="example1"),
+                      RunConfig(case="example2", k=7)])
+    assert runs == []
+
+
+def test_cli_energy_refuses_an_unknown_case(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["energy", "--cases", "example2,foo",
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert ("unknown case 'foo'; expected one of example1, example2, example3"
+            in captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # sha256 of every file that solve writes for small 1D runs. 1D outputs are
-# bit-identical across refactors of the solver (2D ones agree only to the
-# solver tolerance when the CG start changes, so none is pinned); a change
-# that alters these bytes must update the pin and say why.
+# bit-identical across refactors of the solver (2D ones, pinned below, also
+# change when the CG start or stop changes); a change that alters these
+# bytes must update the pin and say why.
 _PINNED_1D_OUTPUTS = {
     "example1": {
         "run_example1_k2.csv":
@@ -374,6 +396,39 @@ _PINNED_1D_STUDIES = {
 def test_1d_study_outputs_are_pinned(argv, tmp_path, capsys):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert _digests(tmp_path) == _PINNED_1D_STUDIES[argv]
+
+
+# sha256 of every file that a small 2D solve and a 2D h-sweep write, under
+# the same rule as _PINNED_1D_OUTPUTS: a change to the mesh, the assembly or
+# the CG start and stop that alters these bytes must update the pin and
+# say why
+_PINNED_2D_OUTPUTS = {
+    ("solve", "--case", "example3", "--k", "2", "--n", "4", "--delta", "0.05",
+     "--t-end", "0.5", "--snapshots", "0.25"): {
+        "run_example3_k2.csv":
+            "ef769dea47bb36f1e20045ac6f0305b4c7dd6c8a61f5379baa8c91a9f7c98bd6",
+        "run_example3_k2.meta.txt":
+            "dda6e8bdaa502361aeaa2f9f97c050d195ee78bf5196746d9e1c7f217a9b97cf",
+        "run_example3_k2_snapshot_t0.25.csv":
+            "6ec2b9a611c03e56dfa4aaf08e1aaf7b430cc446394a78c183c7ce3e189aa83e",
+    },
+    ("sweep-h", "--case", "example3", "--k", "1", "--n-list", "2,4",
+     "--delta", "0.05", "--t-end", "0.2"): {
+        "sweep_h_example3_k1.csv":
+            "9fcbcae2a236bb31fada7ebef65f7529df7d6cd20e99001d2f84bd4dea503fc8",
+        "sweep_h_example3_k1.meta.txt":
+            "ddb6f69a5a5cc3e37a99787929235ea7adb2001e2df6abebe92a850edd27ff65",
+        "sweep_h_example3_k1.svg":
+            "722489f4be61cb0e42cb87770a5fda845ee403408aa0b77fc85b74245769aaa0",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_2D_OUTPUTS),
+                         ids=lambda argv: argv[0])
+def test_2d_outputs_are_pinned(argv, tmp_path, capsys):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == _PINNED_2D_OUTPUTS[argv]
 
 
 def test_zero_error_rows_have_undefined_rates():

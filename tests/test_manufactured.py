@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from oracles import w_profile_1d, w_profile_2d
 from scipy.optimize import brentq
 
-from nonlocfem.manufactured import (CASE_IDS, AlphaSolveConfig, AlphaSolveError,
-                                    CaseReport, ManufacturedCase,
-                                    RootBracketError, fixed_point_map, l_of_t,
-                                    make_case, solve_alpha, verify_case)
+from nonlocfem.manufactured import (CASE_IDS, AlphaSolveError, CaseReport,
+                                    ManufacturedCase, RootBracketError,
+                                    fixed_point_map, l_of_t, make_case,
+                                    solve_alpha, verify_case)
 
 REFERENCE_ALPHA = {
     "example1": 0.223688785954835,
@@ -146,7 +146,7 @@ def test_w2d_lambda_range_enforced():
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_alpha_matches_reference_decimals(case_id):
     G, bracket = fixed_point_map(case_id)
-    alpha = solve_alpha(G, AlphaSolveConfig(bracket=bracket))
+    alpha = solve_alpha(G, bracket)
     tol = 1e-15 if case_id == "example3" else 1e-10
     assert abs(alpha - REFERENCE_ALPHA[case_id]) <= tol
     assert abs(alpha - G(alpha)) <= 1e-12
@@ -155,14 +155,14 @@ def test_alpha_matches_reference_decimals(case_id):
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_alpha_agrees_with_brentq_oracle(case_id):
     G, bracket = fixed_point_map(case_id)
-    ours = solve_alpha(G, AlphaSolveConfig(bracket=bracket))
+    ours = solve_alpha(G, bracket)
     reference = brentq(lambda a: a - G(a), *bracket, xtol=1e-15)
     assert ours == pytest.approx(reference, abs=1e-12)
 
 
 def test_alpha_no_sign_change():
     with pytest.raises(RootBracketError):
-        solve_alpha(lambda a: -1.0, AlphaSolveConfig(bracket=(0.5, 1.0)))
+        solve_alpha(lambda a: -1.0, (0.5, 1.0))
 
 
 def test_alpha_budget_exhausted():
@@ -175,14 +175,17 @@ def test_alpha_budget_exhausted():
         return a - math.copysign(1.0, a - c)
 
     with pytest.raises(AlphaSolveError, match="200 iterations"):
-        solve_alpha(G, AlphaSolveConfig(bracket=(0.1, 0.2)))
+        solve_alpha(G, (0.1, 0.2))
 
 
 def test_alpha_config_validation():
-    with pytest.raises(ValueError):
-        AlphaSolveConfig(bracket=(-0.1, 0.2))
-    with pytest.raises(ValueError):
-        AlphaSolveConfig(bracket=(0.1, 0.2), tolerance=0.0)
+    def G(a):
+        return 0.15
+
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        solve_alpha(G, (-0.1, 0.2))
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        solve_alpha(G, (0.1, 0.2), tolerance=0.0)
 
 
 # --- cases ---

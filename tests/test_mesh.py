@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 from oracles import element_measures, mesh_size
 
 from nonlocfem.mesh import (build_lagrange_space, reference_node_multi_indices,
@@ -88,6 +90,16 @@ def test_lagrange_counts_2d():
     assert s.n_nodes == 9 and len(s.free_node_indices) == 1
     s3 = build_lagrange_space(uniform_square_mesh(2), 3)
     assert s3.n_nodes == (3 * 2 + 1) ** 2
+
+
+@given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(1, 12))
+def test_lagrange_node_counts(dim, k, n):
+    # nk + 1 nodes per direction, nk - 1 of them interior: a count that
+    # holds only if every shared vertex, edge and face was merged exactly
+    mesh = uniform_interval_mesh(0.0, 1.0, n) if dim == 1 else uniform_square_mesh(n)
+    s = build_lagrange_space(mesh, k)
+    assert s.n_nodes == (n * k + 1) ** dim
+    assert len(s.free_node_indices) == (n * k - 1) ** dim
 
 
 def test_invalid_degree():
@@ -187,6 +199,20 @@ def _loop_square_numbering(n, k):
     return element_dofs, np.array(lattice_list, dtype=np.int64)
 
 
+def _loop_interval_numbering(a, b, n, k):
+    """Element dofs, lattice, nodes and boundary flags of [a, b] the way
+    the 1D branch built them: element e covers lattice points e*k..e*k + k."""
+    local = reference_node_multi_indices(1, k)
+    element_dofs = np.array([[e * k + i for (i,) in local] for e in range(n)],
+                            dtype=np.int64)
+    nk = n * k
+    lattice = np.arange(nk + 1, dtype=np.int64).reshape(-1, 1)
+    nodes = (a + (b - a) * lattice[:, 0] / nk).reshape(-1, 1)
+    boundary = np.zeros(nk + 1, dtype=bool)
+    boundary[0] = boundary[-1] = True
+    return element_dofs, lattice, nodes, boundary
+
+
 def _assert_identical(got, expect):
     assert got.dtype == expect.dtype
     np.testing.assert_array_equal(got, expect)
@@ -212,3 +238,17 @@ def test_square_numbering_matches_node_loop(n, k):
     _assert_identical(s.nodes, lattice / nk)
     _assert_identical(s.boundary_node_flags, boundary)
     _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 100])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_interval_numbering_matches_node_loop(n, k):
+    for a, b in ((0.0, 1.0), (-2.0, 3.0)):
+        s = build_lagrange_space(uniform_interval_mesh(a, b, n), k)
+        element_dofs, lattice, nodes, boundary = _loop_interval_numbering(
+            a, b, n, k)
+        _assert_identical(s.element_dofs, element_dofs)
+        _assert_identical(s.node_lattice, lattice)
+        _assert_identical(s.nodes, nodes)
+        _assert_identical(s.boundary_node_flags, boundary)
+        _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))
