@@ -46,9 +46,6 @@ class FieldVector:
                 f"coefficient length {self.coefficients.shape} does not match "
                 f"space with {self.space.n_nodes} nodes")
 
-    def copy(self) -> "FieldVector":
-        return FieldVector(self.coefficients.copy(), self.space)
-
 
 class SparseSymMatrix:
     """Symmetric sparse matrix assembled over the nodes of a space.

@@ -43,18 +43,13 @@ class ReferenceBasis:
         if degree < 1:
             raise ValueError(f"invalid degree: need k >= 1, got {degree}")
         self.dim = dim
-        self.degree = degree
         multi = reference_node_multi_indices(dim, degree)
-        self.nodes = np.array(multi, dtype=float) / degree
+        nodes = np.array(multi, dtype=float) / degree
         # the monomials of total degree <= k have the node multi-indices as exponents
         self._exponents = multi
-        vander = _eval_monomials(self._exponents, self.nodes)  # (n_mono, n_nodes)
+        vander = _eval_monomials(self._exponents, nodes)  # (n_mono, n_nodes)
         # column i of coeffs holds basis i in the monomial basis
         self._coeffs = np.linalg.solve(vander.T, np.eye(len(multi)))
-
-    @property
-    def n_local(self) -> int:
-        return len(self.nodes)
 
     def eval(self, points) -> np.ndarray:
         """Basis values at reference points, shape (n_local, n_points)."""
@@ -64,7 +59,7 @@ class ReferenceBasis:
     def eval_grad(self, points) -> np.ndarray:
         """Reference gradients at points, shape (n_local, n_points, dim)."""
         pts = np.atleast_2d(points)
-        out = np.empty((self.n_local, len(pts), self.dim))
+        out = np.empty((len(self._exponents), len(pts), self.dim))
         for axis in range(self.dim):
             dmono = _eval_monomials(self._exponents, pts, axis)
             out[:, :, axis] = self._coeffs.T @ dmono

@@ -163,7 +163,7 @@ def _cmd_sweep(args) -> int:
         # keep the rows that did run; report the failure after writing them
         result = exc.partial
         failure = exc
-    paths = emit_outputs([result], config.resolved().out_dir)
+    paths = emit_outputs([result], config.out_dir)
     for row in result.rows:
         err = "failed" if row.error_l2 is None else f"{row.error_l2:.6e}"
         rate = "" if row.pairwise_rate is None else f"  rate {row.pairwise_rate:.3f}"

@@ -179,13 +179,10 @@ class RunReport(TrajectorySummary):
 
 @dataclass
 class SweepRow:
-    k: int
     h: float
     delta: float
-    t_end: float
     error_l2: float | None
     pairwise_rate: float | None
-    note: str = ""
 
 
 @dataclass
@@ -216,20 +213,17 @@ def _time_grid(config: RunConfig) -> TimeGrid:
                     n_steps=max(1, round(config.t_end / config.delta)))
 
 
-def _metadata(config: RunConfig, dim: int, grid: TimeGrid) -> dict:
+def _metadata(config: RunConfig, dim: int) -> dict:
+    """The .meta.txt entries of every run and sweep: the case, k, t_end and
+    the quadrature and solver choices."""
     return {
         "case": config.case,
         "k": config.k,
-        "n": config.n,
-        "delta": grid.delta,
-        "t_end": grid.t_end,
+        "t_end": config.t_end,
         "assembly_quadrature_degree": assembly_degree(config.k),
         "error_quadrature_degree": error_degree(dim, config.k),
         "solver_method": method_for_dim(dim),
         "solver_tol": config.solver_tol,
-        "guard_floor": config.guard_floor,
-        "guard_ceiling": config.guard_ceiling,
-        "guard_policy": config.guard_policy,
     }
 
 
@@ -249,7 +243,14 @@ def run_solve(config: RunConfig) -> RunReport:
                guard_policy=config.guard_policy,
                snapshot_times=config.snapshots)
     final_error = l2_error(traj.final, case.u, grid.t_end)
-    metadata = _metadata(config, case.dim, grid)
+    shared = _metadata(config, case.dim)
+    # energy_study's .meta.txt prints this dict whole, so n and delta keep
+    # their place after case and k
+    metadata = dict(case=shared.pop("case"), k=shared.pop("k"), n=config.n,
+                    delta=grid.delta, **shared,
+                    guard_floor=config.guard_floor,
+                    guard_ceiling=config.guard_ceiling,
+                    guard_policy=config.guard_policy)
     metadata.update((f"snapshot_{_snapshot_tag(t_req)}", t)
                     for t_req, (t, _) in traj.snapshots.items())
     return RunReport(**vars(traj), config=config, h=space.mesh.h,
@@ -292,27 +293,16 @@ def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
         h, delta = _build_mesh(row_cfg, dim).h, _time_grid(row_cfg).delta
         try:
             err: float | None = run_solve(row_cfg).final_error
-            note = ""
         except Exception as exc:  # keep remaining rows; re-raise at the end
-            err, note = None, f"failed: {exc}"
+            err = None
             failures.append(exc)
-        rows.append(SweepRow(k=config.k, h=h, delta=delta, t_end=config.t_end,
-                             error_l2=err, pairwise_rate=None, note=note))
+        rows.append(SweepRow(h=h, delta=delta, error_l2=err,
+                             pairwise_rate=None))
     errors = [row.error_l2 for row in rows]
     for row, rate in zip(rows, _pairwise_rates(errors)):
         row.pairwise_rate = rate
-    meta = {
-        "case": config.case,
-        "k": config.k,
-        "t_end": config.t_end,
-        "sweep": kind,
-        "ladder": list(values),
-        f"fixed_{fixed}": getattr(config, fixed),
-        "assembly_quadrature_degree": assembly_degree(config.k),
-        "error_quadrature_degree": error_degree(dim, config.k),
-        "solver_method": method_for_dim(dim),
-        "solver_tol": config.solver_tol,
-    }
+    meta = dict(_metadata(config, dim), sweep=kind, ladder=list(values))
+    meta[f"fixed_{fixed}"] = getattr(config, fixed)
     slope = _fit_slope([getattr(row, axis) for row in rows], errors)
     result = SweepResult(case=config.case, kind=kind, k=config.k, rows=rows,
                          fitted_slope=slope, metadata=meta)
@@ -375,8 +365,9 @@ def sweep_csv(result: SweepResult) -> str:
     for row in result.rows:
         err = "" if row.error_l2 is None else _fmt(row.error_l2)
         rate = "" if row.pairwise_rate is None else _fmt(row.pairwise_rate)
-        lines.append(",".join([result.case, str(row.k), _fmt(row.h),
-                               _fmt(row.delta), _fmt(row.t_end), err, rate]))
+        lines.append(",".join([result.case, str(result.k), _fmt(row.h),
+                               _fmt(row.delta), _fmt(result.metadata["t_end"]),
+                               err, rate]))
     return "\n".join(lines) + "\n"
 
 

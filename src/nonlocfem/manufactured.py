@@ -48,9 +48,7 @@ class ManufacturedCase:
     C: float                       # offset of the time factor l_of_t
     bracket: tuple[float, float]   # alpha search bracket
     profile: Callable              # profile(alpha, *x) before the boundary clamp
-    g: Callable | None             # profile forcing in w + alpha*Lap(w) = g
     f: Callable | None             # PDE forcing; None when identically zero
-    t_max: float                   # validity horizon (extinction time, or inf)
     # resolution, step and horizon of the reference experiments
     default_t_end: float
     default_k: int
@@ -58,6 +56,11 @@ class ManufacturedCase:
     default_delta: float
     fixed_point_profile: Callable | None = None  # G's integrand, if not profile
     alpha: float = math.nan
+
+    @property
+    def t_max(self) -> float:
+        """Validity horizon: the extinction time C when gamma < 0, else inf."""
+        return self.C if self.gamma < 0.0 else math.inf
 
     def w(self, *x):
         """Spatial profile, vanishing on the boundary."""
@@ -187,23 +190,18 @@ def _ex3_profile(alpha, x, y, omega_y=math.pi):
 _CASES = {case.case_id: case for case in (
     ManufacturedCase(
         "example1", dim=1, gamma=0.5, C=-1.0, bracket=(0.1, 0.3),
-        profile=_ex1_profile,
-        g=lambda x: -np.asarray(x, dtype=float) ** 2, f=_ex1_forcing,
-        t_max=math.inf, default_t_end=10.0,
+        profile=_ex1_profile, f=_ex1_forcing, default_t_end=10.0,
         default_k=2, default_n=100, default_delta=1e-3),
     ManufacturedCase(
         "example2", dim=1, gamma=-1.0 / 3.0, C=1.0, bracket=(0.1, 0.12),
-        profile=_ex2_profile,
-        g=lambda x: -_EX2_G_SCALE * np.exp(np.asarray(x, dtype=float)),
-        f=_ex2_forcing, t_max=1.0, default_t_end=2.0,
+        profile=_ex2_profile, f=_ex2_forcing, default_t_end=2.0,
         default_k=2, default_n=100, default_delta=1e-3),
     # G takes the y-frequency sqrt(1/alpha - pi^2) from the separation
     # constant, which is pi only at the exact root; the bracket is tight
     # because G crosses the diagonal more than once
     ManufacturedCase(
         "example3", dim=2, gamma=2.0, C=-0.25, bracket=(0.045, 0.055),
-        profile=_ex3_profile, g=None, f=None,
-        t_max=math.inf, default_t_end=1.0,
+        profile=_ex3_profile, f=None, default_t_end=1.0,
         default_k=3, default_n=16, default_delta=1e-2,
         fixed_point_profile=lambda a, x, y: _ex3_profile(
             a, x, y, math.sqrt((1.0 - math.pi ** 2 * a) / a))),
@@ -256,7 +254,6 @@ def make_case(case_id: str) -> ManufacturedCase:
 class CaseReport:
     """Residual diagnostics for one shipped case."""
 
-    case_id: str
     max_pde_residual: float
     fixed_point_residual: float
     boundary_max: float
@@ -338,7 +335,7 @@ def verify_case(case: ManufacturedCase) -> CaseReport:
 
     initial_mass = float(np.sum(W * case.u0(*P)))
 
-    return CaseReport(case_id=case.case_id, max_pde_residual=max_residual,
+    return CaseReport(max_pde_residual=max_residual,
                       fixed_point_residual=fp_residual,
                       boundary_max=boundary_max, initial_mass=initial_mass,
                       coefficient_consistency=coeff_dev)

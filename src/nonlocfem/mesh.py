@@ -22,7 +22,6 @@ class SimplicialMesh:
         dim: spatial dimension, 1 or 2.
         vertices: (n_vertices, dim) coordinates.
         simplexes: (n_elements, dim+1) vertex index tuples.
-        boundary_vertex_flags: True exactly for vertices on the domain boundary.
         divisions: subdivisions per direction (n elements for intervals,
             n cells per side for the square).
         interval: (a, b) endpoints for dim=1, None for dim=2.
@@ -32,13 +31,12 @@ class SimplicialMesh:
     dim: int
     vertices: np.ndarray
     simplexes: np.ndarray
-    boundary_vertex_flags: np.ndarray
     divisions: int
     interval: tuple[float, float] | None
     h: float
 
     def __post_init__(self):
-        for arr in (self.vertices, self.simplexes, self.boundary_vertex_flags):
+        for arr in (self.vertices, self.simplexes):
             arr.setflags(write=False)
 
     @property
@@ -58,8 +56,6 @@ class LagrangeSpace:
         mesh: underlying simplicial mesh.
         degree: polynomial degree k >= 1.
         nodes: (n_nodes, dim) node coordinates, equally spaced per element.
-        node_lattice: (n_nodes, dim) integer lattice coordinates on the fine
-            grid of spacing h_lattice = 1/(n*k) per direction; exact node identity.
         element_dofs: (n_elements, n_local) global node index per local node.
         boundary_node_flags: True exactly for nodes on the domain boundary.
         free_node_indices: indices of interior nodes (the unknowns).
@@ -68,14 +64,13 @@ class LagrangeSpace:
     mesh: SimplicialMesh
     degree: int
     nodes: np.ndarray
-    node_lattice: np.ndarray
     element_dofs: np.ndarray
     boundary_node_flags: np.ndarray
     free_node_indices: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.nodes, self.node_lattice, self.element_dofs,
-                    self.boundary_node_flags, self.free_node_indices):
+        for arr in (self.nodes, self.element_dofs, self.boundary_node_flags,
+                    self.free_node_indices):
             arr.setflags(write=False)
 
     @property
@@ -95,11 +90,8 @@ def uniform_interval_mesh(a: float, b: float, n: int) -> SimplicialMesh:
     x = a + (b - a) * np.arange(n + 1) / n
     vertices = x.reshape(-1, 1)
     simplexes = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[0] = flags[-1] = True
     return SimplicialMesh(dim=1, vertices=vertices,
-                          simplexes=simplexes.astype(np.int64),
-                          boundary_vertex_flags=flags, divisions=n,
+                          simplexes=simplexes.astype(np.int64), divisions=n,
                           interval=(float(a), float(b)), h=(b - a) / n)
 
 
@@ -123,13 +115,8 @@ def uniform_square_mesh(n: int) -> SimplicialMesh:
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     simplexes = np.stack([np.column_stack([v00, v10, v11]),
                           np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
-
-    ix = np.tile(idx, n + 1)
-    iy = np.repeat(idx, n + 1)
-    flags = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
     return SimplicialMesh(dim=2, vertices=vertices, simplexes=simplexes,
-                          boundary_vertex_flags=flags, divisions=n,
-                          interval=None, h=float(np.sqrt(2.0) / n))
+                          divisions=n, interval=None, h=float(np.sqrt(2.0) / n))
 
 
 def reference_node_multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
@@ -179,6 +166,5 @@ def build_lagrange_space(mesh: SimplicialMesh, k: int) -> LagrangeSpace:
     a, b = mesh.interval or (0.0, 1.0)
     boundary = ((lattice == 0) | (lattice == nk)).any(axis=1)
     return LagrangeSpace(mesh=mesh, degree=k, nodes=a + (b - a) * lattice / nk,
-                         node_lattice=lattice, element_dofs=element_dofs,
-                         boundary_node_flags=boundary,
+                         element_dofs=element_dofs, boundary_node_flags=boundary,
                          free_node_indices=np.flatnonzero(~boundary))

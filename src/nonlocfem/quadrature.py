@@ -18,7 +18,6 @@ import numpy as np
 class QuadratureRule:
     """Points and weights on a reference element, exact up to `degree`."""
 
-    dim: int
     degree: int
     points: np.ndarray   # (n_points, dim)
     weights: np.ndarray  # (n_points,)
@@ -81,7 +80,7 @@ def gauss_legendre_interval(degree: int) -> QuadratureRule:
     x, w = np.polynomial.legendre.leggauss(m)
     points = 0.5 * (x + 1.0)
     weights = 0.5 * w
-    return QuadratureRule(dim=1, degree=2 * m - 1,
+    return QuadratureRule(degree=2 * m - 1,
                           points=points.reshape(-1, 1), weights=weights)
 
 
@@ -104,7 +103,7 @@ def symmetric_triangle_rule(degree: int) -> QuadratureRule:
             # map barycentric (l0, l1, l2) to (x, y) = (l1, l2)
             pts.append((lam[1], lam[2]))
             wts.append(0.5 * w)
-    return QuadratureRule(dim=2, degree=degree,
+    return QuadratureRule(degree=degree,
                           points=np.array(pts), weights=np.array(wts))
 
 

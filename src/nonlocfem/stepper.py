@@ -143,14 +143,14 @@ class TimeGrid:
 @dataclass
 class TrajectorySummary:
     """Outcome of a full run: the final field, (t, energy) and
-    (t, coefficient, guard status) of every step, the snapshots and whether
-    the trajectory was frozen at extinction."""
+    (t, coefficient, guard status) of every step, and the snapshots. The
+    degenerate status is absorbing, so a run was frozen at extinction
+    exactly when its last status is degenerate."""
 
     final: FieldVector
     energy_history: list
     coefficient_history: list
     snapshots: dict
-    frozen: bool
 
     @property
     def first_guard_trip(self) -> tuple | None:
@@ -458,7 +458,6 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
             logger.warning("snapshot time %g is not on the time grid; it is "
                            "taken at t=%r", t_req, grid.time(index))
         snap_indices.setdefault(index, []).append(t_req)
-    snapshots = {t_req: (0.0, U0.copy()) for t_req in snap_indices.get(0, [])}
 
     # level l is u = rows[l], M u = rows[L + l] and K u = rows[2 L + l] for
     # the L carried levels, and a new level overwrites the oldest. When
@@ -491,6 +490,9 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
 
     c = 0      # the newest level
     rows[0] = U0.coefficients[free]
+    # U0 is zero on the boundary, as embed leaves it
+    snapshots = {t_req: (0.0, embed(rows[0]))
+                 for t_req in snap_indices.get(0, [])}
     work.matvecs(rows[0], (rows[L], rows[2 * L]))
     R = reduce(c)
     energy_history = [(0.0, R[0][0])]
@@ -564,5 +566,5 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     return TrajectorySummary(final=embed(rows[c]),
                              energy_history=energy_history,
                              coefficient_history=coefficient_history,
-                             snapshots=snapshots, frozen=frozen)
+                             snapshots=snapshots)
 

@@ -18,7 +18,8 @@ from nonlocfem.assembly import (FieldVector, LoadAssembler,
                                 NonFiniteFieldError, SparseSymMatrix, _geometry,
                                 assemble_stiffness, assembly_degree)
 from nonlocfem.basis import reference_basis
-from nonlocfem.coefficient import NonlocalCoefficient, evaluate_from_norm_sq
+from nonlocfem.coefficient import (GuardStatus, NonlocalCoefficient,
+                                   evaluate_from_norm_sq)
 from nonlocfem.linalg import cg_jacobi
 from nonlocfem.mesh import LagrangeSpace
 from nonlocfem.quadrature import (MAX_TRIANGLE_DEGREE, gauss_legendre_interval,
@@ -75,6 +76,20 @@ def element_measures(mesh) -> np.ndarray:
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, 2] - verts[:, 0]
     return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def on_boundary(mesh) -> np.ndarray:
+    """Whether each vertex lies on the domain boundary, from its coordinates."""
+    a, b = mesh.interval or (0.0, 1.0)
+    return ((mesh.vertices == a) | (mesh.vertices == b)).any(axis=1)
+
+
+def node_lattice(space) -> np.ndarray:
+    """Integer coordinates of each node on the fine lattice of spacing
+    (element size)/k, from the node positions."""
+    a, b = space.mesh.interval or (0.0, 1.0)
+    nk = space.mesh.divisions * space.degree
+    return np.rint((space.nodes - a) / (b - a) * nk).astype(np.int64)
 
 
 # --- element matrices by per-element quadrature ---
@@ -236,6 +251,14 @@ def lipschitz_witness(coeff: NonlocalCoefficient, V: FieldVector, W: FieldVector
 
 # --- separated profiles by variation of constants ---
 
+# the profile forcing g in w + alpha w'' = g of the 1D cases (example3's
+# profile solves the homogeneous equation)
+PROFILE_FORCING = {
+    "example1": lambda x: -np.asarray(x, dtype=float) ** 2,
+    "example2": lambda x: -math.sqrt(1.5) * np.exp(np.asarray(x, dtype=float)),
+}
+
+
 def w_profile_1d(g, alpha: float, C1: float, C2: float, x, quad_points: int = 64):
     """Variation-of-constants solution of w + alpha w'' = g on x >= 0.
 
@@ -293,6 +316,14 @@ def restrict_reference(matrix, indices) -> sp.csr_matrix:
 def symmetry_defect_reference(matrix) -> tuple[float, float]:
     """(|A - A^T|_max, |A|_max) as sparse arithmetic."""
     return abs(matrix - matrix.T).max(), abs(matrix).max()
+
+
+# --- facts of a run that its record holds once ---
+
+def froze(coefficient_history) -> bool:
+    """Whether a run was frozen at extinction. The degenerate status is
+    absorbing, so that is exactly when its last guard status is degenerate."""
+    return coefficient_history[-1][2] == GuardStatus.DEGENERATE
 
 
 # --- adapters: package calls with what a run supplies filled in ---

@@ -12,7 +12,7 @@ import time
 import numpy as np
 from conftest import ACCEPTANCE_LINES
 from oracles import (element_mass_matrix, element_stiffness_matrix, evaluate,
-                     l2_norm_sq, monomial_integral)
+                     froze, l2_norm_sq, monomial_integral)
 
 from nonlocfem import harness
 from nonlocfem.assembly import FieldVector, assemble_mass, interpolate, l2_error
@@ -79,7 +79,7 @@ def _record_frozen_runs(monkeypatch):
 
     def recording(*args, **kwargs):
         traj = stepping(*args, **kwargs)
-        frozen.append(traj.frozen)
+        frozen.append(froze(traj.coefficient_history))
         return traj
     monkeypatch.setattr(harness, "run", recording)
     return frozen

@@ -1,8 +1,11 @@
 """The package keeps only what a run reaches: every public module-level
 function and class in src/nonlocfem, and every public method and property
-of its classes, has a caller there. A helper that only tests call belongs
-in tests/oracles.py; a test reaches a matrix, space or rule through its
-data (.matrix, .free_node_indices, .weights) instead."""
+of its classes, has a caller there, and every field of its records a
+reader. A helper that only tests call belongs in tests/oracles.py; a test
+reaches a matrix, space or rule through its data (.matrix,
+.free_node_indices, .weights) instead, and derives a fact that another
+field already holds (a node's lattice point from its position, a freeze
+from the guard statuses) there too."""
 
 import ast
 from collections import Counter
@@ -63,6 +66,44 @@ def test_every_public_method_has_a_caller_in_src():
         and not method.name.startswith("_")
         and loads[method.name] == Counter(_loaded_names(method))[method.name]]
     assert unreached == [], f"no caller in src/: {', '.join(unreached)}"
+
+
+def _is_dataclass(cls):
+    # @dataclass or @dataclass(...)
+    decorators = (getattr(d, "func", d) for d in cls.decorator_list)
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def _attribute_loads(node):
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def test_every_record_field_has_a_reader_in_src():
+    # matched by name, as the method check does: a field of a dataclass is
+    # read when its name is loaded as an attribute anywhere in src/ outside
+    # its own class's dunder methods, where __post_init__ only guards it
+    modules = _modules()
+    loads = Counter()
+    for tree in modules.values():
+        loads.update(_attribute_loads(tree))
+    unread = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            own = Counter()
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and method.name.startswith("__")
+                        and method.name.endswith("__")):
+                    own.update(_attribute_loads(method))
+            unread.extend(
+                f"{module}.{cls.name}.{stmt.target.id}" for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and loads[stmt.target.id] == own[stmt.target.id])
+    assert unread == [], f"no reader in src/: {', '.join(unread)}"
 
 
 def test_every_exported_name_resolves():

@@ -247,10 +247,8 @@ def _single_element_space(verts, k):
     n_local = len(reference_node_multi_indices(dim, k))
     mesh = SimplicialMesh(dim=dim, vertices=verts,
                           simplexes=np.arange(dim + 1)[None, :],
-                          boundary_vertex_flags=np.ones(dim + 1, dtype=bool),
                           divisions=1, interval=None, h=1.0)
     return LagrangeSpace(mesh=mesh, degree=k, nodes=np.zeros((n_local, dim)),
-                         node_lattice=np.zeros((n_local, dim), dtype=np.int64),
                          element_dofs=np.arange(n_local)[None, :],
                          boundary_node_flags=np.ones(n_local, dtype=bool),
                          free_node_indices=np.array([], dtype=np.int64))

@@ -218,8 +218,9 @@ def test_sweep_row_failing_numerically_reports_its_effective_delta(
         sweep_delta(_quick_config(n=4, t_end=0.1), [0.05, 0.03])
     ran, failed = info.value.partial.rows
     assert (ran.delta, failed.delta) == (0.05, 0.1 / 3)
-    assert ran.error_l2 > 0.0 and ran.note == ""
-    assert failed.error_l2 is None and failed.note == "failed: injected failure"
+    assert ran.error_l2 > 0.0 and failed.error_l2 is None
+    assert str(info.value) == ("1 of 2 sweep rows failed "
+                               "(first: injected failure)")
 
     code = main(["sweep-dt", "--case", "example1", "--k", "1", "--n", "4",
                  "--t-end", "0.1", "--delta-list", "0.05,0.03",
@@ -429,6 +430,44 @@ _PINNED_2D_OUTPUTS = {
 def test_2d_outputs_are_pinned(argv, tmp_path, capsys):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert _digests(tmp_path) == _PINNED_2D_OUTPUTS[argv]
+
+
+# sha256 of every file of a solve with snapshots at t = 0 (one of them
+# requested off the time grid) and of an h-sweep whose rows all fail at
+# extinction under the abort policy (exit 3, rows without errors), under
+# the same rule as _PINNED_1D_OUTPUTS
+_PINNED_EDGE_OUTPUTS = {
+    ("solve", "--case", "example1", "--k", "1", "--n", "8", "--delta", "1e-3",
+     "--t-end", "0.01", "--snapshots", "0,0.00049,0.005"): (0, {
+        "run_example1_k1.csv":
+            "33a22a5e0e69f756c5812ea1bfc90635627b7fb80970ea414e5dd76c95cd8b72",
+        "run_example1_k1.meta.txt":
+            "e1c187a1f94e560a3e977a5745f1d10f2bcebeeadcda2df0ad5275c82c3d7259",
+        "run_example1_k1_snapshot_t0.csv":
+            "7a459fbacb64a2ef4f98e025d77286babc08571df54371ade517dbc6e4d4de66",
+        "run_example1_k1_snapshot_t0.00049.csv":
+            "7a459fbacb64a2ef4f98e025d77286babc08571df54371ade517dbc6e4d4de66",
+        "run_example1_k1_snapshot_t0.005.csv":
+            "c0f9a22a52a5a88cbe9fd0d25ba9d23ae136b7cfb72ae440155b63ab7784d4f3",
+    }),
+    ("sweep-h", "--case", "example2", "--k", "1", "--n-list", "2,4",
+     "--delta", "0.05", "--t-end", "1.2", "--guard-policy", "abort"): (3, {
+        "sweep_h_example2_k1.csv":
+            "be489257eab5b2269d9f7347817611bf694d9e7521f12ca3c7314155abe774e9",
+        "sweep_h_example2_k1.meta.txt":
+            "1bddb33a82b8285d3904217ff724d72862abecd475003167f17785866641bffb",
+        "sweep_h_example2_k1.svg":
+            "0bbb3c2589d29dda10a2f626d6c1b831411279b1b04743c1ae2eeda03bbd7b54",
+    }),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_EDGE_OUTPUTS),
+                         ids=lambda argv: argv[0])
+def test_edge_outputs_are_pinned(argv, tmp_path, capsys):
+    code, digests = _PINNED_EDGE_OUTPUTS[argv]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == code
+    assert _digests(tmp_path) == digests
 
 
 def test_zero_error_rows_have_undefined_rates():

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from oracles import w_profile_1d, w_profile_2d
+from oracles import PROFILE_FORCING, w_profile_1d, w_profile_2d
 from scipy.optimize import brentq
 
 from nonlocfem.manufactured import (CASE_IDS, AlphaSolveError, CaseReport,
@@ -218,7 +218,7 @@ def test_example1_profile_matches_generic_variation_of_constants():
     sa = math.sqrt(case.alpha)
     C1 = (1 - 2 * case.alpha + 2 * case.alpha * math.cos(1 / sa)) / math.sin(1 / sa)
     x = np.linspace(0.05, 0.95, 19)
-    generic = w_profile_1d(case.g, case.alpha, C1, 0.0, x)
+    generic = w_profile_1d(PROFILE_FORCING["example1"], case.alpha, C1, 0.0, x)
     np.testing.assert_allclose(generic, case.w(x), atol=1e-12)
 
 
@@ -231,7 +231,7 @@ def test_example2_profile_matches_generic_variation_of_constants():
     C1 = ((math.e - sa * math.sin(1 / sa) - math.cos(1 / sa))
           / ((a + 1) * math.sqrt(2.0 / 3.0) * math.sin(1 / sa)))
     x = np.linspace(0.05, 0.95, 19)
-    generic = w_profile_1d(case.g, a, C1, 0.0, x)
+    generic = w_profile_1d(PROFILE_FORCING["example2"], a, C1, 0.0, x)
     np.testing.assert_allclose(generic, case.w(x), atol=1e-12)
 
 
@@ -311,7 +311,8 @@ def test_forcing_is_minus_g_times_l_power(sample):
     # f = -g(x) l(t)^(2 gamma + 1) before t_max
     case_id, x, t = sample
     case = make_case(case_id)
-    expect = -case.g(*x) * float(case.l(t)) ** (2.0 * case.gamma + 1.0)
+    expect = (-PROFILE_FORCING[case_id](*x)
+              * float(case.l(t)) ** (2.0 * case.gamma + 1.0))
     np.testing.assert_allclose(case.f(*x, t), expect, rtol=1e-12)
 
 

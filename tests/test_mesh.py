@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
-from oracles import element_measures, mesh_size
+from oracles import element_measures, mesh_size, node_lattice, on_boundary
 
 from nonlocfem.mesh import (build_lagrange_space, reference_node_multi_indices,
                             uniform_interval_mesh, uniform_square_mesh)
@@ -23,8 +23,9 @@ def test_interval_h_matches_reference_resolution():
 def test_interval_vertices_and_boundary_flags():
     m = uniform_interval_mesh(0.0, 1.0, 4)
     np.testing.assert_allclose(m.vertices.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert m.boundary_vertex_flags[0] and m.boundary_vertex_flags[-1]
-    assert not m.boundary_vertex_flags[1:-1].any()
+    boundary = on_boundary(m)
+    assert boundary[0] and boundary[-1]
+    assert not boundary[1:-1].any()
 
 
 def test_interval_invalid_inputs():
@@ -44,7 +45,7 @@ def test_smallest_square_mesh():
     m = uniform_square_mesh(1)
     assert m.n_elements == 2
     assert len(m.vertices) == 4
-    assert m.boundary_vertex_flags.all()
+    assert on_boundary(m).all()
 
 
 def test_square_mesh_h():
@@ -56,7 +57,7 @@ def test_square_mesh_h():
 def test_square_mesh_interior_vertex():
     m = uniform_square_mesh(2)
     assert m.n_elements == 8
-    interior = m.vertices[~m.boundary_vertex_flags]
+    interior = m.vertices[~on_boundary(m)]
     assert interior.shape == (1, 2)
     np.testing.assert_allclose(interior[0], [0.5, 0.5])
 
@@ -122,7 +123,7 @@ def test_shared_faces_share_node_indices_2d():
         s = build_lagrange_space(uniform_square_mesh(n), k)
         assert s.n_nodes == (n * k + 1) ** 2
         # and every fine-lattice point appears exactly once
-        seen = {tuple(p) for p in s.node_lattice}
+        seen = {tuple(p) for p in node_lattice(s)}
         assert len(seen) == s.n_nodes
 
 
@@ -234,7 +235,7 @@ def test_square_numbering_matches_node_loop(n, k):
     boundary = ((lattice[:, 0] == 0) | (lattice[:, 0] == nk)
                 | (lattice[:, 1] == 0) | (lattice[:, 1] == nk))
     _assert_identical(s.element_dofs, element_dofs)
-    _assert_identical(s.node_lattice, lattice)
+    _assert_identical(node_lattice(s), lattice)
     _assert_identical(s.nodes, lattice / nk)
     _assert_identical(s.boundary_node_flags, boundary)
     _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))
@@ -248,7 +249,7 @@ def test_interval_numbering_matches_node_loop(n, k):
         element_dofs, lattice, nodes, boundary = _loop_interval_numbering(
             a, b, n, k)
         _assert_identical(s.element_dofs, element_dofs)
-        _assert_identical(s.node_lattice, lattice)
+        _assert_identical(node_lattice(s), lattice)
         _assert_identical(s.nodes, nodes)
         _assert_identical(s.boundary_node_flags, boundary)
         _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))

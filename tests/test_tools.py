@@ -1,13 +1,17 @@
-"""tools/src_lines.py counts code lines by the rule ROADMAP's size figures use."""
+"""The tools under tools/: src_lines.py counts code lines by the rule
+ROADMAP's size figures use, and cli_outputs.py runs commands the CLI
+accepts."""
 
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+from nonlocfem.cli import _build_parser
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _src_lines():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -19,4 +23,11 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
               'class C:\n    """Class docstring."""\n\n'
               '    def f(self):\n        """Method\n        docstring."""\n'
               '        return (1,\n                2)\n')
-    assert _src_lines().count(source) == (17, 7)
+    assert _tool("src_lines").count(source) == (17, 7)
+
+
+def test_every_cli_outputs_command_parses():
+    # the tool adds --out-dir to each command it runs; a command the parser
+    # refuses exits 2 through SystemExit
+    for argv in _tool("cli_outputs").COMMANDS.values():
+        _build_parser().parse_args([*argv, "--out-dir", "out"])
