@@ -6,7 +6,7 @@ from .assembly import (FieldVector, SparseSymMatrix, assemble_mass,
                        assemble_stiffness, interpolate, l2_error)
 from .coefficient import GuardStatus, NonlocalCoefficient, check_guards
 from .harness import (RunConfig, SweepResult, emit_outputs, energy_study,
-                      run_solve, sweep_delta, sweep_h)
+                      run_solve, sweep)
 from .manufactured import (CASE_IDS, ManufacturedCase, fixed_point_map,
                            l_of_t, make_case, solve_alpha, verify_case)
 from .mesh import (LagrangeSpace, SimplicialMesh, build_lagrange_space,
@@ -25,7 +25,7 @@ __all__ = [
     "fixed_point_map", "init", "interpolate", "l2_error",
     "l_of_t", "make_case", "reference_rule",
     "run", "run_solve", "solve_alpha",
-    "sweep_delta", "sweep_h", "uniform_interval_mesh", "uniform_square_mesh",
+    "sweep", "uniform_interval_mesh", "uniform_square_mesh",
     "verify_case",
 ]
 

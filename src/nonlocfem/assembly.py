@@ -307,9 +307,9 @@ def interpolate(space: LagrangeSpace, u) -> FieldVector:
     vals = _evaluate_field(u, _columns(space.nodes))
     if not np.all(np.isfinite(vals)):
         raise NonFiniteFieldError("field returned a non-finite nodal value")
-    vals = vals.copy()
-    vals[space.boundary_node_flags] = 0.0
-    return FieldVector(vals, space)
+    full = np.zeros_like(vals)
+    full[space.free_node_indices] = vals[space.free_node_indices]
+    return FieldVector(full, space)
 
 
 def l2_error(U: FieldVector, u_exact, t=None) -> float:

@@ -17,8 +17,7 @@ from dataclasses import replace
 
 from .harness import (_CONFIG_KEYS, _SWEEP_KINDS, ConfigError, RunConfig,
                       SweepError, config_from_sources, emit_outputs,
-                      energy_study, parse_config_file, run_solve, sweep_delta,
-                      sweep_h)
+                      energy_study, parse_config_file, run_solve, sweep)
 from .linalg import NotSPDError, SolverConvergenceError
 from .manufactured import (ALPHA_TOLERANCE, CASE_IDS, AlphaSolveError,
                            fixed_point_map, make_case, solve_alpha,
@@ -74,7 +73,7 @@ def _build_parser():
     p_sh.add_argument("--n-list", dest="ladder", metavar="N_LIST",
                       required=True,
                       help="comma-separated mesh resolutions, e.g. 8,16,32,64")
-    p_sh.set_defaults(handler=_cmd_sweep, kind="h", sweep=sweep_h)
+    p_sh.set_defaults(handler=_cmd_sweep, kind="h")
 
     p_sd = sub.add_parser("sweep-dt", help="time-step convergence study",
                           allow_abbrev=False)
@@ -82,7 +81,7 @@ def _build_parser():
     p_sd.add_argument("--delta-list", dest="ladder", metavar="DELTA_LIST",
                       required=True,
                       help="comma-separated time steps, e.g. 0.1,0.05,0.025")
-    p_sd.set_defaults(handler=_cmd_sweep, kind="delta", sweep=sweep_delta)
+    p_sd.set_defaults(handler=_cmd_sweep, kind="delta")
 
     p_alpha = sub.add_parser("alpha", help="solve the profile fixed point")
     p_alpha.add_argument("case", choices=CASE_IDS)
@@ -141,13 +140,13 @@ def _cmd_solve(args) -> int:
     config = _config_from_args(args)
     report = run_solve(config)
     cfg = report.config
-    print(f"case {cfg.case}: k={cfg.k} n={cfg.n} h={report.h:.6g} "
+    print(f"case {cfg.case}: k={cfg.k} n={cfg.n} "
+          f"h={report.final.space.mesh.h:.6g} "
           f"delta={report.metadata['delta']:.6g} t_end={cfg.t_end:g}")
     print(f"L2 error at t_end: {report.final_error:.12e}")
-    final_energy = report.energy_history[-1][1]
-    print(f"final energy: {final_energy:.12e}")
+    print(f"final energy: {report.energy_history[-1][1]:.12e}")
     _print_guard_summary(report)
-    paths = emit_outputs([report], cfg.out_dir)
+    paths = emit_outputs(report, cfg.out_dir)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
@@ -158,12 +157,12 @@ def _cmd_sweep(args) -> int:
     _, conv, axis, _, _ = _SWEEP_KINDS[args.kind]
     failure = None
     try:
-        result = args.sweep(config, _parse_list(args.ladder, conv))
+        result = sweep(config, args.kind, _parse_list(args.ladder, conv))
     except SweepError as exc:
         # keep the rows that did run; report the failure after writing them
         result = exc.partial
         failure = exc
-    paths = emit_outputs([result], config.out_dir)
+    paths = emit_outputs(result, config.out_dir)
     for row in result.rows:
         err = "failed" if row.error_l2 is None else f"{row.error_l2:.6e}"
         rate = "" if row.pairwise_rate is None else f"  rate {row.pairwise_rate:.3f}"
@@ -199,7 +198,7 @@ def _cmd_energy(args) -> int:
     cases = _parse_list(args.cases, str)
     base = _config_from_args(args)
     study = energy_study([replace(base, case=case) for case in cases])
-    paths = emit_outputs([study], base.out_dir)
+    paths = emit_outputs(study, base.out_dir)
     for case in cases:
         energies = [e for c, _, e in study.rows if c == case]
         print(f"{case}: {len(energies)} samples, final energy "
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SweepError, GuardTripError, SteppingError, NotSPDError,
+    except (GuardTripError, SteppingError, NotSPDError,
             SolverConvergenceError, AlphaSolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -3,7 +3,8 @@
 The coefficient is evaluated from the squared norm s = U^T M U, which the
 stepper already holds. Also provides the runtime guards that flag when a
 trajectory leaves the regime 0 < m <= a <= M where the method's
-local-in-time theory holds.
+local-in-time theory holds. At extinction (s = 0 with gamma < 0) the value
+is infinite, and the guards alone classify it as degenerate.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 
 DEFAULT_FLOOR = 1e-12
 DEFAULT_CEILING = 1e12
-
-
-class DegenerateCoefficientError(ArithmeticError):
-    """The squared norm vanished where the coefficient would be 0 or infinite."""
 
 
 class GuardStatus(enum.Enum):
@@ -45,27 +42,30 @@ class NonlocalCoefficient:
 def evaluate_from_norm_sq(coeff: NonlocalCoefficient, s: float) -> float:
     """a(U) = s^gamma from the squared norm s = U^T M U.
 
-    Raises DegenerateCoefficientError when s = 0 and gamma < 0 (the value
-    would be infinite); s = 0 and gamma > 0 yields 0, which the guards
-    report as below the floor. gamma = 0 always yields 1.
+    s <= 0 (roundoff can make the quadratic form slightly negative at
+    extinction) yields inf when gamma < 0, which the guards report as
+    degenerate, and 0 when gamma > 0, which they report as below the floor.
+    gamma = 0 always yields 1. Otherwise the power is taken on a Python
+    float, so a finite s > 0 gives a finite value or raises OverflowError,
+    and s = inf gives 0 when gamma < 0: with gamma < 0, inf means s <= 0.
     """
-    if s < 0.0:
-        # roundoff can produce a tiny negative quadratic form at extinction
-        s = 0.0
     if coeff.gamma == 0.0:
         return 1.0
-    if s == 0.0:
-        if coeff.gamma < 0.0:
-            raise DegenerateCoefficientError(
-                "coefficient is infinite: zero field with negative exponent")
-        return 0.0
-    return s ** coeff.gamma
+    if s <= 0.0:
+        return math.inf if coeff.gamma < 0.0 else 0.0
+    return float(s) ** coeff.gamma
 
 
 def check_guards(value: float, coeff: NonlocalCoefficient) -> GuardStatus:
-    """Classify a coefficient value against the [m, M] nondegeneracy window."""
+    """Classify a coefficient value against the [m, M] nondegeneracy window.
+
+    inf with gamma < 0 is extinction (evaluate_from_norm_sq gives it only
+    for s <= 0) and is degenerate; any other value that is not finite, NaN
+    included, is above the ceiling."""
     if value < 0.0:
         raise ValueError(f"coefficient value must be nonnegative, got {value}")
+    if value == math.inf and coeff.gamma < 0.0:
+        return GuardStatus.DEGENERATE
     if not math.isfinite(value):
         return GuardStatus.ABOVE_CEILING
     if value < coeff.floor_m:

@@ -169,10 +169,10 @@ def config_from_sources(file_values: dict | None = None,
 @dataclass
 class RunReport(TrajectorySummary):
     """Outcome of one solve against a manufactured case: its trajectory,
-    the resolved config, the mesh size and the final L2 error."""
+    the resolved config and the final L2 error; the mesh size is
+    final.space.mesh.h."""
 
     config: RunConfig
-    h: float
     final_error: float
     metadata: dict
 
@@ -203,7 +203,7 @@ class EnergyStudy:
 
 def _build_mesh(config: RunConfig, dim: int):
     if dim == 1:
-        return uniform_interval_mesh(0.0, 1.0, config.n)
+        return uniform_interval_mesh(config.n)
     return uniform_square_mesh(config.n)
 
 
@@ -253,8 +253,8 @@ def run_solve(config: RunConfig) -> RunReport:
                     guard_policy=config.guard_policy)
     metadata.update((f"snapshot_{_snapshot_tag(t_req)}", t)
                     for t_req, (t, _) in traj.snapshots.items())
-    return RunReport(**vars(traj), config=config, h=space.mesh.h,
-                     final_error=final_error, metadata=metadata)
+    return RunReport(**vars(traj), config=config, final_error=final_error,
+                     metadata=metadata)
 
 
 def _fit_slope(xs, errors) -> float | None:
@@ -276,7 +276,14 @@ def _pairwise_rates(errors):
     return rates
 
 
-def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
+def sweep(config: RunConfig, kind: str, values) -> SweepResult:
+    """Errors at t_end over a ladder of one kind of _SWEEP_KINDS: "h" sets
+    n (n ascending = h descending), "delta" sets the time step.
+
+    A row whose run fails keeps its h and delta with no error; after the
+    last row, SweepError names every failed row by its ladder value and
+    carries the result."""
+    values = list(values)
     if not values:
         raise ConfigError(f"empty {kind} ladder: a sweep needs at least one row")
     key, conv, axis, _, fixed = _SWEEP_KINDS[kind]
@@ -295,7 +302,7 @@ def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
             err: float | None = run_solve(row_cfg).final_error
         except Exception as exc:  # keep remaining rows; re-raise at the end
             err = None
-            failures.append(exc)
+            failures.append(f"{key}={getattr(row_cfg, key)}: {exc}")
         rows.append(SweepRow(h=h, delta=delta, error_l2=err,
                              pairwise_rate=None))
     errors = [row.error_l2 for row in rows]
@@ -307,19 +314,9 @@ def _sweep(config: RunConfig, kind: str, values) -> SweepResult:
     result = SweepResult(case=config.case, kind=kind, k=config.k, rows=rows,
                          fitted_slope=slope, metadata=meta)
     if failures:
-        raise SweepError(f"{len(failures)} of {len(values)} sweep rows failed "
-                         f"(first: {failures[0]})", result)
+        raise SweepError(f"{len(failures)} of {len(values)} sweep rows "
+                         f"failed: {'; '.join(failures)}", result)
     return result
-
-
-def sweep_h(config: RunConfig, n_values) -> SweepResult:
-    """Errors at t_end over a mesh ladder (n ascending = h descending)."""
-    return _sweep(config, "h", list(n_values))
-
-
-def sweep_delta(config: RunConfig, delta_values) -> SweepResult:
-    """Errors at t_end over a time-step ladder (delta descending)."""
-    return _sweep(config, "delta", list(delta_values))
 
 
 def energy_study(configs) -> EnergyStudy:
@@ -527,15 +524,14 @@ _FILES = {SweepResult: _sweep_files, EnergyStudy: _energy_files,
           RunReport: _run_files}
 
 
-def emit_outputs(results, out_dir: str) -> list[str]:
-    """Write CSV, SVG, and metadata files for each result; returns paths."""
+def emit_outputs(result, out_dir: str) -> list[str]:
+    """Write the CSV, SVG and metadata files of one result; returns paths."""
+    if type(result) not in _FILES:
+        raise TypeError(f"cannot emit {type(result).__name__}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for result in results:
-        if type(result) not in _FILES:
-            raise TypeError(f"cannot emit {type(result).__name__}")
-        for name, text in _FILES[type(result)](result):
-            path = os.path.join(out_dir, name)
-            _write_text(path, text)
-            written.append(path)
+    for name, text in _FILES[type(result)](result):
+        path = os.path.join(out_dir, name)
+        _write_text(path, text)
+        written.append(path)
     return written

@@ -1,8 +1,9 @@
 """Uniform simplicial meshes and Lagrange node layouts.
 
-Supports the two domains used throughout: an interval partitioned into
-equal subintervals, and the unit square partitioned into 2*n*n triangles
-by splitting an n-by-n grid of cells along same-direction diagonals.
+Supports the two domains used throughout: the unit interval partitioned
+into equal subintervals, and the unit square partitioned into 2*n*n
+triangles by splitting an n-by-n grid of cells along same-direction
+diagonals.
 Node identity is resolved on an integer lattice, never by comparing
 floating-point coordinates.
 """
@@ -16,15 +17,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SimplicialMesh:
-    """Partition of an interval (dim=1) or the unit square (dim=2).
+    """Partition of the unit interval (dim=1) or the unit square (dim=2).
 
     Attributes:
         dim: spatial dimension, 1 or 2.
         vertices: (n_vertices, dim) coordinates.
         simplexes: (n_elements, dim+1) vertex index tuples.
-        divisions: subdivisions per direction (n elements for intervals,
-            n cells per side for the square).
-        interval: (a, b) endpoints for dim=1, None for dim=2.
+        divisions: subdivisions per direction (n elements for the
+            interval, n cells per side for the square).
         h: largest element diameter.
     """
 
@@ -32,7 +32,6 @@ class SimplicialMesh:
     vertices: np.ndarray
     simplexes: np.ndarray
     divisions: int
-    interval: tuple[float, float] | None
     h: float
 
     def __post_init__(self):
@@ -57,20 +56,18 @@ class LagrangeSpace:
         degree: polynomial degree k >= 1.
         nodes: (n_nodes, dim) node coordinates, equally spaced per element.
         element_dofs: (n_elements, n_local) global node index per local node.
-        boundary_node_flags: True exactly for nodes on the domain boundary.
-        free_node_indices: indices of interior nodes (the unknowns).
+        free_node_indices: indices of interior nodes (the unknowns); every
+            other node lies on the domain boundary.
     """
 
     mesh: SimplicialMesh
     degree: int
     nodes: np.ndarray
     element_dofs: np.ndarray
-    boundary_node_flags: np.ndarray
     free_node_indices: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.nodes, self.element_dofs, self.boundary_node_flags,
-                    self.free_node_indices):
+        for arr in (self.nodes, self.element_dofs, self.free_node_indices):
             arr.setflags(write=False)
 
     @property
@@ -78,21 +75,18 @@ class LagrangeSpace:
         return len(self.nodes)
 
 
-def uniform_interval_mesh(a: float, b: float, n: int) -> SimplicialMesh:
-    """Partition [a, b] into n equal elements.
+def uniform_interval_mesh(n: int) -> SimplicialMesh:
+    """Partition [0, 1] into n equal elements.
 
-    Raises ValueError on an invalid range (a >= b) or element count (n < 1).
+    Raises ValueError when n < 1.
     """
-    if not a < b:
-        raise ValueError(f"invalid range: need a < b, got a={a}, b={b}")
     if n < 1:
         raise ValueError(f"invalid element count: need n >= 1, got {n}")
-    x = a + (b - a) * np.arange(n + 1) / n
-    vertices = x.reshape(-1, 1)
+    vertices = (np.arange(n + 1) / n).reshape(-1, 1)
     simplexes = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     return SimplicialMesh(dim=1, vertices=vertices,
                           simplexes=simplexes.astype(np.int64), divisions=n,
-                          interval=(float(a), float(b)), h=(b - a) / n)
+                          h=1.0 / n)
 
 
 def uniform_square_mesh(n: int) -> SimplicialMesh:
@@ -116,7 +110,7 @@ def uniform_square_mesh(n: int) -> SimplicialMesh:
     simplexes = np.stack([np.column_stack([v00, v10, v11]),
                           np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
     return SimplicialMesh(dim=2, vertices=vertices, simplexes=simplexes,
-                          divisions=n, interval=None, h=float(np.sqrt(2.0) / n))
+                          divisions=n, h=float(np.sqrt(2.0) / n))
 
 
 def reference_node_multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
@@ -163,8 +157,7 @@ def build_lagrange_space(mesh: SimplicialMesh, k: int) -> LagrangeSpace:
     node_of[node_keys] = np.arange(len(node_keys))
     element_dofs = node_of[keys].reshape(mesh.n_elements, len(local))
     lattice = np.column_stack(np.unravel_index(node_keys, fine)[::-1])
-    a, b = mesh.interval or (0.0, 1.0)
     boundary = ((lattice == 0) | (lattice == nk)).any(axis=1)
-    return LagrangeSpace(mesh=mesh, degree=k, nodes=a + (b - a) * lattice / nk,
-                         element_dofs=element_dofs, boundary_node_flags=boundary,
+    return LagrangeSpace(mesh=mesh, degree=k, nodes=lattice / nk,
+                         element_dofs=element_dofs,
                          free_node_indices=np.flatnonzero(~boundary))

@@ -37,10 +37,11 @@ Galerkin best fit, the banded solve ignores them. No reduction runs on
 multithreaded BLAS, so a trajectory does not depend on the BLAS thread
 count (see linalg).
 
-At extinction the coefficient is undefined, and the trajectory is frozen
+At extinction the coefficient is infinite, and the trajectory is frozen
 at zero from that step on, matching the continuation of the exact extinct
-solutions. That happens at a zero field with a negative exponent, and
-also once a gamma < 0 trajectory rings on an unforced step: when delta F
+solutions. That happens at a zero field with a negative exponent, where
+the value is inf and check_guards classifies it as degenerate, and also
+once a gamma < 0 trajectory rings on an unforced step: when delta F
 is None or exactly zero on the free rows, theta dim pi^2 > 1 and the two
 levels have a negative M-inner product. Unforced, s = ||u||^2 obeys
 ds/dt = -2 a(u) ||grad u||^2 <= -2 lambda_1 s^(1 + gamma), so for
@@ -66,8 +67,7 @@ from scipy.linalg.blas import dnrm2
 
 from .assembly import (FieldVector, LoadAssembler, SparseSymMatrix,
                        assemble_mass, assemble_stiffness, interpolate)
-from .coefficient import (DegenerateCoefficientError, GuardStatus,
-                          NonlocalCoefficient, check_guards,
+from .coefficient import (GuardStatus, NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
 from .linalg import (DIRECT_BANDED, SolverConvergenceError, band_matvec,
                      cg_jacobi, dot, method_for_dim, solve_banded_spd,
@@ -418,12 +418,10 @@ def init(space: LagrangeSpace, u0) -> FieldVector:
 
 
 def _coefficient(coeff, s):
-    """Coefficient value and guard status from a squared norm; an undefined
-    value (extinction with a negative exponent) maps to the degenerate status."""
-    try:
-        a = evaluate_from_norm_sq(coeff, s)
-    except DegenerateCoefficientError:
-        return math.inf, GuardStatus.DEGENERATE
+    """Coefficient value and guard status from a squared norm; extinction
+    with a negative exponent is an infinite value, which check_guards
+    classifies as degenerate."""
+    a = evaluate_from_norm_sq(coeff, s)
     return a, check_guards(a, coeff)
 
 

@@ -79,17 +79,24 @@ def element_measures(mesh) -> np.ndarray:
 
 
 def on_boundary(mesh) -> np.ndarray:
-    """Whether each vertex lies on the domain boundary, from its coordinates."""
-    a, b = mesh.interval or (0.0, 1.0)
-    return ((mesh.vertices == a) | (mesh.vertices == b)).any(axis=1)
+    """Whether each vertex lies on the boundary of the unit interval or
+    square, from its coordinates."""
+    return ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+
+
+def boundary_nodes(space) -> np.ndarray:
+    """Whether each node lies on the domain boundary: the nodes that are not
+    free."""
+    flags = np.ones(space.n_nodes, dtype=bool)
+    flags[space.free_node_indices] = False
+    return flags
 
 
 def node_lattice(space) -> np.ndarray:
     """Integer coordinates of each node on the fine lattice of spacing
     (element size)/k, from the node positions."""
-    a, b = space.mesh.interval or (0.0, 1.0)
     nk = space.mesh.divisions * space.degree
-    return np.rint((space.nodes - a) / (b - a) * nk).astype(np.int64)
+    return np.rint(space.nodes * nk).astype(np.int64)
 
 
 # --- element matrices by per-element quadrature ---
@@ -226,8 +233,8 @@ def evaluate(coeff: NonlocalCoefficient, U: FieldVector,
              M_mass: SparseSymMatrix) -> float:
     """a(U) = s^gamma with s = U^T M U.
 
-    Raises DegenerateCoefficientError when s = 0 and gamma < 0 (the value
-    would be infinite); s = 0 and gamma > 0 yields 0, which the guards
+    s = 0 and gamma < 0 (extinction) yields inf, which check_guards
+    classifies as degenerate; s = 0 and gamma > 0 yields 0, which the guards
     report as below the floor. gamma = 0 always yields 1.
     """
     return evaluate_from_norm_sq(coeff, l2_norm_sq(U, M_mass))

@@ -11,14 +11,15 @@ import time
 
 import numpy as np
 from conftest import ACCEPTANCE_LINES
-from oracles import (element_mass_matrix, element_stiffness_matrix, evaluate,
-                     froze, l2_norm_sq, monomial_integral)
+from oracles import (boundary_nodes, element_mass_matrix,
+                     element_stiffness_matrix, evaluate, froze, l2_norm_sq,
+                     monomial_integral)
 
 from nonlocfem import harness
 from nonlocfem.assembly import FieldVector, assemble_mass, interpolate, l2_error
 from nonlocfem.cli import main
 from nonlocfem.coefficient import GuardStatus, NonlocalCoefficient
-from nonlocfem.harness import RunConfig, run_solve, sweep_delta, sweep_h
+from nonlocfem.harness import RunConfig, run_solve, sweep
 from nonlocfem.manufactured import make_case, verify_case
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
@@ -93,7 +94,7 @@ def test_criterion_3_spatial_convergence(monkeypatch):
     ok = True
     for k, ladder in ladders.items():
         config = RunConfig(case="example1", k=k, delta=1e-3, t_end=10.0)
-        result = sweep_h(config, ladder)
+        result = sweep(config, "h", ladder)
         slope = result.fitted_slope
         k_ok = slope is not None and abs(slope - (k + 1)) <= 0.25
         ok = ok and k_ok
@@ -108,12 +109,12 @@ def test_criterion_4_temporal_convergence(monkeypatch):
     frozen = _record_frozen_runs(monkeypatch)
     t0 = time.perf_counter()
     config = RunConfig(case="example1", k=3, n=32, t_end=10.0)
-    result_1d = sweep_delta(config, [0.1 / 2 ** j for j in range(5)])
+    result_1d = sweep(config, "delta", [0.1 / 2 ** j for j in range(5)])
     slope_1d = result_1d.fitted_slope
     ok = slope_1d is not None and abs(slope_1d - 2.0) <= 0.25
 
     config2 = RunConfig(case="example3", k=3, n=8, t_end=1.0)
-    result_2d = sweep_delta(config2, [0.2 / 2 ** j for j in range(4)])
+    result_2d = sweep(config2, "delta", [0.2 / 2 ** j for j in range(4)])
     slope_2d = result_2d.fitted_slope
     ok = ok and slope_2d is not None and abs(slope_2d - 2.0) <= 0.35
     elapsed = time.perf_counter() - t0
@@ -128,7 +129,7 @@ def test_criterion_5_classical_cn_oracle():
     details = []
     ok = True
     for k, n in ((1, 32), (2, 32), (3, 16)):
-        space = build_lagrange_space(uniform_interval_mesh(0.0, 1.0, n), k)
+        space = build_lagrange_space(uniform_interval_mesh(n), k)
         delta = 1e-3
         n_steps = 500  # t = 0.5
         grid = TimeGrid(t_end=0.5, n_steps=n_steps)
@@ -147,7 +148,7 @@ def test_criterion_5_classical_cn_oracle():
 
 def test_criterion_6_energy_decay():
     runs = []
-    space1 = build_lagrange_space(uniform_interval_mesh(0.0, 1.0, 32), 2)
+    space1 = build_lagrange_space(uniform_interval_mesh(32), 2)
     runs.append(("1D gamma=0", run(space1, lambda x: np.sin(np.pi * x), None,
                                    NonlocalCoefficient(gamma=0.0),
                                    TimeGrid(0.3, 300))))
@@ -212,7 +213,7 @@ def test_criterion_8_element_matrix_oracles():
 
 def test_criterion_9_property_suites():
     # nonlocal scaling law, 100 random cases at 1e-12 relative
-    space = build_lagrange_space(uniform_interval_mesh(0.0, 1.0, 16), 2)
+    space = build_lagrange_space(uniform_interval_mesh(16), 2)
     M = assemble_mass(space)
     rng = np.random.default_rng(42)
     scaling_worst = 0.0
@@ -221,7 +222,7 @@ def test_criterion_9_property_suites():
         c = rng.uniform(0.1, 10.0)
         coeff = NonlocalCoefficient(gamma=gamma)
         v = rng.standard_normal(space.n_nodes)
-        v[space.boundary_node_flags] = 0.0
+        v[boundary_nodes(space)] = 0.0
         U = FieldVector(v, space)
         if l2_norm_sq(U, M) == 0.0:
             continue
@@ -236,7 +237,7 @@ def test_criterion_9_property_suites():
     for k in (1, 2, 3):
         errors = []
         for n in (8, 16, 32):
-            sp = build_lagrange_space(uniform_interval_mesh(0.0, 1.0, n), k)
+            sp = build_lagrange_space(uniform_interval_mesh(n), k)
             U = interpolate(sp, lambda x: np.sin(np.pi * x))
             errors.append(l2_error(U, lambda x: np.sin(np.pi * x)))
         ratios = [a / b for a, b in zip(errors, errors[1:])]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
-from oracles import (SingularSystemError, element_mass_matrix,
+from oracles import (SingularSystemError, boundary_nodes, element_mass_matrix,
                      element_stiffness_matrix, full_load, l2_norm_sq,
                      per_step_load, quad_points_physical, restrict_reference,
                      ritz_project, scatter_reference,
@@ -25,8 +25,8 @@ from nonlocfem.mesh import (LagrangeSpace, SimplicialMesh, build_lagrange_space,
                             uniform_square_mesh)
 
 
-def _space_1d(n, k, a=0.0, b=1.0):
-    return build_lagrange_space(uniform_interval_mesh(a, b, n), k)
+def _space_1d(n, k):
+    return build_lagrange_space(uniform_interval_mesh(n), k)
 
 
 # --- element-matrix oracles (symbolic integration of hat functions) ---
@@ -234,7 +234,7 @@ def _element_sum_stiffness(space):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_stiffness_matches_sum_of_element_matrices(dim, k, n):
-    mesh = uniform_interval_mesh(-0.5, 1.5, n) if dim == 1 else uniform_square_mesh(n)
+    mesh = uniform_interval_mesh(n) if dim == 1 else uniform_square_mesh(n)
     space = build_lagrange_space(mesh, k)
     expect = _element_sum_stiffness(space)
     got = assemble_stiffness(space).matrix.toarray()
@@ -247,10 +247,9 @@ def _single_element_space(verts, k):
     n_local = len(reference_node_multi_indices(dim, k))
     mesh = SimplicialMesh(dim=dim, vertices=verts,
                           simplexes=np.arange(dim + 1)[None, :],
-                          divisions=1, interval=None, h=1.0)
+                          divisions=1, h=1.0)
     return LagrangeSpace(mesh=mesh, degree=k, nodes=np.zeros((n_local, dim)),
                          element_dofs=np.arange(n_local)[None, :],
-                         boundary_node_flags=np.ones(n_local, dtype=bool),
                          free_node_indices=np.array([], dtype=np.int64))
 
 
@@ -495,7 +494,7 @@ def test_interpolate_nodal_values():
     U = interpolate(space, lambda x: np.sin(np.pi * x))
     mid = np.flatnonzero(space.nodes[:, 0] == 0.5)[0]
     assert U.coefficients[mid] == pytest.approx(1.0, abs=0.0)
-    assert U.coefficients[space.boundary_node_flags].max() == 0.0
+    assert U.coefficients[boundary_nodes(space)].max() == 0.0
 
 
 def test_interpolate_reproduces_space_polynomials():
@@ -624,7 +623,7 @@ def test_l2_norm_sq_matches_quadrature_oracle():
     M = assemble_mass(space)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(space.n_nodes)
-    coeffs[space.boundary_node_flags] = 0.0
+    coeffs[boundary_nodes(space)] = 0.0
     U = FieldVector(coeffs, space)
     # direct quadrature of (sum c_j phi_j)^2 on a high-order rule
     from nonlocfem.quadrature import reference_rule

@@ -1,24 +1,26 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from oracles import evaluate, l2_norm_sq, lipschitz_witness
+from hypothesis import example, given
+from oracles import boundary_nodes, evaluate, l2_norm_sq, lipschitz_witness
 
 from nonlocfem.assembly import FieldVector, assemble_mass
-from nonlocfem.coefficient import (DegenerateCoefficientError, GuardStatus,
-                                   NonlocalCoefficient, check_guards)
+from nonlocfem.coefficient import (GuardStatus, NonlocalCoefficient,
+                                   check_guards, evaluate_from_norm_sq)
 from nonlocfem.mesh import build_lagrange_space, uniform_interval_mesh
 
 
 @pytest.fixture(scope="module")
 def setting():
-    space = build_lagrange_space(uniform_interval_mesh(0.0, 1.0, 16), 2)
+    space = build_lagrange_space(uniform_interval_mesh(16), 2)
     return space, assemble_mass(space)
 
 
 def _field_with_norm_sq(space, M, target, rng):
     v = rng.standard_normal(space.n_nodes)
-    v[space.boundary_node_flags] = 0.0
+    v[boundary_nodes(space)] = 0.0
     U = FieldVector(v, space)
     s = l2_norm_sq(U, M)
     U.coefficients *= math.sqrt(target / s)
@@ -55,10 +57,59 @@ def test_quarter_norm_negative_half_power(setting):
 def test_degenerate_zero_field(setting):
     space, M = setting
     zero = FieldVector(np.zeros(space.n_nodes), space)
-    with pytest.raises(DegenerateCoefficientError):
-        evaluate(NonlocalCoefficient(gamma=-1.0 / 3.0), zero, M)
-    # gamma > 0: the value is 0
-    assert evaluate(NonlocalCoefficient(gamma=0.5), zero, M) == 0.0
+    # gamma < 0: the value is infinite, and the guards call it degenerate
+    coeff = NonlocalCoefficient(gamma=-1.0 / 3.0)
+    a = evaluate(coeff, zero, M)
+    assert a == math.inf
+    assert check_guards(a, coeff) == GuardStatus.DEGENERATE
+    # gamma > 0: the value is 0, below the floor
+    coeff = NonlocalCoefficient(gamma=0.5)
+    assert evaluate(coeff, zero, M) == 0.0
+    assert check_guards(0.0, coeff) == GuardStatus.BELOW_FLOOR
+
+
+@pytest.mark.parametrize("gamma, s, value, status", [
+    (-1.0 / 3.0, 0.0, math.inf, GuardStatus.DEGENERATE),
+    (-1.0 / 3.0, -1e-30, math.inf, GuardStatus.DEGENERATE),
+    (-1.0 / 3.0, 5e-324, 5e-324 ** (-1.0 / 3.0), GuardStatus.ABOVE_CEILING),
+    (-1.0 / 3.0, math.inf, 0.0, GuardStatus.BELOW_FLOOR),
+    (-1.0 / 3.0, math.nan, math.nan, GuardStatus.ABOVE_CEILING),
+    (0.5, 0.0, 0.0, GuardStatus.BELOW_FLOOR),
+    (0.5, math.inf, math.inf, GuardStatus.ABOVE_CEILING),
+])
+def test_classification_at_the_edges(gamma, s, value, status):
+    coeff = NonlocalCoefficient(gamma=gamma)
+    a = evaluate_from_norm_sq(coeff, s)
+    assert a == value or (math.isnan(a) and math.isnan(value))
+    assert check_guards(a, coeff) == status
+
+
+def test_overflowing_power_raises():
+    # a finite s > 0 whose power overflows raises instead of giving inf, so
+    # inf with gamma < 0 means s <= 0
+    with pytest.raises(OverflowError):
+        evaluate_from_norm_sq(NonlocalCoefficient(gamma=-1.0), 5e-324)
+
+
+@given(st.floats(-2.0, 2.0).filter(lambda gamma: gamma != 0.0), st.floats())
+@example(-1.0 / 3.0, 0.0)
+@example(-1.0 / 3.0, -0.0)
+@example(-1.0 / 3.0, 5e-324)
+@example(-1.0, 5e-324)
+@example(2.0, 1e300)
+def test_only_extinction_is_degenerate(gamma, s):
+    # s ranges over every float (negative, zero, subnormal, inf, NaN): the
+    # guards call the value degenerate exactly at extinction, s <= 0 with
+    # gamma < 0; for any other s the power is a value they classify
+    # otherwise, or it overflows on a finite s > 0
+    coeff = NonlocalCoefficient(gamma=gamma)
+    try:
+        a = evaluate_from_norm_sq(coeff, s)
+    except OverflowError:
+        assert 0.0 < s < math.inf
+        return
+    degenerate = check_guards(a, coeff) == GuardStatus.DEGENERATE
+    assert degenerate == (gamma < 0.0 and s <= 0.0)
 
 
 def test_positivity(setting):

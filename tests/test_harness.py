@@ -19,7 +19,7 @@ from nonlocfem.harness import (_CONFIG_KEYS, ENERGY_HEADER, SWEEP_HEADER,
                                SweepResult, _fit_slope, _pairwise_rates,
                                config_from_sources, emit_outputs, energy_csv,
                                energy_study, parse_config_file, run_solve,
-                               sweep_csv, sweep_delta, sweep_h)
+                               sweep, sweep_csv)
 from nonlocfem.manufactured import CASE_IDS, make_case
 from nonlocfem.stepper import SteppingError
 
@@ -164,7 +164,7 @@ def test_bad_config_value_rejected():
 
 def test_run_solve_report_contents():
     report = run_solve(_quick_config())
-    assert report.h == pytest.approx(1.0 / 8.0)
+    assert report.final.space.mesh.h == pytest.approx(1.0 / 8.0)
     assert report.final_error > 0.0
     assert len(report.energy_history) == 11
     assert len(report.coefficient_history) == 10
@@ -187,7 +187,7 @@ def test_run_solve_warns_when_delta_is_rounded(caplog):
 
 
 def test_sweep_h_rows_and_rates():
-    result = sweep_h(_quick_config(k=1), [4, 8, 16])
+    result = sweep(_quick_config(k=1), "h", [4, 8, 16])
     assert [row.h for row in result.rows] == [0.25, 0.125, 0.0625]
     assert result.rows[0].pairwise_rate is None
     for prev, row in zip(result.rows, result.rows[1:]):
@@ -197,7 +197,7 @@ def test_sweep_h_rows_and_rates():
 
 
 def test_sweep_delta_rows():
-    result = sweep_delta(_quick_config(k=2, n=32), [0.05, 0.025, 0.0125])
+    result = sweep(_quick_config(k=2, n=32), "delta", [0.05, 0.025, 0.0125])
     assert [row.delta for row in result.rows] == [0.05, 0.025, 0.0125]
     assert result.fitted_slope is not None
 
@@ -215,12 +215,12 @@ def test_sweep_row_failing_numerically_reports_its_effective_delta(
 
     monkeypatch.setattr(harness, "run", run)
     with pytest.raises(SweepError) as info:
-        sweep_delta(_quick_config(n=4, t_end=0.1), [0.05, 0.03])
+        sweep(_quick_config(n=4, t_end=0.1), "delta", [0.05, 0.03])
     ran, failed = info.value.partial.rows
     assert (ran.delta, failed.delta) == (0.05, 0.1 / 3)
     assert ran.error_l2 > 0.0 and failed.error_l2 is None
-    assert str(info.value) == ("1 of 2 sweep rows failed "
-                               "(first: injected failure)")
+    assert str(info.value) == ("1 of 2 sweep rows failed: "
+                               "delta=0.03: injected failure")
 
     code = main(["sweep-dt", "--case", "example1", "--k", "1", "--n", "4",
                  "--t-end", "0.1", "--delta-list", "0.05,0.03",
@@ -229,6 +229,19 @@ def test_sweep_row_failing_numerically_reports_its_effective_delta(
     assert "injected failure" in capsys.readouterr().err
     rows = (tmp_path / "sweep_dt_example1_k1.csv").read_text().splitlines()
     assert rows[2].split(",")[3] == format(0.1 / 3, ".17g")
+
+
+def test_sweep_error_names_every_failed_row():
+    # both rows trip the guard at extinction under the abort policy; the
+    # message names each by its ladder value, with its reason
+    config = RunConfig(case="example2", k=1, delta=0.05, t_end=1.2,
+                       guard_policy="abort")
+    with pytest.raises(SweepError) as info:
+        sweep(config, "h", [2, 4])
+    reason = "guard degenerate at step 21 (t=1.05): coefficient inf"
+    assert str(info.value) == (f"2 of 2 sweep rows failed: n=2: {reason}; "
+                               f"n=4: {reason}")
+    assert [row.error_l2 for row in info.value.partial.rows] == [None, None]
 
 
 @pytest.mark.parametrize("command, ladder", [
@@ -260,8 +273,8 @@ def test_cli_empty_list_is_a_config_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("study", [
-    lambda: sweep_h(RunConfig(case="example1", k=1), []),
-    lambda: sweep_delta(RunConfig(case="example1", k=1), []),
+    lambda: sweep(RunConfig(case="example1", k=1), "h", []),
+    lambda: sweep(RunConfig(case="example1", k=1), "delta", []),
     lambda: energy_study([]),
     lambda: energy_study(iter(())),
 ], ids=["sweep_h", "sweep_delta", "energy_study", "energy_study-iterator"])
@@ -515,7 +528,7 @@ def test_energy_study_rows():
 # --- CSV schemas and determinism ---
 
 def test_sweep_csv_schema():
-    result = sweep_h(_quick_config(k=1), [4, 8])
+    result = sweep(_quick_config(k=1), "h", [4, 8])
     text = sweep_csv(result)
     lines = text.strip().split("\n")
     assert lines[0] == SWEEP_HEADER
@@ -548,10 +561,10 @@ def test_float_format_17_significant_digits():
 
 
 def test_emitted_outputs_are_deterministic(tmp_path):
-    result = sweep_h(_quick_config(k=1), [4, 8])
+    result = sweep(_quick_config(k=1), "h", [4, 8])
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    emit_outputs([result], str(dir_a))
-    emit_outputs([result], str(dir_b))
+    emit_outputs(result, str(dir_a))
+    emit_outputs(result, str(dir_b))
     for name in sorted(os.listdir(dir_a)):
         a = (dir_a / name).read_bytes()
         b = (dir_b / name).read_bytes()
@@ -559,8 +572,8 @@ def test_emitted_outputs_are_deterministic(tmp_path):
 
 
 def test_emit_writes_csv_svg_meta(tmp_path):
-    result = sweep_h(_quick_config(k=1), [4, 8])
-    paths = emit_outputs([result], str(tmp_path))
+    result = sweep(_quick_config(k=1), "h", [4, 8])
+    paths = emit_outputs(result, str(tmp_path))
     names = {os.path.basename(p) for p in paths}
     assert names == {"sweep_h_example1_k1.csv", "sweep_h_example1_k1.meta.txt",
                      "sweep_h_example1_k1.svg"}
@@ -570,7 +583,7 @@ def test_emit_writes_csv_svg_meta(tmp_path):
 
 def test_emit_run_report_with_snapshots(tmp_path):
     report = run_solve(_quick_config(snapshots=(0.0, 0.2)))
-    paths = emit_outputs([report], str(tmp_path))
+    paths = emit_outputs(report, str(tmp_path))
     names = {os.path.basename(p) for p in paths}
     assert "run_example1_k1.csv" in names
     assert "run_example1_k1_snapshot_t0.csv" in names

@@ -22,7 +22,7 @@ from nonlocfem.stepper import StepWorkspace, TimeGrid
 
 
 def _space(n=8, k=1):
-    return build_lagrange_space(uniform_interval_mesh(0.0, 1.0, n), k)
+    return build_lagrange_space(uniform_interval_mesh(n), k)
 
 
 def _space_2d(n=4, k=1):

@@ -9,19 +9,19 @@ from nonlocfem.mesh import (build_lagrange_space, reference_node_multi_indices,
 
 
 def test_single_interval_element():
-    m = uniform_interval_mesh(0.0, 1.0, 1)
+    m = uniform_interval_mesh(1)
     assert m.n_elements == 1
     assert m.h == 1.0
     np.testing.assert_array_equal(m.vertices.ravel(), [0.0, 1.0])
 
 
 def test_interval_h_matches_reference_resolution():
-    m = uniform_interval_mesh(0.0, 1.0, 100)
+    m = uniform_interval_mesh(100)
     assert m.h == pytest.approx(1e-2, abs=0.0)
 
 
 def test_interval_vertices_and_boundary_flags():
-    m = uniform_interval_mesh(0.0, 1.0, 4)
+    m = uniform_interval_mesh(4)
     np.testing.assert_allclose(m.vertices.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
     boundary = on_boundary(m)
     assert boundary[0] and boundary[-1]
@@ -30,15 +30,13 @@ def test_interval_vertices_and_boundary_flags():
 
 def test_interval_invalid_inputs():
     with pytest.raises(ValueError):
-        uniform_interval_mesh(1.0, 0.0, 4)
-    with pytest.raises(ValueError):
-        uniform_interval_mesh(0.0, 1.0, 0)
+        uniform_interval_mesh(0)
 
 
 def test_interval_lengths_sum_to_domain():
-    m = uniform_interval_mesh(-2.0, 3.0, 7)
+    m = uniform_interval_mesh(7)
     total = element_measures(m).sum()
-    assert abs(total - 5.0) <= 1e-14 * 5.0
+    assert abs(total - 1.0) <= 1e-14
 
 
 def test_smallest_square_mesh():
@@ -75,11 +73,11 @@ def test_square_areas_sum_to_one():
 
 def test_all_elements_have_positive_measure():
     assert (element_measures(uniform_square_mesh(5)) > 0).all()
-    assert (element_measures(uniform_interval_mesh(0, 1, 5)) > 0).all()
+    assert (element_measures(uniform_interval_mesh(5)) > 0).all()
 
 
 def test_lagrange_counts_1d():
-    m = uniform_interval_mesh(0.0, 1.0, 4)
+    m = uniform_interval_mesh(4)
     s1 = build_lagrange_space(m, 1)
     assert s1.n_nodes == 5 and len(s1.free_node_indices) == 3
     s3 = build_lagrange_space(m, 3)
@@ -97,7 +95,7 @@ def test_lagrange_counts_2d():
 def test_lagrange_node_counts(dim, k, n):
     # nk + 1 nodes per direction, nk - 1 of them interior: a count that
     # holds only if every shared vertex, edge and face was merged exactly
-    mesh = uniform_interval_mesh(0.0, 1.0, n) if dim == 1 else uniform_square_mesh(n)
+    mesh = uniform_interval_mesh(n) if dim == 1 else uniform_square_mesh(n)
     s = build_lagrange_space(mesh, k)
     assert s.n_nodes == (n * k + 1) ** dim
     assert len(s.free_node_indices) == (n * k - 1) ** dim
@@ -105,11 +103,11 @@ def test_lagrange_node_counts(dim, k, n):
 
 def test_invalid_degree():
     with pytest.raises(ValueError):
-        build_lagrange_space(uniform_interval_mesh(0, 1, 4), 0)
+        build_lagrange_space(uniform_interval_mesh(4), 0)
 
 
 def test_nodes_equally_spaced_within_elements():
-    m = uniform_interval_mesh(0.0, 1.0, 3)
+    m = uniform_interval_mesh(3)
     s = build_lagrange_space(m, 3)
     for e in range(m.n_elements):
         xs = s.nodes[s.element_dofs[e], 0]
@@ -137,13 +135,12 @@ def test_rebuild_is_idempotent():
 
 
 def test_free_nodes_strictly_interior():
-    for dim_space in (build_lagrange_space(uniform_interval_mesh(0, 1, 6), 2),
+    for dim_space in (build_lagrange_space(uniform_interval_mesh(6), 2),
                       build_lagrange_space(uniform_square_mesh(3), 2)):
         nodes = dim_space.nodes
         free = set(dim_space.free_node_indices.tolist())
         for i, x in enumerate(nodes):
             on_boundary = bool(np.any((x == 0.0) | (x == 1.0)))
-            assert dim_space.boundary_node_flags[i] == on_boundary
             assert (i not in free) == on_boundary
 
 
@@ -200,9 +197,11 @@ def _loop_square_numbering(n, k):
     return element_dofs, np.array(lattice_list, dtype=np.int64)
 
 
-def _loop_interval_numbering(a, b, n, k):
-    """Element dofs, lattice, nodes and boundary flags of [a, b] the way
-    the 1D branch built them: element e covers lattice points e*k..e*k + k."""
+def _loop_interval_numbering(n, k):
+    """Element dofs, lattice, nodes and boundary flags of [0, 1] the way
+    the 1D branch built them: element e covers lattice points e*k..e*k + k,
+    at a + (b - a) lattice / nk with (a, b) = (0, 1)."""
+    a, b = 0.0, 1.0
     local = reference_node_multi_indices(1, k)
     element_dofs = np.array([[e * k + i for (i,) in local] for e in range(n)],
                             dtype=np.int64)
@@ -237,19 +236,15 @@ def test_square_numbering_matches_node_loop(n, k):
     _assert_identical(s.element_dofs, element_dofs)
     _assert_identical(node_lattice(s), lattice)
     _assert_identical(s.nodes, lattice / nk)
-    _assert_identical(s.boundary_node_flags, boundary)
     _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 100])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interval_numbering_matches_node_loop(n, k):
-    for a, b in ((0.0, 1.0), (-2.0, 3.0)):
-        s = build_lagrange_space(uniform_interval_mesh(a, b, n), k)
-        element_dofs, lattice, nodes, boundary = _loop_interval_numbering(
-            a, b, n, k)
-        _assert_identical(s.element_dofs, element_dofs)
-        _assert_identical(node_lattice(s), lattice)
-        _assert_identical(s.nodes, nodes)
-        _assert_identical(s.boundary_node_flags, boundary)
-        _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))
+    s = build_lagrange_space(uniform_interval_mesh(n), k)
+    element_dofs, lattice, nodes, boundary = _loop_interval_numbering(n, k)
+    _assert_identical(s.element_dofs, element_dofs)
+    _assert_identical(node_lattice(s), lattice)
+    _assert_identical(s.nodes, nodes)
+    _assert_identical(s.free_node_indices, np.flatnonzero(~boundary))

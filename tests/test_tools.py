@@ -5,6 +5,7 @@ accepts."""
 import importlib.util
 from pathlib import Path
 
+import nonlocfem
 from nonlocfem.cli import _build_parser
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -26,8 +27,18 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
     assert _tool("src_lines").count(source) == (17, 7)
 
 
+def test_exported_names_match_the_package():
+    # read from the source, so the tool counts another tree's package too
+    tool = _tool("src_lines")
+    source = '"""Doc."""\n__all__ = [\n    "a", "b",\n]\n'
+    assert tool.exported_names(source) == 2
+    source = (tool.PACKAGE / "__init__.py").read_text()
+    assert tool.exported_names(source) == len(nonlocfem.__all__)
+
+
 def test_every_cli_outputs_command_parses():
-    # the tool adds --out-dir to each command it runs; a command the parser
-    # refuses exits 2 through SystemExit
-    for argv in _tool("cli_outputs").COMMANDS.values():
-        _build_parser().parse_args([*argv, "--out-dir", "out"])
+    # the tool adds --out-dir to each command that writes files; a command
+    # the parser refuses exits 2 through SystemExit
+    tool = _tool("cli_outputs")
+    for argv in tool.COMMANDS.values():
+        _build_parser().parse_args(tool.full_argv(argv))

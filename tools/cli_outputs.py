@@ -2,9 +2,10 @@
 the files it writes, its stdout, its stderr and its exit code.
 
 Each command runs in a fresh interpreter, in its own directory
-OUT_DIR/<name>, with a relative --out-dir, so the paths it prints are the
-same wherever OUT_DIR is. The package is imported from PYTHONPATH, so a
-check that a change keeps every output byte is two runs and a diff:
+OUT_DIR/<name>, and a command that writes files gets a relative --out-dir,
+so the paths it prints are the same wherever OUT_DIR is. The package is
+imported from PYTHONPATH, so a check that a change keeps every output byte
+is two runs and a diff:
 
     git archive PARENT | tar -x -C PARENT_TREE
     PYTHONPATH=PARENT_TREE/src python tools/cli_outputs.py PARENT_OUT
@@ -19,7 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-# name -> CLI arguments, without --out-dir
+# name -> CLI arguments, without --out-dir. alpha with a valid tolerance
+# is left out: it prints its solve time.
 COMMANDS = {
     # the cases at their defaults, with a snapshot at t = 0, one that is
     # not on the time grid, and one past example2's extinction
@@ -46,7 +48,22 @@ COMMANDS = {
     # the guard trip aborts the solve before it writes anything
     "solve_aborted": ["solve", "--case", "example2", "--guard-policy",
                       "abort"],
+    "verify_example1": ["verify", "example1"],
+    "verify_example2": ["verify", "example2"],
+    "verify_example3": ["verify", "example3"],
+    # configuration errors: each exits 2 and writes nothing
+    "alpha_bad_tolerance": ["alpha", "example2", "--tolerance", "0"],
+    "energy_unknown_case": ["energy", "--cases", "example2,foo"],
 }
+
+# the subcommands that write files, and so take --out-dir
+WRITERS = ("solve", "sweep-h", "sweep-dt", "energy")
+
+
+def full_argv(argv):
+    """The CLI arguments of a command as it is run: a writer's get
+    --out-dir out."""
+    return [*argv, "--out-dir", "out"] if argv[0] in WRITERS else list(argv)
 
 
 def run_all(out_dir: Path):
@@ -59,7 +76,7 @@ def run_all(out_dir: Path):
         cwd = out_dir / name
         cwd.mkdir(parents=True)
         done = subprocess.run(
-            [sys.executable, "-m", "nonlocfem.cli", *argv, "--out-dir", "out"],
+            [sys.executable, "-m", "nonlocfem.cli", *full_argv(argv)],
             cwd=cwd, env=env, capture_output=True, text=True)
         (cwd / "stdout").write_text(done.stdout)
         (cwd / "stderr").write_text(done.stderr)

@@ -1,4 +1,5 @@
-"""Print the raw and code lines of each module of src/nonlocfem and their totals.
+"""Print the raw and code lines of each module of src/nonlocfem, their
+totals, and the number of names in the package's __all__.
 
 Raw lines are all lines of a file. Code lines are the non-blank lines that
 are neither comments (comment tokens alone on their line, found with
@@ -46,6 +47,16 @@ def count(source: str) -> tuple[int, int]:
     return len(raw), code
 
 
+def exported_names(source: str) -> int:
+    """Number of names in the __all__ list of a package's __init__.py."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def main() -> int:
     package = Path(sys.argv[1]) if len(sys.argv) > 1 else PACKAGE
     total_raw = total_code = 0
@@ -56,6 +67,9 @@ def main() -> int:
         total_code += code
         print(f"{path.name:<18} {raw:>6} {code:>6}")
     print(f"{'total':<18} {total_raw:>6} {total_code:>6}")
+    init = package / "__init__.py"
+    if init.exists():
+        print(f"__all__: {exported_names(init.read_text())} names")
     return 0
 
 
