@@ -127,8 +127,7 @@ def _parse_list(raw, conv):
 
 
 def _print_guard_summary(report):
-    counts = Counter(status.value
-                     for _, _, status in report.coefficient_history)
+    counts = Counter(status.value for status in report.guard_status)
     print("guard log: " + ", ".join(f"{status}: {n}"
                                     for status, n in sorted(counts.items())))
     if report.first_guard_trip is not None:
@@ -144,7 +143,7 @@ def _cmd_solve(args) -> int:
           f"h={report.final.space.mesh.h:.6g} "
           f"delta={report.metadata['delta']:.6g} t_end={cfg.t_end:g}")
     print(f"L2 error at t_end: {report.final_error:.12e}")
-    print(f"final energy: {report.energy_history[-1][1]:.12e}")
+    print(f"final energy: {report.energy[-1]:.12e}")
     _print_guard_summary(report)
     paths = emit_outputs(report, cfg.out_dir)
     for path in paths:
@@ -200,9 +199,9 @@ def _cmd_energy(args) -> int:
     study = energy_study([replace(base, case=case) for case in cases])
     paths = emit_outputs(study, base.out_dir)
     for case in cases:
-        energies = [e for c, _, e in study.rows if c == case]
-        print(f"{case}: {len(energies)} samples, final energy "
-              f"{energies[-1]:.6e}")
+        energy = study.reports[case].energy
+        print(f"{case}: {len(energy)} samples, final energy "
+              f"{energy[-1]:.6e}")
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

@@ -197,8 +197,7 @@ class SweepResult:
 
 @dataclass
 class EnergyStudy:
-    rows: list           # (case, t, energy)
-    metadata: dict = field(default_factory=dict)
+    reports: dict        # case -> RunReport, in the order the cases ran
 
 
 def _build_mesh(config: RunConfig, dim: int):
@@ -331,14 +330,8 @@ def energy_study(configs) -> EnergyStudy:
         # the metadata and the chart keep one entry per case
         raise ConfigError(f"energy study repeats a case: {', '.join(cases)}")
     configs = [config.resolved() for config in configs]
-    rows = []
-    meta: dict = {}
-    for config in configs:
-        report = run_solve(config)
-        case = report.config.case
-        rows.extend((case, t, energy) for t, energy in report.energy_history)
-        meta[case] = report.metadata
-    return EnergyStudy(rows=rows, metadata=meta)
+    return EnergyStudy(reports={config.case: run_solve(config)
+                                for config in configs})
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +361,15 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def energy_csv(rows) -> str:
-    """The energy table of (case, t, energy) rows."""
+def energy_csv(runs: dict) -> str:
+    """The energy table of runs keyed by case: a row per time level of
+    each, its time from the run's grid."""
     lines = [ENERGY_HEADER]
-    for case, t, energy in rows:
-        log_e = "-inf" if energy <= 0.0 else _fmt(math.log(energy))
-        lines.append(",".join([case, _fmt(t), _fmt(energy), log_e]))
+    for case, traj in runs.items():
+        for n, energy in enumerate(traj.energy.tolist()):
+            log_e = "-inf" if energy <= 0.0 else _fmt(math.log(energy))
+            lines.append(",".join([case, _fmt(traj.grid.time(n)),
+                                   _fmt(energy), log_e]))
     return "\n".join(lines) + "\n"
 
 
@@ -484,12 +480,14 @@ def _sweep_files(result: SweepResult) -> list:
 
 
 def _energy_files(study: EnergyStudy) -> list:
-    files = [("energy_study.csv", energy_csv(study.rows))]
-    if study.metadata:
-        files.append(("energy_study.meta.txt", meta_text(study.metadata)))
-    series = [(case, [(t, math.log10(e) if e > 0 else math.nan)
-                      for c, t, e in study.rows if c == case])
-              for case in sorted({case for case, _, _ in study.rows})]
+    reports = study.reports
+    files = [("energy_study.csv", energy_csv(reports)),
+             ("energy_study.meta.txt", meta_text(
+                 {case: report.metadata for case, report in reports.items()}))]
+    series = [(case, [(reports[case].grid.time(n),
+                       math.log10(e) if e > 0 else math.nan)
+                      for n, e in enumerate(reports[case].energy.tolist())])
+              for case in sorted(reports)]
     files.append(("energy_study.svg", svg_chart(
         "energy vs time", "t", "log10(energy)", series)))
     return files
@@ -512,8 +510,7 @@ def _run_files(report: RunReport) -> list:
     if report.first_guard_trip is not None:
         step, t, status = report.first_guard_trip
         meta["first_guard_trip"] = f"step {step} t={t:.6g} {status.value}"
-    return [(base + ".csv",
-             energy_csv((case, t, e) for t, e in report.energy_history)),
+    return [(base + ".csv", energy_csv({case: report})),
             (base + ".meta.txt", meta_text(meta)),
             *((f"{base}_snapshot_{_snapshot_tag(t_req)}.csv", _snapshot_csv(u))
               for t_req, (_, u) in sorted(report.snapshots.items()))]

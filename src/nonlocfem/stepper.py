@@ -39,7 +39,10 @@ count (see linalg).
 
 At extinction the coefficient is infinite, and the trajectory is frozen
 at zero from that step on, matching the continuation of the exact extinct
-solutions. That happens at a zero field with a negative exponent, where
+solutions: the step that freezes zeroes the levels and ends the stepping,
+since the rest of the run's record already reads degenerate (a = inf,
+energy 0), and every snapshot not yet taken is the zero final field.
+That happens at a zero field with a negative exponent, where
 the value is inf and check_guards classifies it as degenerate, and also
 once a gamma < 0 trajectory rings on an unforced step: when delta F
 is None or exactly zero on the free rows, theta dim pi^2 > 1 and the two
@@ -53,7 +56,10 @@ discrete mode negative: the step can no longer represent a decay, and for
 gamma < 0 a large theta means a vanishing norm. A forcing that stays on
 can hold the norm up: the steady state u* = K^-1 F / a*, which the scheme
 keeps exactly, is positive, and a coarse step rings on the way to it, so a
-forced step is never frozen.
+forced step is never frozen. A guard trip is checked against the policy
+first: abort raises GuardTripError, and warn logs one message, the error's
+text (the step, t and the coefficient) with the freeze's reason, on the
+first step of each run of one non-ok status.
 """
 
 from __future__ import annotations
@@ -142,15 +148,28 @@ class TimeGrid:
 
 @dataclass
 class TrajectorySummary:
-    """Outcome of a full run: the final field, (t, energy) and
-    (t, coefficient, guard status) of every step, and the snapshots. The
-    degenerate status is absorbing, so a run was frozen at extinction
-    exactly when its last status is degenerate."""
+    """Outcome of a full run: the final field, the snapshots and one
+    record of the steps, by columns on the run's grid. energy[n] is
+    ||U_n||^2_M for n = 0..n_steps, and coefficient[n - 1] and
+    guard_status[n - 1] are a and its status of step n = 1..n_steps; the
+    time of level n is grid.time(n). The degenerate status is absorbing
+    (a = inf and energy 0 from the step that froze on), so a run was
+    frozen at extinction exactly when its last status is degenerate."""
 
     final: FieldVector
-    energy_history: list
-    coefficient_history: list
+    grid: TimeGrid
+    energy: np.ndarray
+    coefficient: np.ndarray
+    guard_status: list
     snapshots: dict
+
+    @property
+    def coefficient_history(self) -> list:
+        """(t, coefficient, guard status) of every step, read from the
+        columns."""
+        return [(self.grid.time(n), a, status) for n, (a, status)
+                in enumerate(zip(self.coefficient.tolist(),
+                                 self.guard_status), 1)]
 
     @property
     def first_guard_trip(self) -> tuple | None:
@@ -432,8 +451,10 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
 
     f may be None for an unforced problem. Snapshot times are matched to the
     nearest grid time, with a warning for one that is not on the grid, and
-    snapshots maps each requested time to (grid time, field). Full-length
-    fields are built only for the snapshots and the final field.
+    snapshots maps each requested time to (grid time, field). A snapshot is
+    taken when a step starts from its level; one the stepping never starts
+    from is the final field (the last level, or zero after a freeze).
+    Full-length fields are built only for the snapshots and the final field.
     """
     if guard_policy not in (WARN, ABORT):
         raise ValueError(f"unknown guard policy {guard_policy!r}")
@@ -486,23 +507,26 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
         work.solve_verified(theta, rhs, starts[start], levels[new])
         return new
 
+    # the record reads degenerate until a step writes it, so a run that
+    # freezes leaves its tail as it is
+    energy = np.zeros(grid.n_steps + 1)
+    coefficient = np.full(grid.n_steps, math.inf)
+    guard_status = [GuardStatus.DEGENERATE] * grid.n_steps
+    taken = {}     # level index -> its snapshot field
     c = 0      # the newest level
-    rows[0] = U0.coefficients[free]
     # U0 is zero on the boundary, as embed leaves it
-    snapshots = {t_req: (0.0, embed(rows[0]))
-                 for t_req in snap_indices.get(0, [])}
+    rows[0] = U0.coefficients[free]
     work.matvecs(rows[0], (rows[L], rows[2 * L]))
     R = reduce(c)
-    energy_history = [(0.0, R[0][0])]
-    coefficient_history = []
-    frozen = False
+    energy[0] = R[0][0]
     stiffness_per_a = 0.5 * delta * space.mesh.dim * math.pi ** 2
     for n in range(1, grid.n_steps + 1):
+        if n - 1 in snap_indices:
+            taken[n - 1] = embed(rows[c])
         t = grid.time(n)
+        reason = ""
         try:
-            if frozen:
-                a, status = math.inf, GuardStatus.DEGENERATE
-            elif n == 1:
+            if n == 1:
                 # predictor: a(U_0) frozen, solved into level 1; the
                 # corrector's coefficient is taken at the predicted midpoint,
                 # and its start has the predictor first
@@ -525,44 +549,37 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
                         and a * stiffness_per_a > 1.0 and R[0][1] < 0.0
                         and not np.any(work.scaled_load(n))):
                     cosine = R[0][1] / math.sqrt(max(R[0][0] * R[1][1], 1e-300))
-                    logger.warning("extinction at t=%g: an unforced step "
-                                   "with theta*dim*pi^2 = %.3g > 1 and an "
-                                   "M-cosine of the last two levels of %.4f "
-                                   "< 0; the field is frozen at zero", t,
-                                   a * stiffness_per_a, cosine)
+                    reason = (f"; an unforced step with theta*dim*pi^2 = "
+                              f"{a * stiffness_per_a:.3g} > 1 and an M-cosine "
+                              f"of the last two levels of {cosine:.4f} < 0")
                     a, status = math.inf, GuardStatus.DEGENERATE
             if status != GuardStatus.OK:
                 if guard_policy == ABORT:
                     raise GuardTripError(n, t, status, a)
-                if not coefficient_history \
-                        or coefficient_history[-1][2] != status:
-                    logger.warning("guard %s at t=%g (coefficient %.3e)",
-                                   status.value, t, a)
-            coefficient_history.append((t, a, status))
+                if status == GuardStatus.DEGENERATE:
+                    reason += "; the field is frozen at zero"
+                if n == 1 or guard_status[n - 2] != status:
+                    logger.warning("%s%s", GuardTripError(n, t, status, a),
+                                   reason)
+            coefficient[n - 1], guard_status[n - 1] = a, status
             if status == GuardStatus.DEGENERATE:
                 # extinction: the trajectory stays at zero from here on
-                if not frozen:
-                    frozen = True
-                    rows[:] = 0.0
-                energy = 0.0
-            else:
-                theta = 0.5 * a * delta
-                # the corrector overwrites the predictor, level 1
-                c = solve(theta, c, work.scaled_load(n), 1 if n == 1 else c)
-                R = reduce(c)
-                energy = R[0][0]
+                rows[:] = 0.0
+                break
+            theta = 0.5 * a * delta
+            # the corrector overwrites the predictor, level 1
+            c = solve(theta, c, work.scaled_load(n), 1 if n == 1 else c)
+            R = reduce(c)
+            energy[n] = R[0][0]
         except GuardTripError:
             raise
         except Exception as exc:
             raise SteppingError(f"step {n} at t={t:g}: {exc}") from exc
-        energy_history.append((t, energy))
-        if n in snap_indices:
-            U = embed(rows[c])
-            for t_req in snap_indices[n]:
-                snapshots[t_req] = (t, U)
 
-    return TrajectorySummary(final=embed(rows[c]),
-                             energy_history=energy_history,
-                             coefficient_history=coefficient_history,
-                             snapshots=snapshots)
-
+    final = embed(rows[c])
+    snapshots = {t_req: (grid.time(index), taken.get(index, final))
+                 for index, requested in snap_indices.items()
+                 for t_req in requested}
+    return TrajectorySummary(final=final, grid=grid, energy=energy,
+                             coefficient=coefficient,
+                             guard_status=guard_status, snapshots=snapshots)

@@ -327,10 +327,10 @@ def symmetry_defect_reference(matrix) -> tuple[float, float]:
 
 # --- facts of a run that its record holds once ---
 
-def froze(coefficient_history) -> bool:
+def froze(traj) -> bool:
     """Whether a run was frozen at extinction. The degenerate status is
     absorbing, so that is exactly when its last guard status is degenerate."""
-    return coefficient_history[-1][2] == GuardStatus.DEGENERATE
+    return traj.guard_status[-1] == GuardStatus.DEGENERATE
 
 
 # --- adapters: package calls with what a run supplies filled in ---

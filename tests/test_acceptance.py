@@ -80,7 +80,7 @@ def _record_frozen_runs(monkeypatch):
 
     def recording(*args, **kwargs):
         traj = stepping(*args, **kwargs)
-        frozen.append(froze(traj.coefficient_history))
+        frozen.append(froze(traj))
         return traj
     monkeypatch.setattr(harness, "run", recording)
     return frozen
@@ -135,8 +135,7 @@ def test_criterion_5_classical_cn_oracle():
         grid = TimeGrid(t_end=0.5, n_steps=n_steps)
         traj = run(space, lambda x: np.sin(np.pi * x), None,
                    NonlocalCoefficient(gamma=0.0), grid)
-        ratio = math.sqrt(traj.energy_history[-1][1]
-                          / traj.energy_history[0][1])
+        ratio = math.sqrt(traj.energy[-1] / traj.energy[0])
         factor = (1 - np.pi ** 2 * delta / 2) / (1 + np.pi ** 2 * delta / 2)
         oracle = factor ** n_steps
         tol = max(1e-8, 2.0 * (1.0 / n) ** (k + 1))
@@ -163,7 +162,7 @@ def test_criterion_6_energy_decay():
     ok = True
     details = []
     for label, traj in runs:
-        norms = np.sqrt([e for _, e in traj.energy_history])
+        norms = np.sqrt(traj.energy)
         worst = float(np.max(np.diff(norms)))
         run_ok = worst <= 1e-10
         ok = ok and run_ok
@@ -181,9 +180,8 @@ def test_criterion_7_extinction_behavior():
     config = RunConfig(case="example2", k=2, n=100, delta=1e-3, t_end=2.0,
                        guard_ceiling=1e3)
     report = run_solve(config)
-    energies = np.array(report.energy_history)
-    late = energies[energies[:, 0] >= 1.05 - 1e-12]
-    max_late = float(late[:, 1].max())
+    times = np.array([report.grid.time(n) for n in range(len(report.energy))])
+    max_late = float(report.energy[times >= 1.05 - 1e-12].max())
     trip = report.first_guard_trip
     trip_ok = (trip is not None
                and trip[2] in (GuardStatus.ABOVE_CEILING,

@@ -14,14 +14,15 @@ import pytest
 
 from nonlocfem import harness
 from nonlocfem.cli import main
+from nonlocfem.coefficient import GuardStatus
 from nonlocfem.harness import (_CONFIG_KEYS, ENERGY_HEADER, SWEEP_HEADER,
-                               ConfigError, EnergyStudy, RunConfig, SweepError,
+                               ConfigError, RunConfig, SweepError,
                                SweepResult, _fit_slope, _pairwise_rates,
                                config_from_sources, emit_outputs, energy_csv,
                                energy_study, parse_config_file, run_solve,
                                sweep, sweep_csv)
 from nonlocfem.manufactured import CASE_IDS, make_case
-from nonlocfem.stepper import SteppingError
+from nonlocfem.stepper import SteppingError, TimeGrid, TrajectorySummary
 
 
 def _quick_config(**kw):
@@ -166,8 +167,8 @@ def test_run_solve_report_contents():
     report = run_solve(_quick_config())
     assert report.final.space.mesh.h == pytest.approx(1.0 / 8.0)
     assert report.final_error > 0.0
-    assert len(report.energy_history) == 11
-    assert len(report.coefficient_history) == 10
+    assert len(report.energy) == 11
+    assert len(report.coefficient) == len(report.guard_status) == 10
     assert report.metadata["assembly_quadrature_degree"] == 4
     assert report.metadata["solver_method"] == "direct-banded"
 
@@ -493,36 +494,37 @@ def test_example3_reference_resolution_run():
     # the 2D case at its reference resolution: small error, decaying profile
     report = run_solve(RunConfig(case="example3"))
     assert report.final_error <= 1e-4
-    energies = [e for _, e in report.energy_history]
+    energies = report.energy
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 def test_example1_log_energy_strictly_decreasing():
     report = run_solve(_quick_config(k=1, n=16, delta=0.01, t_end=1.0))
-    energies = np.array([e for _, e in report.energy_history])
-    assert np.all(np.diff(np.log(energies)) < 0.0)
+    assert np.all(np.diff(np.log(report.energy)) < 0.0)
 
 
 def test_example3_log_energy_slope_matches_closed_form():
     # energy of the closed form is proportional to (4t+1)^(-1/2), so
     # d(log E)/dt = -2/(4t+1)
     report = run_solve(RunConfig(case="example3", k=3, n=8))
-    E = np.array(report.energy_history)
+    E, time = report.energy, report.grid.time
     mid = len(E) // 2
-    t_mid = E[mid, 0]
-    slope = ((math.log(E[mid + 1, 1]) - math.log(E[mid - 1, 1]))
-             / (E[mid + 1, 0] - E[mid - 1, 0]))
+    t_mid = time(mid)
+    slope = ((math.log(E[mid + 1]) - math.log(E[mid - 1]))
+             / (time(mid + 1) - time(mid - 1)))
     assert slope == pytest.approx(-2.0 / (4.0 * t_mid + 1.0), rel=5e-3)
 
 
 def test_energy_study_rows():
     study = energy_study([_quick_config(), _quick_config(case="example2",
                                                          t_end=0.1)])
-    cases = {case for case, _, _ in study.rows}
-    assert cases == {"example1", "example2"}
-    e1_rows = [(t, e) for case, t, e in study.rows if case == "example1"]
-    assert len(e1_rows) == 11
-    assert e1_rows[0][0] == 0.0
+    assert list(study.reports) == ["example1", "example2"]
+    e1 = study.reports["example1"]
+    assert len(e1.energy) == 11
+    assert e1.grid.time(0) == 0.0
+    lines = energy_csv(study.reports).splitlines()
+    assert len(lines) == 1 + 11 + 6
+    assert lines[1].startswith("example1,0,") and lines[12].startswith("example2,0,")
 
 
 # --- CSV schemas and determinism ---
@@ -544,17 +546,25 @@ def test_empty_sweep_gives_header_only():
     assert sweep_csv(result) == SWEEP_HEADER + "\n"
 
 
+def _energy_record(t_end, energy):
+    """A one-step run's record with these two energies, on [0, t_end]."""
+    return TrajectorySummary(
+        final=None, grid=TimeGrid(t_end=t_end, n_steps=1),
+        energy=np.array(energy), coefficient=np.array([1.0]),
+        guard_status=[GuardStatus.OK], snapshots={})
+
+
 def test_energy_csv_extinct_sentinel():
-    study = EnergyStudy(rows=[("example2", 0.0, 2.5), ("example2", 1.5, 0.0)])
-    lines = energy_csv(study.rows).strip().split("\n")
+    lines = energy_csv({"example2": _energy_record(1.5, [2.5, 0.0])}
+                       ).strip().split("\n")
     assert lines[0] == ENERGY_HEADER
     assert lines[1].endswith(f",{format(math.log(2.5), '.17g')}")
     assert lines[2].split(",")[3] == "-inf"
 
 
 def test_float_format_17_significant_digits():
-    study = EnergyStudy(rows=[("example1", 1.0 / 3.0, 2.0 / 3.0)])
-    line = energy_csv(study.rows).strip().split("\n")[1]
+    record = _energy_record(1.0 / 3.0, [1.0, 2.0 / 3.0])
+    line = energy_csv({"example1": record}).strip().split("\n")[2]
     parts = line.split(",")
     assert parts[1] == "0.33333333333333331"
     assert parts[2] == "0.66666666666666663"

@@ -214,10 +214,9 @@ from nonlocfem.harness import RunConfig, run_solve
 
 report = run_solve(RunConfig(case="example3", k=1, n=110, delta=1e-2,
                              t_end=0.03))
-energy = np.array([e for _, e in report.energy_history])
-coeff = np.array([a for _, a, _ in report.coefficient_history])
-print(len(energy), hashlib.sha256(energy.tobytes()).hexdigest(),
-      hashlib.sha256(coeff.tobytes()).hexdigest(), repr(report.final_error))
+print(len(report.energy), hashlib.sha256(report.energy.tobytes()).hexdigest(),
+      hashlib.sha256(report.coefficient.tobytes()).hexdigest(),
+      repr(report.final_error))
 """
 
 

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -150,16 +151,16 @@ def test_single_step_run_is_one_predictor_corrector():
     space = _space_1d(8, 1)
     grid = TimeGrid(t_end=0.01, n_steps=1)
     traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=0.5), grid)
-    assert traj.energy_history[-1][0] == grid.delta
+    assert traj.grid.time(len(traj.energy) - 1) == grid.delta
     assert len(traj.coefficient_history) == 1
-    assert len(traj.energy_history) == 2  # t = 0 and t = delta
+    assert len(traj.energy) == 2  # t = 0 and t = delta
 
 
 def test_step_one_predictor_is_verified(monkeypatch):
     # an error of 1e-6 in the predictor's banded solve must be caught by its
     # residual check and refined away, not carried into a(U) of step 1
     config = RunConfig(case="example1", k=2, n=16, delta=1e-2, t_end=0.05)
-    expect = np.array([a for _, a, _ in run_solve(config).coefficient_history])
+    expect = run_solve(config).coefficient
     kernel = stepper.solve_banded_spd
     calls = []
 
@@ -169,7 +170,7 @@ def test_step_one_predictor_is_verified(monkeypatch):
         return x * (1.0 + 1e-6) if len(calls) == 1 else x
     monkeypatch.setattr(stepper, "solve_banded_spd", perturbed_once)
     report = run_solve(config)
-    got = np.array([a for _, a, _ in report.coefficient_history])
+    got = report.coefficient
     # the predictor, its refinement pass, then one solve per step
     assert len(calls) == len(got) + 2
     assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-12
@@ -181,7 +182,7 @@ def test_energy_decay_unforced_runs():
         space = _space_1d(24, 2)
         grid = TimeGrid(t_end=0.2, n_steps=100)
         traj = run(space, _sin_pi, None, NonlocalCoefficient(gamma=gamma), grid)
-        norms = [math.sqrt(e) for _, e in traj.energy_history]
+        norms = [math.sqrt(e) for e in traj.energy]
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-10
 
@@ -252,7 +253,7 @@ def test_sign_symmetry(k, n, gamma, mode, amplitude, forcing, n_steps, t_end):
     minus = run(space, lambda x: -u0(x), lambda x, t: -f(x, t), coeff, grid)
     np.testing.assert_array_equal(minus.final.coefficients,
                                   -plus.final.coefficients)
-    assert minus.energy_history == plus.energy_history
+    np.testing.assert_array_equal(minus.energy, plus.energy)
     assert minus.coefficient_history == plus.coefficient_history
 
 
@@ -364,10 +365,10 @@ def test_extinction_freeze_with_negative_exponent():
     grid = TimeGrid(t_end=0.1, n_steps=5)
     traj = run(space, lambda x: np.zeros_like(x), None,
                NonlocalCoefficient(gamma=-0.5), grid)
-    assert froze(traj.coefficient_history)
+    assert froze(traj)
     assert all(status == GuardStatus.DEGENERATE
-               for _, _, status in traj.coefficient_history)
-    assert all(e == 0.0 for _, e in traj.energy_history)
+               for status in traj.guard_status)
+    assert all(e == 0.0 for e in traj.energy)
 
 
 def test_histories_are_complete_and_time_ordered():
@@ -377,7 +378,7 @@ def test_histories_are_complete_and_time_ordered():
     times = [t for t, _, _ in traj.coefficient_history]
     assert len(times) == grid.n_steps
     np.testing.assert_allclose(times, grid.delta * np.arange(1, 21), rtol=1e-12)
-    energy_times = [t for t, _ in traj.energy_history]
+    energy_times = [traj.grid.time(n) for n in range(len(traj.energy))]
     assert energy_times == sorted(energy_times)
     assert len(energy_times) == grid.n_steps + 1
 
@@ -693,8 +694,8 @@ def test_example3_defaults_cg_iterations(monkeypatch):
 
 # --- extinction at the defaults ---
 
-def _degenerate_times(coefficient_history):
-    return [t for t, _, status in coefficient_history
+def _degenerate_times(traj):
+    return [traj.grid.time(n) for n, status in enumerate(traj.guard_status, 1)
             if status == GuardStatus.DEGENERATE]
 
 
@@ -702,11 +703,12 @@ def test_example2_freezes_at_extinction_by_default():
     # no tuned guard: from t = 1 the Crank-Nicolson factor of every mode is
     # negative and the field rings; the rule freezes it
     report = run_solve(RunConfig(case="example2"))
-    frozen = _degenerate_times(report.coefficient_history)
+    frozen = _degenerate_times(report)
     assert frozen and 0.99 <= frozen[0] <= 1.05
     assert frozen == [t for t, _, _ in report.coefficient_history
                       if t >= frozen[0]]
-    assert all(e == 0.0 for t, e in report.energy_history if t >= frozen[0])
+    assert all(e == 0.0 for n, e in enumerate(report.energy)
+               if report.grid.time(n) >= frozen[0])
     # the ringing field left 5.91e-8 at t = 2 before the rule
     assert report.final_error < 5.9e-8
 
@@ -716,8 +718,8 @@ def test_example2_freezes_at_extinction_by_default():
     RunConfig(case="example2", t_end=0.99)], ids=["ex1", "ex3", "ex2-0.99"])
 def test_runs_before_extinction_never_freeze(config):
     report = run_solve(config)
-    assert _degenerate_times(report.coefficient_history) == []
-    assert min(e for _, e in report.energy_history) > 0.0
+    assert _degenerate_times(report) == []
+    assert min(report.energy) > 0.0
 
 
 def test_negative_exponent_run_kept_alive_never_freezes():
@@ -728,9 +730,9 @@ def test_negative_exponent_run_kept_alive_never_freezes():
     grid = TimeGrid(t_end=2.0, n_steps=2000)
     traj = run(space, case.u0, lambda x, t: np.exp(x) + 0.0 * t,
                NonlocalCoefficient(gamma=case.gamma), grid)
-    assert not froze(traj.coefficient_history)
-    assert _degenerate_times(traj.coefficient_history) == []
-    assert min(e for _, e in traj.energy_history) > 0.0
+    assert not froze(traj)
+    assert _degenerate_times(traj) == []
+    assert min(traj.energy) > 0.0
 
 
 def _steady_energy(space, f, gamma):
@@ -757,16 +759,93 @@ def test_forced_negative_exponent_run_reaches_its_steady_state():
     traj = run(space, _sin_pi, f, NonlocalCoefficient(gamma=gamma),
                TimeGrid(t_end=3.0, n_steps=300))
     s_star = _steady_energy(space, f, gamma)
-    assert not froze(traj.coefficient_history)
-    assert _degenerate_times(traj.coefficient_history) == []
-    assert abs(traj.energy_history[-1][1] / s_star - 1.0) <= 1e-3
+    assert not froze(traj)
+    assert _degenerate_times(traj) == []
+    assert abs(traj.energy[-1] / s_star - 1.0) <= 1e-3
+
+
+def test_one_guard_message_after_the_policy_check(caplog):
+    # abort raises at extinction without claiming a freeze; warn logs one
+    # message at the freezing step: the error's text and the freeze's reason
+    with caplog.at_level(logging.WARNING, logger="nonlocfem.stepper"):
+        with pytest.raises(GuardTripError) as info:
+            run_solve(RunConfig(case="example2", guard_policy="abort"))
+    assert info.value.step_index == 1001
+    assert not any("frozen" in record.getMessage()
+                   for record in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="nonlocfem.stepper"):
+        run_solve(RunConfig(case="example2"))
+    [record] = [record for record in caplog.records
+                if record.name == "nonlocfem.stepper"]
+    message = record.getMessage()
+    assert record.levelno == logging.WARNING
+    assert message.startswith(f"{info.value}; ")
+    assert "at step 1001 (t=1.001)" in message
+    assert "theta*dim*pi^2 = 1.44 > 1" in message
+    assert "M-cosine of the last two levels of -0.9999 < 0" in message
+    assert message.endswith("the field is frozen at zero")
+
+
+def _zero_field_run():
+    return run(_space_1d(8, 1), lambda x: np.zeros_like(x), None,
+               NonlocalCoefficient(gamma=-0.5), TimeGrid(t_end=0.1, n_steps=5),
+               snapshot_times=(0.0, 0.06))
+
+
+@pytest.mark.parametrize("make_run, freeze_step", [
+    (_zero_field_run, 1),
+    (lambda: run_solve(RunConfig(case="example2", n=8, delta=0.01,
+                                 snapshots=(0.5, 1.0, 1.01, 1.5))), 101),
+    (lambda: run_solve(RunConfig(case="example1", k=1, n=8, delta=0.02,
+                                 t_end=0.2, snapshots=(0.0, 0.1, 0.2))), None),
+], ids=["zero-field", "example2-n8", "example1"])
+def test_run_record_contract(make_run, freeze_step):
+    traj = make_run()
+    grid = traj.grid
+    n_steps = grid.n_steps
+    assert len(traj.energy) == n_steps + 1
+    assert len(traj.coefficient) == len(traj.guard_status) == n_steps
+    times = [grid.time(n) for n in range(1, n_steps + 1)]
+    assert traj.coefficient_history == list(zip(
+        times, traj.coefficient.tolist(), traj.guard_status))
+    assert [t for t, _, _ in traj.coefficient_history] == times
+    # degenerate is absorbing: from the freezing step on a = inf and the
+    # energy is 0, and before it every step is live
+    stop = n_steps + 1 if freeze_step is None else freeze_step
+    assert all(status != GuardStatus.DEGENERATE
+               for status in traj.guard_status[:stop - 1])
+    assert all(status == GuardStatus.DEGENERATE
+               for status in traj.guard_status[stop - 1:])
+    assert np.all(np.isfinite(traj.coefficient[:stop - 1]))
+    assert np.all(traj.coefficient[stop - 1:] == math.inf)
+    assert np.all(traj.energy[stop:] == 0.0)
+    assert froze(traj) == (freeze_step is not None)
+    # a snapshot at a level the stepping started from is that live level;
+    # one at or past the freezing step is the zero final field
+    M = assemble_mass(traj.final.space)
+    assert traj.snapshots
+    for t_req, (t, field_vec) in traj.snapshots.items():
+        index = grid.nearest_index(t_req)
+        assert t == grid.time(index)
+        if index >= stop:
+            assert np.all(field_vec.coefficients == 0.0)
+            assert np.all(traj.final.coefficients == 0.0)
+        else:
+            assert l2_norm_sq(field_vec, M) == pytest.approx(
+                traj.energy[index], rel=1e-12, abs=0.0)
+    if freeze_step is not None:
+        assert any(grid.nearest_index(t_req) < stop
+                   for t_req in traj.snapshots)
+        assert any(grid.nearest_index(t_req) >= stop
+                   for t_req in traj.snapshots)
 
 
 def test_coarse_example2_does_not_freeze_while_forced():
     # k = 1, n = 4 rings before t = 1 while the forcing is on; the first
     # unforced step (t = 1.001) freezes
     report = run_solve(RunConfig(case="example2", k=1, n=4, delta=1e-3))
-    frozen = _degenerate_times(report.coefficient_history)
+    frozen = _degenerate_times(report)
     assert frozen and frozen[0] > 1.0
 
 
@@ -780,10 +859,10 @@ def test_forced_sine_run_is_not_frozen_on_its_way_to_steady_state():
         return np.sin(np.pi * x) + 0.0 * t
     traj = run(space, _sin_pi, f, NonlocalCoefficient(gamma=gamma),
                TimeGrid(t_end=3.0, n_steps=60))
-    assert not froze(traj.coefficient_history)
-    assert _degenerate_times(traj.coefficient_history) == []
+    assert not froze(traj)
+    assert _degenerate_times(traj) == []
     s_star = _steady_energy(space, f, gamma)
-    assert abs(traj.energy_history[-1][1] / s_star - 1.0) <= 1e-3
+    assert abs(traj.energy[-1] / s_star - 1.0) <= 1e-3
 
 
 def _assert_steady_state_is_kept(space, gamma, s_star, delta):
@@ -815,10 +894,9 @@ def _assert_steady_state_is_kept(space, gamma, s_star, delta):
     u_star[free] = c * z / s_star ** gamma
     traj = run(space, lambda *x: u_star, lambda *xt: c * unit(*xt),
                NonlocalCoefficient(gamma=gamma), TimeGrid(3 * delta, 3))
-    assert not froze(traj.coefficient_history)
-    assert all(status == GuardStatus.OK
-               for _, _, status in traj.coefficient_history)
-    for _, energy in traj.energy_history:
+    assert not froze(traj)
+    assert all(status == GuardStatus.OK for status in traj.guard_status)
+    for energy in traj.energy:
         assert abs(energy / s_star - 1.0) <= 1e-10
 
 
@@ -869,10 +947,10 @@ def test_forced_2d_run_is_not_frozen_and_starts_from_four_levels(
     traj = run(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), f,
                NonlocalCoefficient(gamma=gamma),
                TimeGrid(t_end=3.0, n_steps=60))
-    assert not froze(traj.coefficient_history)
-    assert _degenerate_times(traj.coefficient_history) == []
+    assert not froze(traj)
+    assert _degenerate_times(traj) == []
     s_star = _steady_energy(space, f, gamma)
-    assert min(e for _, e in traj.energy_history) > 0.25 * s_star
+    assert min(traj.energy) > 0.25 * s_star
     assert len(iterations) == len(verified) == 61
     assert sum(iterations) <= 2000
 

@@ -42,3 +42,14 @@ def test_every_cli_outputs_command_parses():
     tool = _tool("cli_outputs")
     for argv in tool.COMMANDS.values():
         _build_parser().parse_args(tool.full_argv(argv))
+
+
+def test_frozen_rows_command_is_the_failed_rows_ladder_under_warn():
+    # the same sweep as sweep_failed_rows without its abort policy, so the
+    # default warn policy freezes each row instead
+    tool = _tool("cli_outputs")
+    frozen = tool.COMMANDS["sweep_frozen_rows"]
+    assert [*frozen, "--guard-policy", "abort"] == \
+        tool.COMMANDS["sweep_failed_rows"]
+    args = _build_parser().parse_args(tool.full_argv(frozen))
+    assert args.guard_policy is None and args.kind == "h"

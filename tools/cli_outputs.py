@@ -45,6 +45,12 @@ COMMANDS = {
     "sweep_failed_rows": ["sweep-h", "--case", "example2", "--k", "1",
                           "--n-list", "2,4", "--delta", "0.05",
                           "--t-end", "1.2", "--guard-policy", "abort"],
+    # the same ladder under the default warn policy: each row freezes at
+    # extinction, its message names the step and the reason, and the sweep
+    # succeeds
+    "sweep_frozen_rows": ["sweep-h", "--case", "example2", "--k", "1",
+                          "--n-list", "2,4", "--delta", "0.05",
+                          "--t-end", "1.2"],
     # the guard trip aborts the solve before it writes anything
     "solve_aborted": ["solve", "--case", "example2", "--guard-policy",
                       "abort"],
