@@ -78,12 +78,16 @@ class SparseSymMatrix:
                              f"vs scale {scale:.3e}")
         self.matrix = matrix
 
-    def restrict(self, indices) -> sp.csr_matrix:
+    def restrict(self, indices, *others: "SparseSymMatrix"):
         """Submatrix on the given node indices (row/column elimination),
-        which must be sorted and unique (ValueError otherwise).
+        which must be sorted and unique (ValueError otherwise). With
+        others, matrices of this one's sparsity pattern (ValueError
+        otherwise), the tuple of this submatrix and theirs, on one pair of
+        index arrays.
 
-        One masked pass over the CSR arrays: an entry is kept when both its
-        row and its column map to a kept node, in the order it is stored.
+        One masked pass over the CSR arrays, whatever the number of
+        matrices: an entry is kept when both its row and its column map to
+        a kept node, in the order it is stored.
         """
         indices = np.asarray(indices)
         A = self.matrix
@@ -93,6 +97,10 @@ class SparseSymMatrix:
                 or len(indices) and not (0 <= indices[0] and indices[-1] < n)):
             raise ValueError("restriction indices must be sorted, unique "
                              "node indices")
+        if not all(np.array_equal(A.indptr, B.matrix.indptr)
+                   and np.array_equal(A.indices, B.matrix.indices)
+                   for B in others):
+            raise ValueError("the matrices do not share one sparsity pattern")
         row_of = np.full(n, -1, dtype=A.indices.dtype)
         row_of[indices] = np.arange(len(indices), dtype=A.indices.dtype)
         columns = row_of.take(A.indices)     # new column per entry, -1 if dropped
@@ -104,8 +112,11 @@ class SparseSymMatrix:
         np.cumsum((lengths - np.bincount(lost, minlength=n))[indices],
                   out=indptr[1:])
         keep &= np.repeat(row_of >= 0, lengths)
-        return sp.csr_matrix((A.data[keep], columns[keep], indptr),
-                             shape=(len(indices), len(indices)))
+        columns = columns[keep]
+        subs = tuple(sp.csr_matrix((B.matrix.data[keep], columns, indptr),
+                                   shape=(len(indices), len(indices)))
+                     for B in (self, *others))
+        return subs if others else subs[0]
 
 
 def assembly_degree(k: int) -> int:
@@ -222,7 +233,13 @@ def _element_quadrature(space: LagrangeSpace, degree: int):
     dim = space.mesh.dim
     rule = reference_rule(dim, degree)
     v0, J, det, _ = _geometry(space.mesh)
-    points = v0[:, None, :] + np.einsum("eij,qj->eqi", J, rule.points)
+    # J p for every element and rule point p: one broadcast product per
+    # column of J, added in column order, bit for bit the einsum
+    # "eij,qj->eqi" and about four times faster
+    offset = J[:, None, :, 0] * rule.points[:, None, 0]
+    for j in range(1, dim):
+        offset += J[:, None, :, j] * rule.points[:, None, j]
+    points = v0[:, None, :] + offset
     return (reference_basis(dim, space.degree).eval(rule.points),
             det[:, None] * rule.weights[None, :],
             _columns(points.reshape(-1, dim)))

@@ -1,18 +1,23 @@
 """Solvers for the symmetric positive definite systems of each time step.
 
-Two methods: Jacobi-preconditioned conjugate gradients (2D) and a banded
-Cholesky factorization (1D node orderings, where the matrices have
-bandwidth k). The banded solve is one LAPACK pbsv call on a Fortran-order
-lower band, which the factorization overwrites; band_matvec multiplies on
-such a band by BLAS sbmv, and both band kernels can write into vectors the
-caller holds. How the stepper fills, starts and verifies these solves is
+Two methods: block-Jacobi-preconditioned conjugate gradients (2D) and a
+banded Cholesky factorization (1D node orderings, where the matrices have
+bandwidth k). The CG preconditioner is the inverse of a block diagonal of
+the matrix, 2x2 blocks on given pairs of unknowns and 1x1 blocks on the
+others (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003,
+10.5), held as a CSR matrix whose values BlockJacobi refills for every
+solve. The banded solve is one LAPACK pbsv call on a Fortran-order lower
+band, which the factorization overwrites; band_matvec multiplies on such a
+band by BLAS sbmv, and both band kernels can write into vectors the caller
+holds. How the stepper fills, starts and verifies these solves is
 described in stepper.
 
-Every reduction of CG goes through dot, a single-threaded einsum loop, on
-purpose: NumPy's @ and norm hand vectors of more than 10 000 entries to
-OpenBLAS, which splits them across threads. On a 2-core host that made the
-2D step slower, and the split changes the rounding, so results would
-depend on the BLAS thread count.
+Every reduction of CG goes through dot: BLAS ddot on consecutive chunks of
+at most _DOT_CHUNK = 8 192 entries, summed in order. OpenBLAS splits a
+ddot of more than 10 000 entries across threads (NumPy's @ and norm hand
+it such vectors too), and each split rounds differently; a chunk below
+that size runs on one thread, so results do not depend on the BLAS thread
+count, and ddot is faster than NumPy's einsum loop.
 """
 from __future__ import annotations
 
@@ -20,11 +25,14 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsbmv
+from scipy.linalg.blas import ddot, dsbmv
 from scipy.linalg.lapack import dpbsv
 
 CG = "conjugate-gradient"
 DIRECT_BANDED = "direct-banded"
+
+# the most entries of one ddot call (see the module docstring)
+_DOT_CHUNK = 8192
 
 
 def method_for_dim(dim: int) -> str:
@@ -43,27 +51,101 @@ class SolverConvergenceError(RuntimeError):
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two float vectors by NumPy's einsum loop, on one thread
-    whatever the BLAS thread count (not SciPy BLAS ddot either: SciPy runs
-    its own OpenBLAS thread pool)."""
-    return float(np.einsum("i,i->", a, b))
+    """a . b of two float64 vectors of one length: ddot on consecutive
+    chunks of at most _DOT_CHUNK entries, summed in order, so on one thread
+    whatever the BLAS thread count."""
+    n = len(a)
+    total = 0.0
+    for start in range(0, n, _DOT_CHUNK):
+        total += ddot(a, b, min(_DOT_CHUNK, n - start), start, 1, start, 1)
+    return total
+
+
+class BlockJacobi:
+    """The inverse of the block diagonal of a symmetric matrix A of order
+    n, with a 2x2 block on each pair (first[j], second[j]) of unknowns and
+    a 1x1 block on every other unknown, as a CSR matrix on a pattern fixed
+    at the build (the diagonal and both entries of each pair).
+
+    The pairs must be disjoint, with first[j] < second[j]. order lists the
+    unknowns in the block order that refill reads the diagonal in: those
+    without a pair in increasing order, then every first, then every
+    second. refill computes the entries of the inverse compactly, one value
+    per unknown and one per pair, and gathers them into the CSR values by
+    one take. Without pairs order is 0..n-1 and the matrix holds exactly
+    1 / diag A.
+    """
+
+    def __init__(self, n: int, first: np.ndarray, second: np.ndarray):
+        single = np.ones(n, dtype=bool)
+        single[first] = single[second] = False
+        self.order = np.concatenate([np.flatnonzero(single), first, second])
+        m = len(first)
+        index = sp.get_index_dtype(maxval=n + 2 * m)
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(2 - single, out=indptr[1:])
+        # row first[j] holds its diagonal, then second[j]; row second[j]
+        # holds first[j], then its diagonal
+        diagonal_at = indptr[:-1].copy()
+        diagonal_at[second] += 1
+        pq_at, qp_at = diagonal_at[first] + 1, diagonal_at[second] - 1
+        indices = np.empty(n + 2 * m, dtype=index)
+        indices[diagonal_at] = np.arange(n)
+        indices[pq_at], indices[qp_at] = second, first
+        # the compact value of each entry (see refill): its unknown's for a
+        # diagonal entry, its pair's for the two off-diagonal ones
+        self._slot = np.empty(n + 2 * m, dtype=index)
+        self._slot[diagonal_at[self.order]] = np.arange(n)
+        self._slot[pq_at] = self._slot[qp_at] = n + np.arange(m)
+        self._values = np.empty(n + m)
+        self.matrix = sp.csr_matrix((np.empty(n + 2 * m), indices, indptr),
+                                    shape=(n, n))
+
+    def refill(self, diagonal: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+        """The matrix for the diagonal of A in the block order and A's
+        entries off[j] at (first[j], second[j]); returns it, valid until
+        the next refill.
+
+        Raises NotSPDError unless every diagonal entry and every 2x2 block
+        determinant is positive (a NaN fails both), so every block is SPD.
+        """
+        if not np.all(diagonal > 0.0):
+            raise NotSPDError("matrix has a nonpositive or NaN diagonal entry")
+        n, m = len(diagonal), len(off)
+        s = n - 2 * m
+        a, d = diagonal[s:n - m], diagonal[n - m:]
+        det = a * d
+        det -= off * off
+        if not np.all(det > 0.0):
+            raise NotSPDError("a 2x2 block has a nonpositive or NaN "
+                              "determinant")
+        # the compact values: 1 / diag of the single unknowns, then the
+        # inverse's (first, first), (second, second) and off-diagonal entry
+        # of every pair
+        values = self._values
+        np.divide(1.0, diagonal[:s], out=values[:s])
+        np.divide([d, a, -off], det, out=values[s:].reshape(3, m))
+        np.take(values, self._slot, out=self.matrix.data, mode="clip")
+        return self.matrix
 
 
 def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray,
-              r0: np.ndarray, diagonal: np.ndarray) -> tuple[np.ndarray, int]:
+              r0: np.ndarray, preconditioner: sp.csr_matrix
+              ) -> tuple[np.ndarray, int]:
     """Preconditioned CG on a reduced SPD system from the start x0; returns
     (x, iterations).
 
     r0 is the residual b - A x0 of the start (the stepper forms it from
     products it carries, so the start costs no matrix-vector product) and
-    diagonal the diagonal of A. x0 is not modified; r0 is consumed: CG
-    updates that float vector in place as its residual. CG stops once its
-    recurrence residual (r0 for the start) is within tol ||b||, so it forms
-    no b - A x; that residual can drift from the true one (Greenbaum 1997),
-    and the caller verifies x. The budget is 10 n iterations. Every
-    reduction is dot, so x and the iteration count do not depend on the
-    BLAS thread count. A NaN stops CG at once: a non-finite ||b|| raises
-    ValueError, a NaN diagonal entry or curvature NotSPDError.
+    preconditioner an SPD matrix P, applied as z = P r (BlockJacobi's
+    matrix). x0 is not modified; r0 is consumed: CG updates that float
+    vector in place as its residual, and x and the search direction in
+    place too. CG stops once its recurrence residual (r0 for the start) is
+    within tol ||b||, so it forms no b - A x; that residual can drift from
+    the true one (Greenbaum 1997), and the caller verifies x. The budget is
+    10 n iterations. Every reduction is dot, so x and the iteration count
+    do not depend on the BLAS thread count. A NaN stops CG at once: a
+    non-finite ||b|| raises ValueError, a NaN curvature NotSPDError.
     """
     n = len(b)
     bnorm = math.sqrt(dot(b, b))
@@ -74,16 +156,14 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray,
                          f"entry or an overflow)")
     limit = 10 * n
     bound = tol * bnorm
-    if not np.all(diagonal > 0.0):
-        raise NotSPDError("matrix has a nonpositive or NaN diagonal entry")
-    inv_diag = 1.0 / diagonal
 
     x, r = np.array(x0, dtype=float), r0
     if math.sqrt(dot(r, r)) <= bound:
         return x, 0
-    z = inv_diag * r
-    p = z.copy()
+    # z is a new vector on every iteration, so p may start as z itself
+    p = z = preconditioner @ r
     rz = dot(r, z)
+    scaled = np.empty(n)
     for it in range(1, limit + 1):
         Ap = A @ p
         curvature = dot(p, Ap)
@@ -91,13 +171,14 @@ def cg_jacobi(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray,
             raise NotSPDError(
                 f"nonpositive curvature {curvature:.3e} on iteration {it}")
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(Ap, alpha, out=scaled)
         if math.sqrt(dot(r, r)) <= bound:
             return x, it
-        z = inv_diag * r
+        z = preconditioner @ r
         rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverConvergenceError(
         f"CG did not reach relative residual {tol:g} in {limit} iterations")

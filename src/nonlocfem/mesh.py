@@ -161,3 +161,28 @@ def build_lagrange_space(mesh: SimplicialMesh, k: int) -> LagrangeSpace:
     return LagrangeSpace(mesh=mesh, degree=k, nodes=lattice / nk,
                          element_dofs=element_dofs,
                          free_node_indices=np.flatnonzero(~boundary))
+
+
+def edge_node_pairs(space: LagrangeSpace) -> np.ndarray:
+    """The nodes inside every edge that holds exactly two (each edge at
+    k = 3, none at another degree; in 1D the edge is the element), as rows
+    (first, second) with first < second, sorted by first.
+
+    A local node lies inside the edge between two vertices when exactly
+    those two of its barycentric weights are positive. A node lies inside
+    one edge only, so the elements that share an edge name the same pair,
+    and a table over the nodes keeps it once.
+    """
+    k, dim = space.degree, space.mesh.dim
+    local = np.array(reference_node_multi_indices(dim, k), dtype=np.int64)
+    inside = np.column_stack([k - local.sum(axis=1), local]) > 0
+    on_edge = np.flatnonzero(inside.sum(axis=1) == 2)
+    edge = inside[on_edge] @ (1 << np.arange(dim + 1))   # its two vertices
+    pairs = [on_edge[edge == e] for e in np.unique(edge)]
+    pairs = np.array([p for p in pairs if len(p) == 2],
+                     dtype=np.int64).reshape(-1, 2)
+    nodes = space.element_dofs[:, pairs]
+    partner = np.full(space.n_nodes, -1)
+    partner[nodes.min(axis=-1)] = nodes.max(axis=-1)
+    first = np.flatnonzero(partner >= 0)
+    return np.column_stack([first, partner[first]])

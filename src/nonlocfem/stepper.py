@@ -15,8 +15,13 @@ allocated once and refilled in place, entry by entry, for every solve. In
 with M or K (the verify, the next level's M u and K u) is BLAS sbmv on
 their lower bands. In 2D it is CSR data, CG solves it from the Galerkin
 best fit of the last few levels (galerkin_start says how many, how and
-which it drops) with the Jacobi diagonal theta diag K + diag M from two
-stored diagonals, and the products are CSR. Every solution is verified
+which it drops), and the products are CSR. CG's preconditioner is block
+Jacobi (linalg.BlockJacobi): at k = 3 the two free nodes inside each
+interior edge form a 2x2 block of M + theta K and every other unknown a
+1x1 block, so at k <= 2 it is the Jacobi 1 / diag. Its pattern and the
+pair entries of M and K are found once, and its values are refilled for
+every solve from theta and the stored diagonals and pair entries of M
+and K, with no renumbering of the unknowns. Every solution is verified
 against its residual, recomputed from independent products with M and K;
 that verify is the only acceptance check of a solve, and a miss gets one
 refinement pass before the solve is refused. The loads are evaluated on
@@ -33,9 +38,10 @@ U_n.M U_n, the extrapolated norm
 2.25 E_n - 0.75 (u_n.M u_{n-1} + u_{n-1}.M u_n) + 0.25 E_{n-1} and the
 cross term of the two levels. Every solve gets the rows of all levels,
 newest first, as its start on both backends: CG starts from their
-Galerkin best fit, the banded solve ignores them. No reduction runs on
-multithreaded BLAS, so a trajectory does not depend on the BLAS thread
-count (see linalg).
+Galerkin best fit, the banded solve ignores them. No reduction is split
+across BLAS threads (CG's are ddot calls on chunks below the size from
+which OpenBLAS splits one; see linalg), so a trajectory does not depend
+on the BLAS thread count.
 
 At extinction the coefficient is infinite, and the trajectory is frozen
 at zero from that step on, matching the continuation of the exact extinct
@@ -75,10 +81,10 @@ from .assembly import (FieldVector, LoadAssembler, SparseSymMatrix,
                        assemble_mass, assemble_stiffness, interpolate)
 from .coefficient import (GuardStatus, NonlocalCoefficient, check_guards,
                           evaluate_from_norm_sq)
-from .linalg import (DIRECT_BANDED, SolverConvergenceError, band_matvec,
-                     cg_jacobi, dot, method_for_dim, solve_banded_spd,
-                     to_banded_lower)
-from .mesh import LagrangeSpace
+from .linalg import (DIRECT_BANDED, BlockJacobi, SolverConvergenceError,
+                     band_matvec, cg_jacobi, dot, method_for_dim,
+                     solve_banded_spd, to_banded_lower)
+from .mesh import LagrangeSpace, edge_node_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +172,7 @@ class TrajectorySummary:
     @property
     def coefficient_history(self) -> list:
         """(t, coefficient, guard status) of every step, read from the
-        columns."""
+        columns (the benchmark's per-layer counters read it)."""
         return [(self.grid.time(n), a, status) for n, (a, status)
                 in enumerate(zip(self.coefficient.tolist(),
                                  self.guard_status), 1)]
@@ -175,8 +181,8 @@ class TrajectorySummary:
     def first_guard_trip(self) -> tuple | None:
         """(step, t, status) of the first step whose guard status is not
         ok, or None."""
-        return next(((n, t, status) for n, (t, _, status)
-                     in enumerate(self.coefficient_history, 1)
+        return next(((n, self.grid.time(n), status) for n, status
+                     in enumerate(self.guard_status, 1)
                      if status != GuardStatus.OK), None)
 
 
@@ -203,8 +209,9 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
     five levels on.) Then x = sum_i (w_i.rhs) w_i and residual =
     rhs - sum_i (w_i.rhs) A w_i over the kept remainders w_i, normalized in
     the energy norm, so the start needs no matrix-vector product, and every
-    reduction is linalg.dot or einsum, on one thread whatever the BLAS
-    thread count.
+    reduction is linalg.dot (ddot on chunks of at most 8 192 entries, below
+    the 10 000 from which OpenBLAS splits a ddot across threads) or
+    einsum, on one thread whatever the BLAS thread count.
 
     A level is dropped when its remainder w, orthogonal to the levels kept
     before it, has an energy norm of at most _START_DROP of its own, or a
@@ -271,9 +278,10 @@ class StepWorkspace:
 
     solver_tol is the relative residual bound every solve is verified to.
     M and K must share one sparsity pattern (they are scattered from the
-    same element dofs); otherwise the build raises ValueError. K and the 2D
-    system matrix are then built on M's index arrays, so the run holds one
-    copy of the pattern.
+    same element dofs); otherwise the build raises ValueError. They are
+    restricted to the free nodes together, in one pass, onto one pair of
+    index arrays, and the 2D system matrix is built on those too, so the
+    run holds one copy of the pattern.
 
     The 1D verify multiplies on the same bands the solve uses, so it would
     share a band-conversion error with the solve. The build therefore checks
@@ -291,12 +299,7 @@ class StepWorkspace:
         self.grid = grid
         self.solver_tol = solver_tol
         self.free = space.free_node_indices
-        self.M_ff = M.restrict(self.free)
-        K_ff = K.restrict(self.free)
-        if not (np.array_equal(self.M_ff.indptr, K_ff.indptr)
-                and np.array_equal(self.M_ff.indices, K_ff.indices)):
-            raise ValueError("M and K do not share one sparsity pattern")
-        self.K_ff = self._on_pattern(K_ff.data)
+        self.M_ff, self.K_ff = M.restrict(self.free, K)
         self.use_banded = method_for_dim(space.mesh.dim) == DIRECT_BANDED
         if self.use_banded:
             self.Mb = to_banded_lower(self.M_ff)
@@ -306,8 +309,7 @@ class StepWorkspace:
             self.ab = np.empty_like(self.Mb)
         else:
             self.A = self._on_pattern(np.empty_like(self.M_ff.data))
-            self._diag_m = self.M_ff.diagonal()
-            self._diag_k = self.K_ff.diagonal()
+            self._build_preconditioner(space)
         self.load = None if forcing is None else LoadAssembler(space, self.free)
         self.forcing = forcing
         self._loads = None
@@ -324,6 +326,34 @@ class StepWorkspace:
         arrays, which it shares, not copies."""
         M = self.M_ff
         return type(M)((data, M.indices, M.indptr), shape=M.shape)
+
+    def _build_preconditioner(self, space):
+        """Build the block Jacobi preconditioner of the 2D solves (a 2x2
+        block on the two free nodes inside each interior edge at k = 3, 1x1
+        blocks on the other unknowns) and store what its refill reads: the
+        M and K entries of every pair, read once by their CSR positions,
+        and the diagonals of M and K in the block order."""
+        M, n = self.M_ff, len(self.free)
+        row_of = np.full(space.n_nodes, -1)
+        row_of[self.free] = np.arange(n)
+        pairs = row_of[edge_node_pairs(space)]
+        first, second = pairs[(pairs >= 0).all(axis=1)].T
+        # the position of second[j] in row first[j], by bisection of every
+        # row's columns at once (restrict keeps the assembled order, by
+        # column within a row)
+        at, end = M.indptr[first], M.indptr[first + 1]
+        last = len(M.indices) - 1
+        for _ in range(int(np.max(end - at, initial=0)).bit_length()):
+            mid = (at + end) // 2
+            right = (at < end) & (M.indices[np.minimum(mid, last)] < second)
+            at, end = np.where(right, mid + 1, at), np.where(right, end, mid)
+        if not np.array_equal(M.indices[np.minimum(at, last)], second):
+            raise ValueError("an edge pair has no entry in M's pattern")
+        self._pair_m, self._pair_k = M.data[at], self.K_ff.data[at]
+        self._preconditioner = BlockJacobi(n, first, second)
+        order = self._preconditioner.order
+        self._diag_m = M.diagonal()[order]
+        self._diag_k = self.K_ff.diagonal()[order]
 
     def scaled_load(self, n):
         """delta F of step n (1-based) on the free rows, or None if unforced.
@@ -380,8 +410,12 @@ class StepWorkspace:
         self.A.data += self.M_ff.data
         diagonal = np.multiply(self._diag_k, theta)
         diagonal += self._diag_m
+        off = np.multiply(self._pair_k, theta)
+        off += self._pair_m
+        preconditioner = self._preconditioner.refill(diagonal, off)
         x0, r0 = galerkin_start(*start, rhs, theta, self.solver_tol)
-        x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0, r0, diagonal)[0]
+        x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0, r0,
+                         preconditioner)[0]
         return x
 
     def solve_verified(self, theta, rhs, start, out):

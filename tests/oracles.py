@@ -8,6 +8,7 @@ section holds adapters: a package call with the inputs that a run supplies
 (a start residual, output vectors, the rows of a load) filled in.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from nonlocfem.assembly import (FieldVector, LoadAssembler,
 from nonlocfem.basis import reference_basis
 from nonlocfem.coefficient import (GuardStatus, NonlocalCoefficient,
                                    evaluate_from_norm_sq)
-from nonlocfem.linalg import cg_jacobi
+from nonlocfem.linalg import (BlockJacobi, NotSPDError, SolverConvergenceError,
+                              cg_jacobi)
 from nonlocfem.mesh import LagrangeSpace
 from nonlocfem.quadrature import (MAX_TRIANGLE_DEGREE, gauss_legendre_interval,
                                   reference_rule)
@@ -97,6 +99,20 @@ def node_lattice(space) -> np.ndarray:
     (element size)/k, from the node positions."""
     nk = space.mesh.divisions * space.degree
     return np.rint(space.nodes * nk).astype(np.int64)
+
+
+def edge_interior_pairs(space) -> set:
+    """The node indices at 1/3 and 2/3 along every edge of a k = 3 space,
+    as frozensets {i, j}, found from the lattice points of the vertices."""
+    nk = space.mesh.divisions * space.degree
+    index = {tuple(point): i for i, point in enumerate(node_lattice(space))}
+    vertices = np.rint(space.mesh.vertices * nk).astype(np.int64)
+    pairs = set()
+    for simplex in space.mesh.simplexes:
+        for a, b in itertools.combinations(vertices[simplex], 2):
+            pairs.add(frozenset((index[tuple((2 * a + b) // 3)],
+                                 index[tuple((a + 2 * b) // 3)])))
+    return pairs
 
 
 # --- element matrices by per-element quadrature ---
@@ -333,16 +349,54 @@ def froze(traj) -> bool:
     return traj.guard_status[-1] == GuardStatus.DEGENERATE
 
 
+# --- solvers ---
+
+def jacobi_cg(A, b, tol, x0, r0, preconditioner=None):
+    """CG preconditioned by the diagonal of A alone, z = r / diag A, with
+    NumPy reductions: the 2D solve before its edge pairs got 2x2 blocks,
+    the reference their iteration counts are held against. Takes
+    cg_jacobi's arguments and ignores its preconditioner; r0 is consumed
+    the same way, and the result is (x, iterations)."""
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros(len(b)), 0
+    inv_diag = 1.0 / A.diagonal()
+    x, r = np.array(x0, dtype=float), r0
+    bound = tol * bnorm
+    if np.linalg.norm(r) <= bound:
+        return x, 0
+    z = inv_diag * r
+    p, rz = z.copy(), r @ z
+    for it in range(1, 10 * len(b) + 1):
+        Ap = A @ p
+        curvature = p @ Ap
+        if not curvature > 0.0:
+            raise NotSPDError(f"nonpositive curvature {curvature:.3e}")
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * Ap
+        if np.linalg.norm(r) <= bound:
+            return x, it
+        z = inv_diag * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise SolverConvergenceError(f"Jacobi CG did not reach {tol:g}")
+
+
 # --- adapters: package calls with what a run supplies filled in ---
 
 def cg(A, b, tol, x0=None):
     """cg_jacobi from x0 (zero if None), with the start's residual b - A x0
-    (a copy of b for the zero start) and the diagonal of A formed here."""
+    (a copy of b for the zero start) and the Jacobi preconditioner 1 / diag
+    A, a BlockJacobi without pairs, formed here."""
     if x0 is None:
         x0, r0 = np.zeros(len(b)), np.array(b, dtype=float)
     else:
         r0 = b - A @ x0
-    return cg_jacobi(A, b, tol, x0, r0, A.diagonal())
+    none = np.zeros(0, dtype=np.int64)
+    preconditioner = BlockJacobi(len(b), none, none).refill(A.diagonal(), none)
+    return cg_jacobi(A, b, tol, x0, r0, preconditioner)
 
 
 def solve_verified(work, theta, rhs, start=((), (), ())):

@@ -23,6 +23,7 @@ from nonlocfem.manufactured import make_case
 from nonlocfem.mesh import (LagrangeSpace, SimplicialMesh, build_lagrange_space,
                             reference_node_multi_indices, uniform_interval_mesh,
                             uniform_square_mesh)
+from nonlocfem.quadrature import reference_rule
 
 
 def _space_1d(n, k):
@@ -175,6 +176,24 @@ def test_assembly_and_restriction_match_the_sparse_references(monkeypatch,
                         (assemble.__name__, n, part)
 
 
+def test_matrices_of_one_pattern_are_restricted_together():
+    # one pass gives each submatrix bit for bit as alone, all on one pair
+    # of index arrays; a matrix of another pattern is refused
+    for space in (_space_1d(5, 3),
+                  build_lagrange_space(uniform_square_mesh(3), 2)):
+        free = space.free_node_indices
+        M, K = assemble_mass(space), assemble_stiffness(space)
+        M_ff, K_ff = M.restrict(free, K)
+        for got, alone in ((M_ff, M.restrict(free)), (K_ff, K.restrict(free))):
+            for part in ("indptr", "indices", "data"):
+                assert _same_bits(getattr(got, part), getattr(alone, part))
+        assert np.shares_memory(K_ff.indices, M_ff.indices)
+        assert np.shares_memory(K_ff.indptr, M_ff.indptr)
+        other = SparseSymMatrix(sp.identity(space.n_nodes, format="csr"))
+        with pytest.raises(ValueError, match="one sparsity pattern"):
+            M.restrict(free, K, other)
+
+
 @pytest.mark.parametrize("indices", [[3, 1], [1, 1, 2], [0, 2, 2], [-1, 2],
                                      [0, 9], [0.0, 1.0], [[0, 1]]],
                          ids=["unsorted", "repeated", "repeated-last",
@@ -278,6 +297,26 @@ def test_triangle_stiffness_matches_element_quadrature(xs, k):
     expect = element_stiffness_matrix(verts, k)
     got = assemble_stiffness(_single_element_space(verts, k)).matrix.toarray()
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+# --- element quadrature tables ---
+
+@pytest.mark.parametrize("dim, k", [(1, k) for k in range(1, 7)]
+                         + [(2, k) for k in (1, 2, 3)])
+def test_element_quadrature_points_are_the_einsum_bit_for_bit(dim, k):
+    # the points come from broadcast products, one column of J at a time;
+    # the einsum they replaced is the oracle, bit for bit, on every rule
+    # that assembly and l2_error use, on the benchmark meshes and a small one
+    for n in ((7, 100) if dim == 1 else (5, 48)):
+        mesh = (uniform_interval_mesh if dim == 1 else uniform_square_mesh)(n)
+        space = build_lagrange_space(mesh, k)
+        for degree in {assembly.assembly_degree(k),
+                       assembly.error_degree(dim, k)}:
+            columns = assembly._element_quadrature(space, degree)[2]
+            expect = quad_points_physical(
+                mesh, reference_rule(dim, degree)).reshape(-1, dim)
+            assert ([c.tobytes() for c in columns]
+                    == [c.tobytes() for c in expect.T])
 
 
 # --- load vectors ---
@@ -568,7 +607,6 @@ def test_ritz_galerkin_orthogonality():
 def _ritz_rhs(space):
     from nonlocfem.assembly import _geometry
     from nonlocfem.basis import reference_basis
-    from nonlocfem.quadrature import reference_rule
     rule = reference_rule(1, 2 * space.degree + 2)
     basis = reference_basis(1, space.degree)
     grads = basis.eval_grad(rule.points)
@@ -626,7 +664,6 @@ def test_l2_norm_sq_matches_quadrature_oracle():
     coeffs[boundary_nodes(space)] = 0.0
     U = FieldVector(coeffs, space)
     # direct quadrature of (sum c_j phi_j)^2 on a high-order rule
-    from nonlocfem.quadrature import reference_rule
     rule = reference_rule(1, 10)
     vals = evaluate_on_elements(U, rule.points)
     h = 1.0 / 3.0

@@ -14,8 +14,9 @@ from oracles import cg, matvecs, solve_verified
 import nonlocfem
 from nonlocfem import stepper
 from nonlocfem.assembly import SparseSymMatrix, assemble_mass, assemble_stiffness
-from nonlocfem.linalg import (NotSPDError, SolverConvergenceError,
-                              band_matvec, solve_banded_spd, to_banded_lower)
+from nonlocfem.linalg import (BlockJacobi, NotSPDError,
+                              SolverConvergenceError, band_matvec,
+                              solve_banded_spd, to_banded_lower)
 from nonlocfem.mesh import (build_lagrange_space, uniform_interval_mesh,
                             uniform_square_mesh)
 from nonlocfem.stepper import StepWorkspace, TimeGrid
@@ -180,11 +181,39 @@ def test_cg_stops_at_the_first_nan(where, error, cause):
         cg(A_ff.tocsr(), b, 1e-12)
 
 
+def test_block_jacobi_inverts_each_block():
+    # unknowns 0 and 2 form a pair and 1 stands alone; the diagonal comes
+    # in the block order, the single unknown first: A = [[2, 0, 1],
+    # [0, 4, 0], [1, 0, 3]], whose pair block has determinant 5
+    P = BlockJacobi(3, np.array([0]), np.array([2]))
+    assert np.array_equal(P.order, [1, 0, 2])
+    matrix = P.refill(np.array([4.0, 2.0, 3.0]), np.array([1.0]))
+    np.testing.assert_allclose(matrix.toarray(), [[0.6, 0.0, -0.2],
+                                                  [0.0, 0.25, 0.0],
+                                                  [-0.2, 0.0, 0.4]],
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("diagonal, off, cause", [
+    ([4.0, 1.0, 1.0], 1.0, "nonpositive or NaN determinant"),   # det 0
+    ([4.0, 1.0, 1.0], -2.0, "nonpositive or NaN determinant"),  # det -3
+    ([4.0, 1.0, 1.0], np.nan, "nonpositive or NaN determinant"),
+    ([4.0, 0.0, 1.0], 0.0, "nonpositive or NaN diagonal"),
+    ([-4.0, 1.0, 1.0], 0.5, "nonpositive or NaN diagonal"),
+    ([np.nan, 1.0, 1.0], 0.5, "nonpositive or NaN diagonal"),
+])
+def test_block_jacobi_refuses_a_block_that_is_not_positive_definite(
+        diagonal, off, cause):
+    P = BlockJacobi(3, np.array([0]), np.array([2]))
+    with pytest.raises(NotSPDError, match=cause):
+        P.refill(np.array(diagonal), np.array([off]))
+
+
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from nonlocfem.assembly import assemble_mass, assemble_stiffness
-from nonlocfem.linalg import cg_jacobi
+from nonlocfem.linalg import BlockJacobi, cg_jacobi
 from nonlocfem.mesh import build_lagrange_space, uniform_square_mesh
 from nonlocfem.stepper import galerkin_start
 
@@ -200,7 +229,9 @@ us = np.array([u1, u2])
 x0, r0 = galerkin_start(us, np.array([M @ u for u in us]),
                         np.array([K @ u for u in us]), delta * b,
                         0.5 * a * delta, 1e-12)
-x, iterations = cg_jacobi(A, b, 1e-12, x0, b - A @ x0, A.diagonal())
+none = np.zeros(0, dtype=np.int64)
+jacobi = BlockJacobi(len(b), none, none).refill(A.diagonal(), none)
+x, iterations = cg_jacobi(A, b, 1e-12, x0, b - A @ x0, jacobi)
 print(len(free), iterations, hashlib.sha256(x0.tobytes()).hexdigest(),
       hashlib.sha256(r0.tobytes()).hexdigest(),
       hashlib.sha256(x.tobytes()).hexdigest())
@@ -216,6 +247,20 @@ report = run_solve(RunConfig(case="example3", k=1, n=110, delta=1e-2,
                              t_end=0.03))
 print(len(report.energy), hashlib.sha256(report.energy.tobytes()).hexdigest(),
       hashlib.sha256(report.coefficient.tobytes()).hexdigest(),
+      repr(report.final_error))
+"""
+
+
+# the run of _RUN_THREAD_PROBE at k = 3 on 14 161 free nodes, where CG's
+# preconditioner has 2x2 edge-pair blocks
+_K3_RUN_THREAD_PROBE = """
+import hashlib
+from nonlocfem.harness import RunConfig, run_solve
+
+report = run_solve(RunConfig(case="example3", k=3, n=40, delta=1e-2,
+                             t_end=0.03))
+print(len(report.energy), hashlib.sha256(report.energy.tobytes()).hexdigest(),
+      hashlib.sha256(report.final.coefficients.tobytes()).hexdigest(),
       repr(report.final_error))
 """
 
@@ -247,6 +292,12 @@ def test_trajectory_does_not_depend_on_the_blas_thread_count():
     # the energy and coefficient norms of stepper.run on 11 881 free nodes
     # must not use a threaded dot product either
     outputs = _outputs_under_blas_threads(_RUN_THREAD_PROBE)
+    assert int(outputs[0][0]) == 4
+    assert outputs[0] == outputs[1]
+
+
+def test_k3_trajectory_does_not_depend_on_the_blas_thread_count():
+    outputs = _outputs_under_blas_threads(_K3_RUN_THREAD_PROBE)
     assert int(outputs[0][0]) == 4
     assert outputs[0] == outputs[1]
 

@@ -10,8 +10,9 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from scipy.linalg import solve_triangular
 
-from oracles import (boundary_nodes, cg, froze, full_load, l2_norm_sq,
-                     node_lattice, per_step_load, solve_verified)
+from oracles import (boundary_nodes, cg, edge_interior_pairs, froze,
+                     full_load, jacobi_cg, l2_norm_sq, node_lattice,
+                     per_step_load, solve_verified)
 
 from nonlocfem import linalg, stepper
 from nonlocfem.assembly import (LoadAssembler, SparseSymMatrix, assemble_mass,
@@ -678,7 +679,8 @@ def test_example3_start_residual_is_within_its_share_of_the_bound(
 
 def test_example3_defaults_cg_iterations(monkeypatch):
     # example3 at its defaults (k = 3, n = 16, 101 solves) took 710 CG
-    # iterations from the last two levels and takes 495 from the last four
+    # iterations from the last two levels and 495 from the last four, and
+    # takes 392 with the edge-pair blocks of the preconditioner
     iterations = []
 
     def recording_cg(*args, **kwargs):
@@ -689,7 +691,88 @@ def test_example3_defaults_cg_iterations(monkeypatch):
     verified = _count_calls(monkeypatch, StepWorkspace, "solve_verified")
     run_solve(RunConfig(case="example3"))
     assert len(iterations) == len(verified) == 101    # no refinement pass
-    assert sum(iterations) <= 560
+    assert sum(iterations) <= 420
+
+
+# --- the block Jacobi preconditioner of the 2D solves ---
+
+def _preconditioner_of_a_solve(monkeypatch, space, theta):
+    """The preconditioner that the workspace hands CG in one verified solve
+    at theta, and the workspace."""
+    work = StepWorkspace(space, assemble_mass(space), assemble_stiffness(space),
+                         TimeGrid(t_end=1.0, n_steps=1))
+    seen = []
+
+    def recording(A, b, tol, x0, r0, preconditioner):
+        seen.append(preconditioner.copy())
+        return cg_jacobi(A, b, tol, x0, r0, preconditioner)
+    monkeypatch.setattr(stepper, "cg_jacobi", recording)
+    solve_verified(work, theta, np.sin(1.0 + np.arange(work.M_ff.shape[0])))
+    return seen[0], work
+
+
+def test_block_jacobi_applies_the_inverse_of_the_edge_pair_blocks(
+        monkeypatch):
+    # example3's mesh at k = 3, n = 4: a 2x2 block of M + theta K on the
+    # two free nodes inside each of the 40 interior edges, found here from
+    # the vertices' lattice points, and a 1x1 block on every other unknown
+    space = build_lagrange_space(uniform_square_mesh(4), 3)
+    theta = 5e-3
+    P, work = _preconditioner_of_a_solve(monkeypatch, space, theta)
+    A = (work.M_ff + theta * work.K_ff).toarray()
+    row_of = {node: row for row, node in enumerate(space.free_node_indices)}
+    pairs = [[row_of[i] for i in pair] for pair in edge_interior_pairs(space)
+             if pair <= row_of.keys()]
+    assert len(pairs) == 40
+    blocks = np.diag(np.diag(A))
+    for i, j in pairs:
+        blocks[i, j] = blocks[j, i] = A[i, j]
+    dense = P.toarray()
+    assert np.array_equal(dense != 0.0, blocks != 0.0)
+    np.testing.assert_allclose(dense, np.linalg.inv(blocks), rtol=1e-13,
+                               atol=1e-13 * np.abs(dense).max())
+    r = np.random.default_rng(21).standard_normal(len(A))
+    np.testing.assert_allclose(P @ r, np.linalg.solve(blocks, r), rtol=1e-12)
+    # symmetric and positive definite, so CG can use it
+    assert np.array_equal(dense, dense.T)
+    assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_jacobi_below_k3_is_exactly_the_inverse_diagonal(monkeypatch,
+                                                               k):
+    # no edge holds two nodes, so every block is 1x1 and CG's apply is bit
+    # for bit the Jacobi r / diag it replaced
+    theta = 5e-3
+    P, work = _preconditioner_of_a_solve(
+        monkeypatch, build_lagrange_space(uniform_square_mesh(4), k), theta)
+    n = work.M_ff.shape[0]
+    assert np.array_equal(P.indptr, np.arange(n + 1))
+    assert np.array_equal(P.indices, np.arange(n))
+    inverse = 1.0 / (theta * work.K_ff.diagonal() + work.M_ff.diagonal())
+    assert P.data.tobytes() == inverse.tobytes()
+    r = np.random.default_rng(22).standard_normal(n)
+    assert (P @ r).tobytes() == (inverse * r).tobytes()
+
+
+def test_block_jacobi_saves_iterations_over_jacobi(monkeypatch):
+    # example3 at its defaults (k = 3, n = 16, 101 solves): CG with the
+    # edge-pair blocks takes 392 iterations, and the Jacobi CG it replaced,
+    # kept as an oracle, 495; both runs end at the same error
+    totals, errors = {}, {}
+    for name, kernel in (("block", cg_jacobi), ("jacobi", jacobi_cg)):
+        counts = []
+
+        def recording(*args, kernel=kernel, counts=counts):
+            x, its = kernel(*args)
+            counts.append(its)
+            return x, its
+        monkeypatch.setattr(stepper, "cg_jacobi", recording)
+        errors[name] = run_solve(RunConfig(case="example3")).final_error
+        assert len(counts) == 101
+        totals[name] = sum(counts)
+    assert totals["block"] <= 0.85 * totals["jacobi"]
+    assert errors["block"] == pytest.approx(errors["jacobi"], rel=1e-6)
 
 
 # --- extinction at the defaults ---
@@ -810,6 +893,12 @@ def test_run_record_contract(make_run, freeze_step):
     assert traj.coefficient_history == list(zip(
         times, traj.coefficient.tolist(), traj.guard_status))
     assert [t for t, _, _ in traj.coefficient_history] == times
+    # the first guard trip, read from the status column, is the first row
+    # of the history that is not ok
+    assert traj.first_guard_trip == next(
+        ((n, t, status) for n, (t, _, status)
+         in enumerate(traj.coefficient_history, 1)
+         if status != GuardStatus.OK), None)
     # degenerate is absorbing: from the freezing step on a = inf and the
     # energy is 0, and before it every step is live
     stop = n_steps + 1 if freeze_step is None else freeze_step
@@ -1088,8 +1177,9 @@ def test_2d_solve_costs_cg_iterations_plus_two_matvecs(monkeypatch):
     # the verify's M x and K x only: the start residual comes from the
     # carried products, and CG stops on its recurrence residual
     restrict = SparseSymMatrix.restrict
-    monkeypatch.setattr(SparseSymMatrix, "restrict",
-                        lambda self, idx: _CountingCSR(restrict(self, idx)))
+    monkeypatch.setattr(
+        SparseSymMatrix, "restrict", lambda self, idx, *others: tuple(
+            map(_CountingCSR, restrict(self, idx, *others))))
     iterations = []
 
     def recording_cg(*args, **kwargs):
