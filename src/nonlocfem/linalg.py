@@ -5,7 +5,8 @@ banded Cholesky factorization (1D node orderings, where the matrices have
 bandwidth k). The CG preconditioner is the inverse of a block diagonal of
 the matrix, 2x2 blocks on given pairs of unknowns and 1x1 blocks on the
 others (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003,
-10.5), held as a CSR matrix whose values BlockJacobi refills for every
+10.5), held as a CSR matrix. BlockJacobi alone holds the block layout: it
+is built once from M, K and the pairs, and refilled from theta for every
 solve. The banded solve is one LAPACK pbsv call on a Fortran-order lower
 band, which the factorization overwrites; band_matvec multiplies on such a
 band by BLAS sbmv, and both band kernels can write into vectors the caller
@@ -62,56 +63,68 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class BlockJacobi:
-    """The inverse of the block diagonal of a symmetric matrix A of order
-    n, with a 2x2 block on each pair (first[j], second[j]) of unknowns and
-    a 1x1 block on every other unknown, as a CSR matrix on a pattern fixed
-    at the build (the diagonal and both entries of each pair).
+    """The inverse of the block diagonal of A = M + theta K, with a 2x2
+    block on each pair (first[j], second[j]) of unknowns and a 1x1 block on
+    every other unknown, as a CSR matrix on a pattern fixed at the build
+    (the diagonal and both entries of each pair).
 
-    The pairs must be disjoint, with first[j] < second[j]. order lists the
-    unknowns in the block order that refill reads the diagonal in: those
-    without a pair in increasing order, then every first, then every
-    second. refill computes the entries of the inverse compactly, one value
-    per unknown and one per pair, and gathers them into the CSR values by
-    one take. Without pairs order is 0..n-1 and the matrix holds exactly
-    1 / diag A.
+    M and K are CSR matrices of order n on one canonical pattern (sorted
+    columns within a row), and the pairs are disjoint, with
+    first[j] < second[j]. The build finds the diagonal and pair entries by
+    one search of the pattern's row-major keys (row * n + column) and keeps
+    their M and K values; it raises ValueError when K is on another pattern
+    or an entry is missing. refill(theta) forms those entries of A, inverts
+    each block compactly, one value per unknown and one per pair, and
+    gathers the values into the CSR data by one take. Without pairs the
+    matrix holds exactly 1 / diag A, and at theta = 0 exactly 1 / diag M.
     """
 
-    def __init__(self, n: int, first: np.ndarray, second: np.ndarray):
+    def __init__(self, M: sp.csr_matrix, K: sp.csr_matrix,
+                 first: np.ndarray, second: np.ndarray):
+        if not (np.array_equal(M.indptr, K.indptr)
+                and np.array_equal(M.indices, K.indices)):
+            raise ValueError("K is not on M's sparsity pattern")
+        n, m = M.shape[0], len(first)
         single = np.ones(n, dtype=bool)
         single[first] = single[second] = False
-        self.order = np.concatenate([np.flatnonzero(single), first, second])
-        m = len(first)
-        index = sp.get_index_dtype(maxval=n + 2 * m)
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(2 - single, out=indptr[1:])
-        # row first[j] holds its diagonal, then second[j]; row second[j]
-        # holds first[j], then its diagonal
-        diagonal_at = indptr[:-1].copy()
-        diagonal_at[second] += 1
-        pq_at, qp_at = diagonal_at[first] + 1, diagonal_at[second] - 1
-        indices = np.empty(n + 2 * m, dtype=index)
-        indices[diagonal_at] = np.arange(n)
-        indices[pq_at], indices[qp_at] = second, first
-        # the compact value of each entry (see refill): its unknown's for a
-        # diagonal entry, its pair's for the two off-diagonal ones
-        self._slot = np.empty(n + 2 * m, dtype=index)
-        self._slot[diagonal_at[self.order]] = np.arange(n)
-        self._slot[pq_at] = self._slot[qp_at] = n + np.arange(m)
-        self._values = np.empty(n + m)
-        self.matrix = sp.csr_matrix((np.empty(n + 2 * m), indices, indptr),
-                                    shape=(n, n))
+        # the block order of the unknowns: those without a pair in
+        # increasing order, then every first, then every second
+        order = np.concatenate([np.flatnonzero(single), first, second])
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(M.indptr))
+        keys += M.indices
+        wanted = np.concatenate([order * (n + 1), first * n + second])
+        at = np.searchsorted(keys, wanted)
+        if not (np.all(at < len(keys)) and np.array_equal(keys[at], wanted)):
+            raise ValueError("a diagonal or pair entry is missing from M's "
+                             "pattern")
+        self._m, self._k = M.data[at], K.data[at]
+        self._entries, self._values = np.empty(n + m), np.empty(n + m)
+        # the compact value of each CSR entry (see refill): its unknown's
+        # for a diagonal entry, its pair's for the two off-diagonal ones;
+        # the COO conversion sorts each row by column
+        pair = n + np.arange(m)
+        slots = sp.csr_matrix((np.concatenate([np.arange(n), pair, pair]),
+                               (np.concatenate([order, first, second]),
+                                np.concatenate([order, second, first]))),
+                              shape=(n, n))
+        self._slot = slots.data
+        self.matrix = sp.csr_matrix(
+            (np.empty(n + 2 * m), slots.indices, slots.indptr), shape=(n, n))
 
-    def refill(self, diagonal: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
-        """The matrix for the diagonal of A in the block order and A's
-        entries off[j] at (first[j], second[j]); returns it, valid until
-        the next refill.
+    def refill(self, theta: float) -> sp.csr_matrix:
+        """The matrix for A = M + theta K, each entry fl(fl(k theta) + m);
+        returns it, valid until the next refill.
 
         Raises NotSPDError unless every diagonal entry and every 2x2 block
         determinant is positive (a NaN fails both), so every block is SPD.
         """
+        entries = np.multiply(self._k, theta, out=self._entries)
+        entries += self._m
+        n = self.matrix.shape[0]
+        diagonal, off = entries[:n], entries[n:]
         if not np.all(diagonal > 0.0):
             raise NotSPDError("matrix has a nonpositive or NaN diagonal entry")
-        n, m = len(diagonal), len(off)
+        m = len(off)
         s = n - 2 * m
         a, d = diagonal[s:n - m], diagonal[n - m:]
         det = a * d

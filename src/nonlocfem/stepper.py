@@ -18,10 +18,10 @@ best fit of the last few levels (galerkin_start says how many, how and
 which it drops), and the products are CSR. CG's preconditioner is block
 Jacobi (linalg.BlockJacobi): at k = 3 the two free nodes inside each
 interior edge form a 2x2 block of M + theta K and every other unknown a
-1x1 block, so at k <= 2 it is the Jacobi 1 / diag. Its pattern and the
-pair entries of M and K are found once, and its values are refilled for
-every solve from theta and the stored diagonals and pair entries of M
-and K, with no renumbering of the unknowns. Every solution is verified
+1x1 block, so at k <= 2 it is the Jacobi 1 / diag. The workspace builds
+it once from M, K and the free rows of the edge pairs, and it alone holds
+the block layout: every solve refills it from theta, with no renumbering
+of the unknowns. Every solution is verified
 against its residual, recomputed from independent products with M and K;
 that verify is the only acceptance check of a solve, and a miss gets one
 refinement pass before the solve is refused. The loads are evaluated on
@@ -309,7 +309,13 @@ class StepWorkspace:
             self.ab = np.empty_like(self.Mb)
         else:
             self.A = self._on_pattern(np.empty_like(self.M_ff.data))
-            self._build_preconditioner(space)
+            # the edge pairs' free rows; pairs with a boundary node drop out
+            row_of = np.full(space.n_nodes, -1)
+            row_of[self.free] = np.arange(len(self.free))
+            pairs = row_of[edge_node_pairs(space)]
+            first, second = pairs[(pairs >= 0).all(axis=1)].T
+            self._preconditioner = BlockJacobi(self.M_ff, self.K_ff, first,
+                                               second)
         self.load = None if forcing is None else LoadAssembler(space, self.free)
         self.forcing = forcing
         self._loads = None
@@ -326,34 +332,6 @@ class StepWorkspace:
         arrays, which it shares, not copies."""
         M = self.M_ff
         return type(M)((data, M.indices, M.indptr), shape=M.shape)
-
-    def _build_preconditioner(self, space):
-        """Build the block Jacobi preconditioner of the 2D solves (a 2x2
-        block on the two free nodes inside each interior edge at k = 3, 1x1
-        blocks on the other unknowns) and store what its refill reads: the
-        M and K entries of every pair, read once by their CSR positions,
-        and the diagonals of M and K in the block order."""
-        M, n = self.M_ff, len(self.free)
-        row_of = np.full(space.n_nodes, -1)
-        row_of[self.free] = np.arange(n)
-        pairs = row_of[edge_node_pairs(space)]
-        first, second = pairs[(pairs >= 0).all(axis=1)].T
-        # the position of second[j] in row first[j], by bisection of every
-        # row's columns at once (restrict keeps the assembled order, by
-        # column within a row)
-        at, end = M.indptr[first], M.indptr[first + 1]
-        last = len(M.indices) - 1
-        for _ in range(int(np.max(end - at, initial=0)).bit_length()):
-            mid = (at + end) // 2
-            right = (at < end) & (M.indices[np.minimum(mid, last)] < second)
-            at, end = np.where(right, mid + 1, at), np.where(right, end, mid)
-        if not np.array_equal(M.indices[np.minimum(at, last)], second):
-            raise ValueError("an edge pair has no entry in M's pattern")
-        self._pair_m, self._pair_k = M.data[at], self.K_ff.data[at]
-        self._preconditioner = BlockJacobi(n, first, second)
-        order = self._preconditioner.order
-        self._diag_m = M.diagonal()[order]
-        self._diag_k = self.K_ff.diagonal()[order]
 
     def scaled_load(self, n):
         """delta F of step n (1-based) on the free rows, or None if unforced.
@@ -408,11 +386,7 @@ class StepWorkspace:
             return solve_banded_spd(self.ab, x)
         np.multiply(self.K_ff.data, theta, out=self.A.data)
         self.A.data += self.M_ff.data
-        diagonal = np.multiply(self._diag_k, theta)
-        diagonal += self._diag_m
-        off = np.multiply(self._pair_k, theta)
-        off += self._pair_m
-        preconditioner = self._preconditioner.refill(diagonal, off)
+        preconditioner = self._preconditioner.refill(theta)
         x0, r0 = galerkin_start(*start, rhs, theta, self.solver_tol)
         x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0, r0,
                          preconditioner)[0]

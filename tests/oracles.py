@@ -389,13 +389,14 @@ def jacobi_cg(A, b, tol, x0, r0, preconditioner=None):
 def cg(A, b, tol, x0=None):
     """cg_jacobi from x0 (zero if None), with the start's residual b - A x0
     (a copy of b for the zero start) and the Jacobi preconditioner 1 / diag
-    A, a BlockJacobi without pairs, formed here."""
+    A, formed here as a BlockJacobi of M = K = A without pairs at theta = 0,
+    which holds exactly 1 / diag A."""
     if x0 is None:
         x0, r0 = np.zeros(len(b)), np.array(b, dtype=float)
     else:
         r0 = b - A @ x0
     none = np.zeros(0, dtype=np.int64)
-    preconditioner = BlockJacobi(len(b), none, none).refill(A.diagonal(), none)
+    preconditioner = BlockJacobi(A, A, none, none).refill(0.0)
     return cg_jacobi(A, b, tol, x0, r0, preconditioner)
 
 

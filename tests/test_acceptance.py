@@ -86,21 +86,37 @@ def _record_frozen_runs(monkeypatch):
     return frozen
 
 
+# (case, k, n ladder, delta, t_end) of every spatial-order study: example1
+# to t = 10; example3 on [0, 0.1]; example2 on [0, 0.9], short of its
+# extinction at t = 1, at a delta whose time error does not floor the
+# ladder (README says why k = 2 is left out)
+_SPACE_LADDERS = [
+    ("example1", 1, [8, 16, 32, 64], 1e-3, 10.0),
+    ("example1", 2, [4, 8, 16, 32], 1e-3, 10.0),
+    ("example1", 3, [2, 4, 8, 16], 1e-3, 10.0),
+    ("example3", 1, [4, 8, 16, 32], 1e-3, 0.1),
+    ("example3", 2, [2, 4, 8, 16], 1e-3, 0.1),
+    ("example3", 3, [2, 4, 8], 1e-3, 0.1),
+    ("example2", 1, [8, 16, 32, 64], 1e-3, 0.9),
+    ("example2", 3, [4, 8, 16], 1e-4, 0.9),
+]
+
+
 def test_criterion_3_spatial_convergence(monkeypatch):
-    ladders = {1: [8, 16, 32, 64], 2: [4, 8, 16, 32], 3: [2, 4, 8, 16]}
     frozen = _record_frozen_runs(monkeypatch)
     t0 = time.perf_counter()
     details = []
     ok = True
-    for k, ladder in ladders.items():
-        config = RunConfig(case="example1", k=k, delta=1e-3, t_end=10.0)
+    for case, k, ladder, delta, t_end in _SPACE_LADDERS:
+        config = RunConfig(case=case, k=k, delta=delta, t_end=t_end)
         result = sweep(config, "h", ladder)
         slope = result.fitted_slope
         k_ok = slope is not None and abs(slope - (k + 1)) <= 0.25
         ok = ok and k_ok
-        details.append(f"k={k}: slope={slope:.3f} (target {k + 1})")
+        details.append(f"{case} k={k}: slope={slope:.3f} (target {k + 1})")
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 600.0 and len(frozen) == 12 and not any(frozen)
+    runs = sum(len(ladder) for _, _, ladder, _, _ in _SPACE_LADDERS)
+    ok = ok and elapsed < 600.0 and len(frozen) == runs and not any(frozen)
     details.append(f"total {elapsed:.1f}s; frozen runs {sum(frozen)}")
     _criterion(3, "spatial convergence", ok, "; ".join(details))
 
@@ -113,14 +129,22 @@ def test_criterion_4_temporal_convergence(monkeypatch):
     slope_1d = result_1d.fitted_slope
     ok = slope_1d is not None and abs(slope_1d - 2.0) <= 0.25
 
+    # example2 on [0, 0.9]: nearer its extinction at t = 1 the order drops,
+    # since u_tt grows like (1 - t)^(-1/2) (see README)
+    config_ex2 = RunConfig(case="example2", k=3, n=64, t_end=0.9)
+    result_ex2 = sweep(config_ex2, "delta", [0.1 / 2 ** j for j in range(5)])
+    slope_ex2 = result_ex2.fitted_slope
+    ok = ok and slope_ex2 is not None and abs(slope_ex2 - 2.0) <= 0.25
+
     config2 = RunConfig(case="example3", k=3, n=8, t_end=1.0)
     result_2d = sweep(config2, "delta", [0.2 / 2 ** j for j in range(4)])
     slope_2d = result_2d.fitted_slope
     ok = ok and slope_2d is not None and abs(slope_2d - 2.0) <= 0.35
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 900.0 and len(frozen) == 9 and not any(frozen)
+    ok = ok and elapsed < 900.0 and len(frozen) == 14 and not any(frozen)
     _criterion(4, "temporal convergence", ok,
                f"1D slope={slope_1d:.3f} (tol 0.25); "
+               f"example2 slope={slope_ex2:.3f} (tol 0.25); "
                f"2D slope={slope_2d:.3f} (tol 0.35); total {elapsed:.1f}s; "
                f"frozen runs {sum(frozen)}")
 

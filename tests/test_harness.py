@@ -418,8 +418,18 @@ def test_1d_study_outputs_are_pinned(argv, tmp_path, capsys):
 # the CG start and stop that alters these bytes must update the pin and
 # say why. Re-pinned when CG's reductions moved from an einsum loop to
 # chunked BLAS ddot, which rounds differently; at k <= 2 the block Jacobi
-# preconditioner is exactly 1 / diag, so nothing else moved these bytes
+# preconditioner is exactly 1 / diag, so nothing else moved these bytes.
+# The k = 3 solve is the one whose CG runs the 2x2 edge-pair blocks
 _PINNED_2D_OUTPUTS = {
+    ("solve", "--case", "example3", "--k", "3", "--n", "4", "--delta", "0.05",
+     "--t-end", "0.5", "--snapshots", "0.25"): {
+        "run_example3_k3.csv":
+            "0faee4cead346ee523fb03b50d0c176a73a2e2b518b58135102572ac0af4d483",
+        "run_example3_k3.meta.txt":
+            "f570d16ebcb1942fac51825e61f1df45f8e3f643ac0e5bb8c9a898523dbc753e",
+        "run_example3_k3_snapshot_t0.25.csv":
+            "51ce7abf0ea0ed7141fb42c86c98338421ebe764166d3b6f46533f57244455c6",
+    },
     ("solve", "--case", "example3", "--k", "2", "--n", "4", "--delta", "0.05",
      "--t-end", "0.5", "--snapshots", "0.25"): {
         "run_example3_k2.csv":
@@ -442,7 +452,7 @@ _PINNED_2D_OUTPUTS = {
 
 
 @pytest.mark.parametrize("argv", sorted(_PINNED_2D_OUTPUTS),
-                         ids=lambda argv: argv[0])
+                         ids=lambda argv: argv[0] + "-k3" * (argv[4] == "3"))
 def test_2d_outputs_are_pinned(argv, tmp_path, capsys):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert _digests(tmp_path) == _PINNED_2D_OUTPUTS[argv]

@@ -181,17 +181,28 @@ def test_cg_stops_at_the_first_nan(where, error, cause):
         cg(A_ff.tocsr(), b, 1e-12)
 
 
+def _pair_system(diagonal, off):
+    """M and K of order 3 on the pattern of a pair (0, 2) and a single
+    unknown 1, every entry stored even where it is zero, such that
+    M + theta K at theta = 1/2 is A = [[d1, 0, off], [0, d0, 0],
+    [off, 0, d2]] for diagonal = (d0, d1, d2), given in the block order
+    (the single unknown first): M = A / 2 and K = A."""
+    d0, d1, d2 = diagonal
+    A = sp.csr_matrix((np.array([d1, off, d0, off, d2]),
+                       np.array([0, 2, 1, 0, 2]), np.array([0, 2, 3, 5])),
+                      shape=(3, 3))
+    return A * 0.5, A
+
+
 def test_block_jacobi_inverts_each_block():
-    # unknowns 0 and 2 form a pair and 1 stands alone; the diagonal comes
-    # in the block order, the single unknown first: A = [[2, 0, 1],
+    # unknowns 0 and 2 form a pair and 1 stands alone: A = [[2, 0, 1],
     # [0, 4, 0], [1, 0, 3]], whose pair block has determinant 5
-    P = BlockJacobi(3, np.array([0]), np.array([2]))
-    assert np.array_equal(P.order, [1, 0, 2])
-    matrix = P.refill(np.array([4.0, 2.0, 3.0]), np.array([1.0]))
-    np.testing.assert_allclose(matrix.toarray(), [[0.6, 0.0, -0.2],
-                                                  [0.0, 0.25, 0.0],
-                                                  [-0.2, 0.0, 0.4]],
-                               rtol=1e-15)
+    M, K = _pair_system([4.0, 2.0, 3.0], 1.0)
+    P = BlockJacobi(M, K, np.array([0]), np.array([2]))
+    np.testing.assert_allclose(P.refill(0.5).toarray(),
+                               [[0.6, 0.0, -0.2],
+                                [0.0, 0.25, 0.0],
+                                [-0.2, 0.0, 0.4]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("diagonal, off, cause", [
@@ -204,9 +215,35 @@ def test_block_jacobi_inverts_each_block():
 ])
 def test_block_jacobi_refuses_a_block_that_is_not_positive_definite(
         diagonal, off, cause):
-    P = BlockJacobi(3, np.array([0]), np.array([2]))
+    P = BlockJacobi(*_pair_system(diagonal, off), np.array([0]), np.array([2]))
     with pytest.raises(NotSPDError, match=cause):
-        P.refill(np.array(diagonal), np.array([off]))
+        P.refill(0.5)
+
+
+def test_block_jacobi_at_theta_zero_is_exactly_the_inverse_diagonal_of_m():
+    M, K = _pair_system([4.0, 2.0, 3.0], 1.0)
+    none = np.zeros(0, dtype=np.int64)
+    P = BlockJacobi(M, K, none, none).refill(0.0)
+    assert P.data.tobytes() == (1.0 / M.diagonal()).tobytes()
+
+
+def test_block_jacobi_refuses_an_entry_missing_from_the_pattern():
+    # the pair (0, 1) has no entry: unknowns 0 and 1 do not couple
+    M, K = _pair_system([4.0, 2.0, 3.0], 1.0)
+    with pytest.raises(ValueError, match="missing from M's pattern"):
+        BlockJacobi(M, K, np.array([0]), np.array([1]))
+    # nor has a diagonal that is not stored
+    M = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
+    none = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="missing from M's pattern"):
+        BlockJacobi(M, M, none, none)
+
+
+def test_block_jacobi_refuses_a_k_on_another_pattern():
+    M, _ = _pair_system([4.0, 2.0, 3.0], 1.0)
+    K = sp.identity(3, format="csr")
+    with pytest.raises(ValueError, match="K is not on M's sparsity pattern"):
+        BlockJacobi(M, K, np.array([0]), np.array([2]))
 
 
 _THREAD_PROBE = """
@@ -230,7 +267,7 @@ x0, r0 = galerkin_start(us, np.array([M @ u for u in us]),
                         np.array([K @ u for u in us]), delta * b,
                         0.5 * a * delta, 1e-12)
 none = np.zeros(0, dtype=np.int64)
-jacobi = BlockJacobi(len(b), none, none).refill(A.diagonal(), none)
+jacobi = BlockJacobi(A, A, none, none).refill(0.0)
 x, iterations = cg_jacobi(A, b, 1e-12, x0, b - A @ x0, jacobi)
 print(len(free), iterations, hashlib.sha256(x0.tobytes()).hexdigest(),
       hashlib.sha256(r0.tobytes()).hexdigest(),

@@ -1160,7 +1160,9 @@ def test_2d_step_reads_no_matrix_diagonal(monkeypatch):
             run(space, case.u0, case.f, NonlocalCoefficient(case.gamma),
                 TimeGrid(t_end=0.01 * n_steps, n_steps=n_steps))
         counts.append(len(calls))
-    assert counts == [2, 2]    # diag M and diag K, stored by the workspace
+    # BlockJacobi reads its diagonal entries out of M's and K's data by
+    # their positions in the pattern, once per run
+    assert counts == [0, 0]
 
 
 class _CountingCSR(sp.csr_matrix):
