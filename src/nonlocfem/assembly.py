@@ -27,6 +27,13 @@ from .quadrature import MAX_TRIANGLE_DEGREE, reference_rule
 
 SYMMETRY_RTOL = 1e-14
 
+# a load call computes at most this many forcing values (512 KiB), so a
+# block of times is this budget over the quadrature points (163 steps on
+# example1's default mesh, 400 points). 2^16, not 2^17: blocks of 256 steps
+# raised example1's peak RSS by 2.5 MB and blocks of 163 by 1.6 MB, and the
+# time per step did not differ measurably
+_LOAD_BLOCK_VALUES = 1 << 16
+
 
 class NonFiniteFieldError(ValueError):
     """A scalar field returned NaN or infinity where a finite value is required."""
@@ -260,39 +267,37 @@ class LoadAssembler:
     (node indices, e.g. the free nodes), in their order; the other nodes go
     to one extra bin per time that is dropped.
 
-    The temporaries of a call (the finiteness mask, the weighted forcing
-    values, the element loads and the bin index of every element load) are
-    buffers of the assembler, allocated on the first call and grown only
-    when a call brings more times, so a run of equal blocks allocates them
-    once. The returned block is always a new array, and later calls leave
-    it alone.
+    A call takes at most block = max(1, _LOAD_BLOCK_VALUES // n_points)
+    times, fixed at the build; more raise ValueError. This is the one rule
+    for how many loads a call computes: the stepper asks for block steps
+    at a time. The temporaries of a call are buffers of block times: the
+    finiteness mask, the weighted forcing values and the element loads are
+    allocated at the build, and the bin index of every element load is
+    written by the first call and kept. The build only reserves memory;
+    writing the bin index there would fault its pages in during a run's
+    setup. So the first call allocates the bin index, and no later call
+    allocates a temporary. The returned block is always a new array, and
+    later calls leave it alone.
     """
 
     def __init__(self, space: LagrangeSpace, rows):
         vals, self._wdet, self._columns = _element_quadrature(
             space, assembly_degree(space.degree))
         self._vals_t = np.ascontiguousarray(vals.T)   # (nq, nl)
-        self._n_rows = len(rows)
-        row_of = np.full(space.n_nodes, self._n_rows)
-        row_of[rows] = np.arange(self._n_rows)
+        self._width = len(rows) + 1     # the rows and the dropped bin
+        row_of = np.full(space.n_nodes, len(rows))
+        row_of[rows] = np.arange(len(rows))
         self._dofs = row_of[space.element_dofs.ravel()]
         self.n_points = self._wdet.size
-        self._allocate_buffers(0)
-
-    def _allocate_buffers(self, n_t):
-        """The finiteness mask, weighted values, element loads and bin
-        indices of n_t times; the old buffers are freed before the new ones
-        are made."""
-        self._finite = self._weighted = self._elem = self._block_dofs = None
-        n_el, n_q = self._wdet.shape
-        self._finite = np.empty((n_t, self.n_points), dtype=bool)
-        self._weighted = np.empty((n_t, n_el, n_q))
-        self._elem = np.empty((n_t, n_el, self._vals_t.shape[1]))
-        self._block_dofs = ((self._n_rows + 1) * np.arange(n_t)[:, None]
-                            + self._dofs).ravel()
+        self.block = max(1, _LOAD_BLOCK_VALUES // self.n_points)
+        self._finite = np.empty((self.block, self.n_points), dtype=bool)
+        self._weighted = np.empty((self.block, *self._wdet.shape))
+        self._elem = np.empty((self.block, len(self._wdet), self._vals_t.shape[1]))
+        self._block_dofs = None
 
     def __call__(self, f, times) -> np.ndarray:
-        """Loads at the given times, shape (len(times), n_rows).
+        """Loads at the given times, at most block of them, shape
+        (len(times), n_rows); more times raise ValueError.
 
         f(x..., t) gets the point coordinates as rows and t as a column, so
         its values must broadcast to (len(times), n_points); otherwise
@@ -301,9 +306,12 @@ class LoadAssembler:
         """
         times = np.asarray(times, dtype=float)
         n_t = len(times)
+        if n_t > self.block:
+            raise ValueError(f"at most {self.block} times per call, got {n_t}")
         fvals = _evaluate_field(f, self._columns, times[:, None])
-        if len(self._weighted) < n_t:
-            self._allocate_buffers(n_t)
+        if self._block_dofs is None:
+            self._block_dofs = (self._width * np.arange(self.block)[:, None]
+                                + self._dofs).ravel()
         finite = np.isfinite(fvals, out=self._finite[:n_t])
         if not finite.all():
             bad = times[np.argmin(finite.all(axis=1))]
@@ -313,10 +321,9 @@ class LoadAssembler:
                                out=self._weighted[:n_t])
         del fvals   # blocks are large: release the forcing values early
         elem = np.matmul(weighted, self._vals_t, out=self._elem[:n_t])
-        width = self._n_rows + 1
         loads = np.bincount(self._block_dofs[:n_t * len(self._dofs)],
-                            weights=elem.ravel(), minlength=n_t * width)
-        return loads.reshape(n_t, width)[:, :self._n_rows]
+                            weights=elem.ravel(), minlength=n_t * self._width)
+        return loads.reshape(n_t, self._width)[:, :-1]
 
 
 def interpolate(space: LagrangeSpace, u) -> FieldVector:

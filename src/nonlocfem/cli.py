@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: solve, sweep-h, sweep-dt, alpha, energy, verify.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 output/IO error. A reader that closes stdout early (``... | head``) is
-not an error: the lines it read are complete, so the exit code is 0.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(running out of memory included), 4 output/IO error. A reader that closes
+stdout early (``... | head``) is not an error: the lines it read are
+complete, so the exit code is 0.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GuardTripError, SteppingError, NotSPDError,
+    except (GuardTripError, SteppingError, NotSPDError, MemoryError,
             SolverConvergenceError, AlphaSolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -103,13 +103,21 @@ class RunConfig:
             delta=case.default_delta if self.delta is None else self.delta,
             t_end=case.default_t_end if self.t_end is None else self.t_end,
         )
-        if cfg.k not in (1, 2, 3):
+        # k and n are integers; a NumPy integer is one, and 2.0 is not
+        if not (isinstance(cfg.k, (int, np.integer)) and cfg.k in (1, 2, 3)):
             raise ConfigError(f"polynomial degree must be 1, 2 or 3, got {cfg.k}")
+        if not isinstance(cfg.n, (int, np.integer)):
+            raise ConfigError(f"n must be an integer, got {cfg.n!r}")
         for name in ("n", "delta", "t_end", "solver_tol", "guard_floor",
                      "guard_ceiling"):
             value = getattr(cfg, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+            if name in ("delta", "t_end") and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        # at a bound of 1 or more, x = 0 passes the verify of every solve
+        if not cfg.solver_tol < 1:
+            raise ConfigError(f"solver_tol must be below 1, got {cfg.solver_tol}")
         if not cfg.guard_ceiling > cfg.guard_floor:
             raise ConfigError(f"guard_ceiling must exceed guard_floor, got "
                               f"{cfg.guard_ceiling:g} <= {cfg.guard_floor:g}")

@@ -25,9 +25,9 @@ of the unknowns. Every solution is verified
 against its residual, recomputed from independent products with M and K;
 that verify is the only acceptance check of a solve, and a miss gets one
 refinement pass before the solve is refused. The loads are evaluated on
-the free rows, a block of steps per call, and the right-hand side and the
-verify's residual are vectors the workspace reuses, so a banded step
-allocates no vector.
+the free rows, a block of steps per call (LoadAssembler fixes how many),
+and the right-hand side and the verify's residual are vectors the
+workspace reuses, so a banded step allocates no vector.
 
 run carries u, M u and K u of the last _START_LEVELS levels as rows of
 one array, and a new level overwrites the oldest (pbsv and sbmv write
@@ -96,12 +96,6 @@ DEFAULT_SOLVER_TOL = 1e-12
 # the verified residual is never required below this multiple of
 # ||A||_max ||x||, the backward-stable scale attainable in double precision
 _FLOOR_EPS = 64.0 * np.finfo(float).eps
-
-# loads are computed this many steps ahead, fewer where the block would
-# hold more forcing values than this (512 KiB; 163 steps of example1's
-# default mesh, whose 100 elements have 4 quadrature points each)
-_LOAD_BLOCK_STEPS = 256
-_LOAD_BLOCK_VALUES = 1 << 16
 
 # run carries the last _START_LEVELS levels, and CG starts from them (the
 # banded solve ignores the start); galerkin_start states when it drops a
@@ -276,7 +270,9 @@ class StepWorkspace:
     """The system matrix, the products, the loads and the reused vectors of
     one run's solves (the module docstring describes them).
 
-    solver_tol is the relative residual bound every solve is verified to.
+    solver_tol is the relative residual bound every solve is verified to,
+    in (0, 1) (ValueError otherwise): at 1 or above, x = 0 would pass the
+    verify for every right-hand side.
     M and K must share one sparsity pattern (they are scattered from the
     same element dofs); otherwise the build raises ValueError. They are
     restricted to the free nodes together, in one pass, onto one pair of
@@ -294,8 +290,8 @@ class StepWorkspace:
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
                  K: SparseSymMatrix, grid: TimeGrid, forcing=None,
                  solver_tol: float = DEFAULT_SOLVER_TOL):
-        if not solver_tol > 0:
-            raise ValueError(f"solver_tol must be positive, got {solver_tol}")
+        if not 0 < solver_tol < 1:
+            raise ValueError(f"solver_tol must lie in (0, 1), got {solver_tol}")
         self.grid = grid
         self.solver_tol = solver_tol
         self.free = space.free_node_indices
@@ -337,20 +333,18 @@ class StepWorkspace:
         """delta F of step n (1-based) on the free rows, or None if unforced.
 
         F is the load at the step's midpoint n delta - delta/2 (exactly
-        delta/2 for step 1). A miss computes the block of steps from n on.
+        delta/2 for step 1). A miss computes the loads of steps n to
+        n + load.block - 1 (to the last step at most) in one call, the
+        block that LoadAssembler fixes at its build.
         """
         if self.load is None:
             return None
         if not self._loads_from <= n < self._loads_end:
-            grid = self.grid
-            per_step = max(self.load.n_points, 1)
-            block = max(1, min(_LOAD_BLOCK_STEPS,
-                               _LOAD_BLOCK_VALUES // per_step))
-            steps = np.arange(n, min(n + block, grid.n_steps + 1))
+            delta = self.grid.delta
+            steps = np.arange(n, min(n + self.load.block, self.grid.n_steps + 1))
             self._loads = None      # freed before the next block is built
-            self._loads = self.load(self.forcing,
-                                    steps * grid.delta - 0.5 * grid.delta)
-            self._loads *= grid.delta
+            self._loads = self.load(self.forcing, steps * delta - 0.5 * delta)
+            self._loads *= delta
             self._loads_from, self._loads_end = n, n + len(steps)
         return self._loads[n - self._loads_from]
 

@@ -496,12 +496,20 @@ def test_load_buffers_are_reused_and_never_alias_a_returned_block():
     space = _space_1d(100, 2)
     free = space.free_node_indices
     load = LoadAssembler(space, free)
+    assert load.block == 163
     f1, f2 = make_case("example1").f, make_case("example2").f
     calls = [(f1, 1e-3 * np.arange(163) + 5e-4), (f2, 0.2 * np.arange(7)),
              (f1, 1e-3 * np.arange(163, 326) + 5e-4)]
+    # each call gets its forcing values made before tracing, so the traced
+    # peak is what the assembler itself allocates
+    (x,) = assembly._element_quadrature(space, assembly.assembly_degree(2))[2]
+    values = [np.array(np.broadcast_to(f(x, times[:, None]),
+                                       (len(times), load.n_points)))
+              for f, times in calls]
     tracemalloc.start()
     try:
-        traced = [_traced_call(load, f, times) for f, times in calls]
+        traced = [_traced_call(load, lambda x, t, v=v: v, times)
+                  for v, (_, times) in zip(values, calls)]
     finally:
         tracemalloc.stop()
     blocks, peaks = zip(*traced)
@@ -513,11 +521,35 @@ def test_load_buffers_are_reused_and_never_alias_a_returned_block():
     # later calls leave every earlier block as it was returned
     for block, copy in zip(blocks, kept):
         np.testing.assert_array_equal(block, copy)
-    # the second call of 163 times allocates neither the weighted forcing
-    # values nor the element loads again
-    n_el = space.mesh.n_elements
-    temporaries = 163 * 8 * (load.n_points + n_el * (space.degree + 1))
-    assert peaks[0] - peaks[2] >= temporaries
+    # the first call adds only the bin index of every element load (block
+    # times the element dofs, 8 bytes each) to its returned block, and no
+    # later call allocates a temporary: a call's peak stays within 16 KiB of
+    # that, less than the weighted forcing values of even the 7 times alone
+    bin_index = load.block * space.element_dofs.size * 8
+    for block, peak, first in zip(blocks, peaks, (bin_index, 0, 0)):
+        assert peak < block.nbytes + first + 16384
+
+
+def test_load_block_is_the_value_budget_over_the_points():
+    # 2^16 forcing values a call: 163 times of example1's default mesh (400
+    # points), and one time of the 2D k = 3 mesh at n = 48, whose 73 728
+    # points exceed the budget
+    space = _space_1d(100, 2)
+    load = LoadAssembler(space, space.free_node_indices)
+    assert (load.n_points, load.block) == (400, 163)
+    f = make_case("example1").f
+    assert load(f, np.zeros(163)).shape == (163, len(space.free_node_indices))
+    with pytest.raises(ValueError, match="at most 163 times per call, got 164"):
+        load(f, np.zeros(164))
+    space = build_lagrange_space(uniform_square_mesh(48), 3)
+    load = LoadAssembler(space, space.free_node_indices)
+    assert (load.n_points, load.block) == (73728, 1)
+    one = load(lambda x, y, t: x * y + t, [0.5])[0]
+    np.testing.assert_array_equal(
+        one, per_step_load(space, lambda x, y, t: x * y + t, 0.5,
+                           space.free_node_indices))
+    with pytest.raises(ValueError, match="at most 1 times per call, got 2"):
+        load(lambda x, y, t: x * y + t, [0.5, 0.6])
 
 
 # --- interpolation ---

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from nonlocfem import assembly, cli, harness, stepper
+from nonlocfem.mesh import build_lagrange_space, uniform_interval_mesh
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -54,8 +55,10 @@ def test_banded_and_load_spans_are_called_on_a_traced_1d_run():
     assert tracer.absent == {}
     assert steps == 2
     assert layers["linalg.banded"][2] == steps + 1   # plus the step-1 predictor
-    # the loads come a block of steps per call
-    assert layers["assembly.load_eval"][2] == math.ceil(
-        steps / stepper._LOAD_BLOCK_STEPS)
+    # the loads come a block of steps per call, as many as the assembler of
+    # the run's free rows takes
+    space = build_lagrange_space(uniform_interval_mesh(8), 2)
+    block = assembly.LoadAssembler(space, space.free_node_indices).block
+    assert layers["assembly.load_eval"][2] == math.ceil(steps / block)
     assert tracer.counters["refine"] == 0
     assert np.isfinite(report.final_error)

@@ -724,6 +724,51 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--case", "example1", "--t-end", "inf"], "t_end must be finite"),
+    # a delta of inf would round to one step of t_end with no warning
+    (["--case", "example2", "--delta", "inf"], "delta must be finite"),
+    # x = 0 passes a verify to a bound of 1 or more, so CG would stop at once
+    (["--case", "example3", "--k", "1", "--n", "8", "--solver-tol", "1"],
+     "solver_tol must be below 1"),
+    (["--case", "example3", "--k", "1", "--n", "8", "--solver-tol", "inf"],
+     "solver_tol must be below 1"),
+])
+def test_cli_refuses_non_finite_times_and_tolerances_of_one(argv, message,
+                                                            tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", *argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("n", 2.5), ("k", 2.0),
+                                          ("n", 8.0), ("n", "8")])
+def test_run_solve_refuses_a_non_integer_degree_or_mesh_size(field, value,
+                                                             tmp_path):
+    config = _quick_config(**{field: value}, out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError):
+        run_solve(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_numpy_integers_are_a_valid_degree_and_mesh_size():
+    cfg = _quick_config(k=np.int64(2), n=np.int32(8)).resolved()
+    assert (cfg.k, cfg.n) == (2, 8)
+
+
+def test_cli_out_of_memory_is_a_numerical_failure(monkeypatch, capsys):
+    # a run that cannot allocate its record exits 3 with one stderr line,
+    # not a traceback
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 7.00 PiB for an array")
+    monkeypatch.setattr("nonlocfem.cli.run_solve", out_of_memory)
+    assert main(["solve", "--case", "example1"]) == 3
+    assert capsys.readouterr().err == ("numerical failure: Unable to "
+                                       "allocate 7.00 PiB for an array\n")
+
+
 def test_cli_io_error_exit_code(tmp_path, capsys):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")

@@ -572,3 +572,12 @@ def test_workspace_rejects_stiffness_with_another_pattern():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         _solve(_space(), np.zeros(7), solver_tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0, np.inf, np.nan])
+def test_workspace_refuses_a_tolerance_that_zero_would_meet(tol):
+    # at solver_tol >= 1, x = 0 has ||rhs - A 0|| <= tol ||rhs|| for every
+    # right-hand side, so the verify would accept a solve that never ran
+    for space in _spaces_1d_2d(n=6, k=1):
+        with pytest.raises(ValueError, match=r"solver_tol must lie in \(0, 1\)"):
+            _workspace(space, solver_tol=tol)

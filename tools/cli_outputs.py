@@ -60,6 +60,11 @@ COMMANDS = {
     # configuration errors: each exits 2 and writes nothing
     "alpha_bad_tolerance": ["alpha", "example2", "--tolerance", "0"],
     "energy_unknown_case": ["energy", "--cases", "example2,foo"],
+    # a time that is not finite, and a residual bound that x = 0 meets
+    "solve_t_end_inf": ["solve", "--case", "example1", "--t-end", "inf"],
+    "solve_delta_inf": ["solve", "--case", "example2", "--delta", "inf"],
+    "solve_solver_tol_one": ["solve", "--case", "example3", "--k", "1",
+                             "--n", "8", "--solver-tol", "1"],
 }
 
 # the subcommands that write files, and so take --out-dir
