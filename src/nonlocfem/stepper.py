@@ -8,21 +8,23 @@ coefficient at the extrapolation (3/2) U_{n-1} - (1/2) U_{n-2}.
 Every solve, the predictor included, is one linear SPD system
 (M + theta K) x = M u - theta K u + delta F with theta = a delta/2, and a
 StepWorkspace holds what the solves of one run need. The mesh dimension
-picks the backend (linalg.method_for_dim), and only the workspace branches
-on it. M and K share one sparsity pattern, so the system matrix is
-allocated once and refilled in place, entry by entry, for every solve. In
-1D it is a lower band solved by one LAPACK pbsv call, and every product
-with M or K (the verify, the next level's M u and K u) is BLAS sbmv on
-their lower bands. In 2D it is CSR data, CG solves it from the Galerkin
-best fit of the last few levels (galerkin_start says how many, how and
-which it drops), and the products are CSR. CG's preconditioner is block
-Jacobi (linalg.BlockJacobi): at k = 3 the two free nodes inside each
-interior edge form a 2x2 block of M + theta K and every other unknown a
-1x1 block, so at k <= 2 it is the Jacobi 1 / diag. The workspace builds
-it once from M, K and the free rows of the edge pairs, and it alone holds
-the block layout: every solve refills it from theta, with no renumbering
-of the unknowns. Every solution is verified
-against its residual, recomputed from independent products with M and K;
+picks the backend (linalg.method_for_dim) once, when the workspace is
+built: one object that stores M, K and the system matrix its own way,
+solves, and multiplies by M and K, so nothing after the build branches on
+the dimension. M and K share one sparsity pattern, so the system matrix is
+allocated once and refilled in place, entry by entry, by the workspace's
+one multiply-add for every solve. In 1D it is a lower band solved by one
+LAPACK pbsv call, and every product with M or K (the verify, the next
+level's M u and K u) is BLAS sbmv on their lower bands. In 2D it is CSR
+data, CG solves it from the Galerkin best fit of the last few levels
+(galerkin_start says how many, how and which it drops), and the products
+are CSR. CG's preconditioner is block Jacobi (linalg.BlockJacobi): at
+k = 3 the two free nodes inside each interior edge form a 2x2 block of
+M + theta K and every other unknown a 1x1 block, so at k <= 2 it is the
+Jacobi 1 / diag. The CG backend builds it once from M, K and the free rows
+of the edge pairs, and it alone holds the block layout: every solve
+refills it from theta, with no renumbering of the unknowns. Every
+solution is verified against its residual, recomputed from independent products with M and K;
 that verify is the only acceptance check of a solve, and a miss gets one
 refinement pass before the solve is refused. The loads are evaluated on
 the free rows, a block of steps per call (LoadAssembler fixes how many),
@@ -266,9 +268,72 @@ def galerkin_start(u, mu, ku, rhs, theta, tol):
     return x, residual
 
 
+class _BandedBackend:
+    """The 1D solves. m, k and a hold M, K and A = M + theta K as lower
+    bands (linalg.to_banded_lower); a solve is one pbsv, which overwrites a
+    and ignores the start, and the products are sbmv on the bands.
+
+    The verify multiplies on the same bands the solve uses, so it would
+    share a band-conversion error with the solve. The build therefore checks
+    the bands once against the CSR matrices on a fixed vector v: every
+    entry of band(v) - csr(v) must lie within 4 (2b + 1) eps (|A| |v|) for
+    bandwidth b, four times the most that two roundings of a (2b + 1)-term
+    row sum can differ; otherwise it raises ValueError.
+    """
+
+    def __init__(self, M, K):
+        self.m, self.k = to_banded_lower(M), to_banded_lower(K)
+        v = np.sin(1.0 + np.arange(M.shape[0]))
+        for ab, A, name in ((self.m, M, "M"), (self.k, K, "K")):
+            width = 2 * (ab.shape[0] - 1) + 1
+            tol = 4.0 * width * np.finfo(float).eps * (abs(A) @ np.abs(v))
+            if not np.all(np.abs(band_matvec(ab, v) - A @ v) <= tol):
+                raise ValueError(f"the lower band of {name} does not "
+                                 f"reproduce its CSR matrix-vector product")
+        self.a = np.empty_like(self.m)
+
+    def matvecs(self, x, out):
+        return band_matvec(self.m, x, out[0]), band_matvec(self.k, x, out[1])
+
+    def solve(self, theta, rhs, x, start):
+        np.copyto(x, rhs)
+        return solve_banded_spd(self.a, x)
+
+
+class _CGBackend:
+    """The 2D solves. m, k and a are the CSR data of M, K and
+    A = M + theta K, all three on M's index arrays, which A shares, not
+    copies; a solve is CG from the Galerkin start (galerkin_start),
+    preconditioned by BlockJacobi, and the products are CSR. BlockJacobi is
+    built once from M, K and the free rows of the edge pairs.
+    """
+
+    def __init__(self, space, M, K, tol):
+        self.M, self.K, self.tol = M, K, tol
+        self.A = type(M)((np.empty_like(M.data), M.indices, M.indptr),
+                         shape=M.shape)
+        self.m, self.k, self.a = M.data, K.data, self.A.data
+        # the edge pairs' free rows; pairs with a boundary node drop out
+        row_of = np.full(space.n_nodes, -1)
+        row_of[space.free_node_indices] = np.arange(M.shape[0])
+        pairs = row_of[edge_node_pairs(space)]
+        first, second = pairs[(pairs >= 0).all(axis=1)].T
+        self.preconditioner = BlockJacobi(M, K, first, second)
+
+    def matvecs(self, x, out):
+        out[0][:], out[1][:] = self.M @ x, self.K @ x
+        return out
+
+    def solve(self, theta, rhs, x, start):
+        preconditioner = self.preconditioner.refill(theta)
+        x0, r0 = galerkin_start(*start, rhs, theta, self.tol)
+        x[:] = cg_jacobi(self.A, rhs, self.tol, x0, r0, preconditioner)[0]
+        return x
+
+
 class StepWorkspace:
-    """The system matrix, the products, the loads and the reused vectors of
-    one run's solves (the module docstring describes them).
+    """The backend, the loads and the reused vectors of one run's solves
+    (the module docstring describes them).
 
     solver_tol is the relative residual bound every solve is verified to,
     in (0, 1) (ValueError otherwise): at 1 or above, x = 0 would pass the
@@ -277,14 +342,13 @@ class StepWorkspace:
     same element dofs); otherwise the build raises ValueError. They are
     restricted to the free nodes together, in one pass, onto one pair of
     index arrays, and the 2D system matrix is built on those too, so the
-    run holds one copy of the pattern.
-
-    The 1D verify multiplies on the same bands the solve uses, so it would
-    share a band-conversion error with the solve. The build therefore checks
-    the bands once against the CSR matrices on a fixed vector v: every
-    entry of band(v) - csr(v) must lie within 4 (2b + 1) eps (|A| |v|) for
-    bandwidth b, four times the most that two roundings of a (2b + 1)-term
-    row sum can differ; otherwise it raises ValueError.
+    run holds one copy of the pattern. The mesh dimension picks the backend
+    (linalg.method_for_dim), once: _BandedBackend in 1D, _CGBackend in 2D.
+    A backend keeps the storage of M, K and A = M + theta K as three arrays
+    m, k and a, which _solve_once refills as a = k theta + m;
+    solve(theta, rhs, x, start) then solves into x and returns it, and
+    matvecs(x, out) writes M x and K x into out = (mx, kx), two contiguous
+    vectors, and returns them.
     """
 
     def __init__(self, space: LagrangeSpace, M: SparseSymMatrix,
@@ -292,26 +356,13 @@ class StepWorkspace:
                  solver_tol: float = DEFAULT_SOLVER_TOL):
         if not 0 < solver_tol < 1:
             raise ValueError(f"solver_tol must lie in (0, 1), got {solver_tol}")
-        self.grid = grid
-        self.solver_tol = solver_tol
+        self.grid, self.solver_tol = grid, solver_tol
         self.free = space.free_node_indices
         self.M_ff, self.K_ff = M.restrict(self.free, K)
-        self.use_banded = method_for_dim(space.mesh.dim) == DIRECT_BANDED
-        if self.use_banded:
-            self.Mb = to_banded_lower(self.M_ff)
-            self.Kb = to_banded_lower(self.K_ff)
-            _check_band(self.Mb, self.M_ff, "M")
-            _check_band(self.Kb, self.K_ff, "K")
-            self.ab = np.empty_like(self.Mb)
+        if method_for_dim(space.mesh.dim) == DIRECT_BANDED:
+            self.backend = _BandedBackend(self.M_ff, self.K_ff)
         else:
-            self.A = self._on_pattern(np.empty_like(self.M_ff.data))
-            # the edge pairs' free rows; pairs with a boundary node drop out
-            row_of = np.full(space.n_nodes, -1)
-            row_of[self.free] = np.arange(len(self.free))
-            pairs = row_of[edge_node_pairs(space)]
-            first, second = pairs[(pairs >= 0).all(axis=1)].T
-            self._preconditioner = BlockJacobi(self.M_ff, self.K_ff, first,
-                                               second)
+            self.backend = _CGBackend(space, self.M_ff, self.K_ff, solver_tol)
         self.load = None if forcing is None else LoadAssembler(space, self.free)
         self.forcing = forcing
         self._loads = None
@@ -322,12 +373,6 @@ class StepWorkspace:
         self._m_scale, self._k_scale = (
             max(A.data.max(), -A.data.min()) if A.nnz else 0.0
             for A in (self.M_ff, self.K_ff))
-
-    def _on_pattern(self, data):
-        """A matrix of M_ff's class with these values on M_ff's index
-        arrays, which it shares, not copies."""
-        M = self.M_ff
-        return type(M)((data, M.indices, M.indptr), shape=M.shape)
 
     def scaled_load(self, n):
         """delta F of step n (1-based) on the free rows, or None if unforced.
@@ -348,16 +393,6 @@ class StepWorkspace:
             self._loads_from, self._loads_end = n, n + len(steps)
         return self._loads[n - self._loads_from]
 
-    def matvecs(self, x, out):
-        """M x and K x on the free nodes, written into out = (mx, kx), two
-        contiguous vectors, and returned: sbmv on the bands in 1D (writing
-        into out itself), CSR in 2D."""
-        if self.use_banded:
-            return (band_matvec(self.Mb, x, out[0]),
-                    band_matvec(self.Kb, x, out[1]))
-        out[0][:], out[1][:] = self.M_ff @ x, self.K_ff @ x
-        return out
-
     def step_rhs(self, theta, mu, ku, dF):
         """M u - theta K u + delta F, from M u and K u of the last level and
         dF = delta F (None if unforced).
@@ -371,20 +406,12 @@ class StepWorkspace:
         return rhs
 
     def _solve_once(self, theta, rhs, x, start):
-        # refilled on every solve, with no matrix-sized temporary: the banded
-        # factorization overwrites its band, and pbsv the copy of rhs in x
-        if self.use_banded:
-            np.multiply(self.Kb, theta, out=self.ab)
-            self.ab += self.Mb
-            np.copyto(x, rhs)
-            return solve_banded_spd(self.ab, x)
-        np.multiply(self.K_ff.data, theta, out=self.A.data)
-        self.A.data += self.M_ff.data
-        preconditioner = self._preconditioner.refill(theta)
-        x0, r0 = galerkin_start(*start, rhs, theta, self.solver_tol)
-        x[:] = cg_jacobi(self.A, rhs, self.solver_tol, x0, r0,
-                         preconditioner)[0]
-        return x
+        # the one refill of A = theta K + M, in place, with no matrix-sized
+        # temporary; the backend solves into x
+        backend = self.backend
+        np.multiply(backend.k, theta, out=backend.a)
+        backend.a += backend.m
+        return backend.solve(theta, rhs, x, start)
 
     def solve_verified(self, theta, rhs, start, out):
         """Solve (M + theta K) x = rhs, verify the residual against an
@@ -407,7 +434,7 @@ class StepWorkspace:
         bound = self.solver_tol * max(dnrm2(rhs), 1e-300)
         scale = self._m_scale + theta * self._k_scale
         for attempt in range(2):
-            mu_x, ku_x = self.matvecs(x, out[1:])
+            mu_x, ku_x = self.backend.matvecs(x, out[1:])
             r = np.multiply(ku_x, theta, out=self._residual)
             r += mu_x
             np.subtract(rhs, r, out=r)
@@ -420,17 +447,6 @@ class StepWorkspace:
                 x = x + self._solve_once(theta, r, r, ((), (), ()))
         raise SolverConvergenceError(
             f"verified residual {res:.3e} above tolerance {bound:.3e}")
-
-
-def _check_band(ab, A, name):
-    """Raise ValueError unless the lower band ab multiplies like the CSR A
-    on a fixed vector, to the bound stated in StepWorkspace."""
-    v = np.sin(1.0 + np.arange(A.shape[0]))
-    width = 2 * (ab.shape[0] - 1) + 1
-    tol = 4.0 * width * np.finfo(float).eps * (abs(A) @ np.abs(v))
-    if not np.all(np.abs(band_matvec(ab, v) - A @ v) <= tol):
-        raise ValueError(f"the lower band of {name} does not reproduce "
-                         f"its CSR matrix-vector product")
 
 
 def init(space: LagrangeSpace, u0) -> FieldVector:
@@ -518,7 +534,7 @@ def run(space: LagrangeSpace, u0, f, coeff: NonlocalCoefficient, grid: TimeGrid,
     c = 0      # the newest level
     # U0 is zero on the boundary, as embed leaves it
     rows[0] = U0.coefficients[free]
-    work.matvecs(rows[0], (rows[L], rows[2 * L]))
+    work.backend.matvecs(rows[0], (rows[L], rows[2 * L]))
     R = reduce(c)
     energy[0] = R[0][0]
     stiffness_per_a = 0.5 * delta * space.mesh.dim * math.pi ** 2

@@ -408,8 +408,9 @@ def solve_verified(work, theta, rhs, start=((), (), ())):
 
 
 def matvecs(work, x):
-    """work.matvecs into new vectors; returns (M x, K x)."""
-    return work.matvecs(x, (np.empty_like(x), np.empty_like(x)))
+    """The workspace backend's matvecs into new vectors; returns
+    (M x, K x)."""
+    return work.backend.matvecs(x, (np.empty_like(x), np.empty_like(x)))
 
 
 def full_load(space: LagrangeSpace) -> LoadAssembler:

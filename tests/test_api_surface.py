@@ -121,21 +121,23 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_only_the_workspace_reads_the_backend():
-    # the stepper passes the same arguments on both backends; only
-    # StepWorkspace branches on use_banded
-    def loads_outside_workspace(node):
-        if isinstance(node, ast.ClassDef) and node.name == "StepWorkspace":
-            return 0
+def test_only_the_workspace_build_picks_the_backend():
+    # StepWorkspace.__init__ picks one backend object from the dimension,
+    # once, and the harness records the method in its metadata; a load of
+    # method_for_dim anywhere else would branch on the backend again
+    def loads(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}"
         own = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
-            node.ctx, ast.Load) and "use_banded" in (
+            node.ctx, ast.Load) and "method_for_dim" in (
                 getattr(node, "id", None), getattr(node, "attr", None))
-        return own + sum(loads_outside_workspace(child)
-                         for child in ast.iter_child_nodes(node))
+        return [owner] * own + [where for child in ast.iter_child_nodes(node)
+                                for where in loads(child, owner)]
 
-    readers = {module: count for module, tree in _modules().items()
-               if (count := loads_outside_workspace(tree))}
-    assert readers == {}, f"use_banded read outside StepWorkspace: {readers}"
+    readers = Counter(where for module, tree in _modules().items()
+                      for where in loads(tree, module))
+    assert readers == {"stepper.StepWorkspace.__init__": 1,
+                       "harness._metadata": 1}
 
 
 def test_only_the_harness_names_a_sweep_kind():

@@ -1233,15 +1233,23 @@ def test_2d_setup_makes_no_sparse_arithmetic_copies(monkeypatch):
 
 
 def test_the_2d_workspace_holds_one_copy_of_the_pattern():
-    # K and the system matrix are built on M's index arrays after the
-    # pattern check, and the products on the shared arrays are unchanged
+    # K and the CG backend's system matrix are built on M's index arrays
+    # after the pattern check, the refill writes the system matrix's own
+    # data, and the products on the shared arrays are unchanged
     space = build_lagrange_space(uniform_square_mesh(4), 3)
     M, K = assemble_mass(space), assemble_stiffness(space)
     work = StepWorkspace(space, M, K, TimeGrid(t_end=0.1, n_steps=2))
-    for A in (work.K_ff, work.A):
-        assert np.shares_memory(A.indices, work.M_ff.indices)
-        assert np.shares_memory(A.indptr, work.M_ff.indptr)
+    A = work.backend.A
+    for matrix in (work.K_ff, A):
+        assert np.shares_memory(matrix.indices, work.M_ff.indices)
+        assert np.shares_memory(matrix.indptr, work.M_ff.indptr)
+    assert A.data is work.backend.a
     x = np.sin(1.0 + np.arange(work.M_ff.shape[0]))
+    theta = 5e-3
+    solve_verified(work, theta, x)
+    assert A.data is work.backend.a
+    assert A.data.tobytes() == (work.K_ff.data * theta
+                                + work.M_ff.data).tobytes()
     free = space.free_node_indices
     assert np.array_equal(work.K_ff @ x, K.restrict(free) @ x)
 
