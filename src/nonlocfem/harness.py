@@ -103,10 +103,13 @@ class RunConfig:
             delta=case.default_delta if self.delta is None else self.delta,
             t_end=case.default_t_end if self.t_end is None else self.t_end,
         )
-        # k and n are integers; a NumPy integer is one, and 2.0 is not
-        if not (isinstance(cfg.k, (int, np.integer)) and cfg.k in (1, 2, 3)):
+        # k and n are integers; a NumPy integer is one, and 2.0 is not, nor
+        # is a bool, an int to Python that would run True as degree 1
+        k_int, n_int = (isinstance(v, (int, np.integer))
+                        and not isinstance(v, bool) for v in (cfg.k, cfg.n))
+        if not (k_int and cfg.k in (1, 2, 3)):
             raise ConfigError(f"polynomial degree must be 1, 2 or 3, got {cfg.k}")
-        if not isinstance(cfg.n, (int, np.integer)):
+        if not n_int:
             raise ConfigError(f"n must be an integer, got {cfg.n!r}")
         for name in ("n", "delta", "t_end", "solver_tol", "guard_floor",
                      "guard_ceiling"):
@@ -115,6 +118,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
             if name in ("delta", "t_end") and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        # the step count is an array length: t_end / delta, before rounding,
+        # must lie below the largest one (an infinite quotient does not)
+        steps, largest = cfg.t_end / cfg.delta, np.iinfo(np.intp).max
+        if not steps < largest:
+            raise ConfigError(f"t_end / delta = {steps:g} steps, not below "
+                              f"the largest array length {largest}")
         # at a bound of 1 or more, x = 0 passes the verify of every solve
         if not cfg.solver_tol < 1:
             raise ConfigError(f"solver_tol must be below 1, got {cfg.solver_tol}")

@@ -9,8 +9,10 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from nonlocfem import harness
 from nonlocfem.cli import main
@@ -756,6 +758,83 @@ def test_run_solve_refuses_a_non_integer_degree_or_mesh_size(field, value,
 def test_numpy_integers_are_a_valid_degree_and_mesh_size():
     cfg = _quick_config(k=np.int64(2), n=np.int32(8)).resolved()
     assert (cfg.k, cfg.n) == (2, 8)
+
+
+@pytest.mark.parametrize("field", ["k", "n"])
+@pytest.mark.parametrize("value", [True, np.bool_(True)])
+def test_a_bool_is_no_degree_or_mesh_size(field, value):
+    # bool subclasses int, so True would otherwise run at degree 1 and be
+    # recorded as True
+    with pytest.raises(ConfigError):
+        _quick_config(**{field: value}).resolved()
+
+
+@pytest.mark.parametrize("argv", [["--delta", "1e-300"], ["--t-end", "1e300"],
+                                  ["--delta", "5e-324"]])
+def test_cli_refuses_a_step_count_beyond_the_largest_array(argv, tmp_path,
+                                                          capsys):
+    # t_end / delta is compared before rounding, so an infinite quotient
+    # (delta 5e-324) is refused as well, and nothing is written
+    out = tmp_path / "out"
+    assert main(["solve", "--case", "example1", *argv,
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_end / delta = ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+_LARGEST_STEPS = np.iinfo(np.intp).max
+
+# k and n of every other kind a caller can pass: ints and NumPy ints of
+# any size, bools, floats of both kinds and strings
+_NOT_AN_INTEGER_IN_RANGE = st.one_of(
+    st.integers(-2 ** 200, 2 ** 200), st.integers(-128, 127).map(np.int8),
+    st.integers(0, 2 ** 64 - 1).map(np.uint64), st.booleans(),
+    st.booleans().map(np.bool_), st.floats(), st.floats().map(np.float64),
+    st.text(max_size=3), st.sampled_from(["1", "2", "8"]))
+
+
+def _mostly(usual, other):
+    # usual on three draws in four: one_of flattens nested branches and
+    # draws each equally often, so few draws would pass all four fields'
+    # first checks and reach the step count
+    return st.integers(0, 3).flatmap(lambda i: usual if i else other)
+
+
+_ANY_K = _mostly(st.one_of(st.integers(1, 3), st.integers(1, 3).map(np.int64)),
+                 _NOT_AN_INTEGER_IN_RANGE)
+_ANY_N = _mostly(st.one_of(st.integers(1, 2 ** 200),
+                           st.integers(1, 2 ** 63 - 1).map(np.int64)),
+                 _NOT_AN_INTEGER_IN_RANGE)
+# delta and t_end: positive powers of ten from the subnormals to 1e308,
+# so that t_end / delta spans every step count, or any float, with zero,
+# subnormals, the overflow edge, infinities, NaN and negatives drawn often
+_ANY_TIME = _mostly(
+    st.integers(-323, 308).map(lambda e: 10.0 ** e),
+    st.one_of(st.floats(), st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 1e308, math.inf, -math.inf, math.nan,
+         -1.0])))
+
+
+@settings(deadline=None)
+@given(k=_ANY_K, n=_ANY_N, delta=_ANY_TIME, t_end=_ANY_TIME)
+@example(k=True, n=8, delta=0.1, t_end=1.0)
+@example(k=2, n=np.bool_(True), delta=0.1, t_end=1.0)
+@example(k=2, n=8, delta=5e-324, t_end=1.0)
+@example(k=2, n=8, delta=1.0, t_end=1e300)
+def test_resolved_returns_a_runnable_config_or_a_config_error(k, n, delta,
+                                                              t_end):
+    try:
+        cfg = RunConfig(case="example1", k=k, n=n, delta=delta,
+                        t_end=t_end).resolved()
+    except ConfigError:
+        return
+    for value in (cfg.k, cfg.n):
+        assert isinstance(value, (int, np.integer))
+        assert not isinstance(value, (bool, np.bool_))
+    assert cfg.k in (1, 2, 3) and cfg.n >= 1
+    assert cfg.t_end / cfg.delta < _LARGEST_STEPS
 
 
 def test_cli_out_of_memory_is_a_numerical_failure(monkeypatch, capsys):

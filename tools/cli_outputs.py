@@ -65,6 +65,9 @@ COMMANDS = {
     "solve_delta_inf": ["solve", "--case", "example2", "--delta", "inf"],
     "solve_solver_tol_one": ["solve", "--case", "example3", "--k", "1",
                              "--n", "8", "--solver-tol", "1"],
+    # step counts beyond the largest array length
+    "solve_delta_tiny": ["solve", "--case", "example1", "--delta", "1e-300"],
+    "solve_t_end_huge": ["solve", "--case", "example1", "--t-end", "1e300"],
 }
 
 # the subcommands that write files, and so take --out-dir
