@@ -24,12 +24,13 @@ M + theta K and every other unknown a 1x1 block, so at k <= 2 it is the
 Jacobi 1 / diag. The CG backend builds it once from M, K and the free rows
 of the edge pairs, and it alone holds the block layout: every solve
 refills it from theta, with no renumbering of the unknowns. Every
-solution is verified against its residual, recomputed from independent products with M and K;
-that verify is the only acceptance check of a solve, and a miss gets one
-refinement pass before the solve is refused. The loads are evaluated on
-the free rows, a block of steps per call (LoadAssembler fixes how many),
-and the right-hand side and the verify's residual are vectors the
-workspace reuses, so a banded step allocates no vector.
+solution is verified against its residual, recomputed from independent
+products with M and K; that verify is the only acceptance check of a
+solve, and a miss gets one refinement pass before the solve is refused.
+The loads are evaluated on the free rows, a block of steps per call
+(LoadAssembler fixes how many), and the right-hand side and the verify's
+residual are vectors the workspace reuses, so a banded step allocates no
+vector.
 
 run carries u, M u and K u of the last _START_LEVELS levels as rows of
 one array, and a new level overwrites the oldest (pbsv and sbmv write
